@@ -54,15 +54,9 @@ from .quantize import (
     gaussian_distribution,
     gaussian_probe_signal,
     overlap_kernel,
-    portrait,
     quantize_to_kernel,
 )
-from .stellar import (
-    StellarParams,
-    pentagon_zeros,
-    stellar_distribution,
-    stellar_experiment,
-)
+from .stellar import StellarParams, _experiment, pentagon_zeros
 
 SCHEMA = 1
 PHASE_GRID_HEADER = "omega_start,omega_step,n_omega,b_start,b_step,n_b"
@@ -195,6 +189,9 @@ def _read_phase_grid_csv(path) -> Distribution:
                            for line in lines[2:] if line.strip()])
     except ValueError as exc:
         raise ValidationFailure("grid CSV parse error: %s" % exc)
+    if not (np.all(np.isfinite([omega.start, omega.step, b.start, b.step]))
+            and np.all(np.isfinite(values))):
+        raise ValidationFailure("grid CSV holds non-finite values")
     grid = PhaseSpaceGrid(omega, b)
     if values.shape != grid.shape:
         raise ValidationFailure(
@@ -212,6 +209,8 @@ def _read_signal_csv(path) -> SampledSignal:
         raise ValidationFailure("signal CSV parse error: %s" % exc)
     if rows.shape[1] != 3 or rows.shape[0] < 2:
         raise ValidationFailure("signal CSV needs columns t, re, im")
+    if not np.all(np.isfinite(rows)):
+        raise ValidationFailure("signal CSV holds non-finite values")
     t = rows[:, 0]
     steps = np.diff(t)
     step = steps[0]
@@ -384,10 +383,8 @@ def _run_cylinder(params: _Params, seed: int, outdir: Path) -> None:
     diff = recon.values - signal.values
     roundtrip = float(np.sqrt(signal.grid.step * np.sum(np.abs(diff) ** 2)))
     axis = Grid1D.regular(-2.0 * np.pi, 2.0 * np.pi, n_theta)
-    kernel = np.empty((n_theta, n_theta), dtype=complex)
-    for i, theta in enumerate(axis.points):
-        for j, thetap in enumerate(axis.points):
-            kernel[i, j] = cyl.reproducing_kernel(lam, m, theta, mprime, thetap)
+    kernel = cyl.reproducing_kernel(lam, m, axis.points[:, None],
+                                    mprime, axis.points[None, :])
     report = {
         "schema": SCHEMA,
         "lam": lam,
@@ -517,13 +514,11 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
         fold = 5
     pars = StellarParams(s=s, probe_a=probe_a, probe_r=probe_r,
                          grid=PhaseSpaceGrid.square(grid_min, grid_max, n_grid))
-    report = stellar_experiment(zeros, pars, rel_threshold=rel_threshold,
-                                match_cutoff=match_cutoff, symmetry_fold=fold)
+    report, w, smoothed = _experiment(zeros, pars, rel_threshold=rel_threshold,
+                                      match_cutoff=match_cutoff, symmetry_fold=fold)
     report["schema"] = SCHEMA
-    density = stellar_distribution(zeros, s, pars.grid)
-    smoothed = portrait(density.distribution, probe_a, probe_r)
     _write_grid_csv(outdir / "w.csv", pars.grid.omega_axis, pars.grid.b_axis,
-                    density.distribution.values, PHASE_GRID_HEADER)
+                    w.values, PHASE_GRID_HEADER)
     _write_grid_csv(outdir / "portrait.csv", pars.grid.omega_axis,
                     pars.grid.b_axis, smoothed.values, PHASE_GRID_HEADER)
     _write_json(outdir / "report.json", report)

@@ -23,8 +23,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ive
 
-from .numerics import Grid1D, bessel_i, periodic_trapezoid
+from .gabor import SampledSignal
+from .numerics import Grid1D, bessel_i, edge_mass_share, spectral_shift
 
 __all__ = [
     "TruncationWarning",
@@ -59,33 +61,12 @@ def _check_circle(grid: Grid1D) -> None:
         raise ValueError("grid must cover [0, 2*pi) starting at 0")
 
 
-@dataclass(frozen=True, eq=False)
-class CircularSignal:
+class CircularSignal(SampledSignal):
     """Complex samples on a uniform [0, 2*pi) grid, periodic indexing."""
-
-    grid: Grid1D
-    values: np.ndarray
 
     def __post_init__(self):
         _check_circle(self.grid)
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.grid.count,):
-            raise ValueError("values must match the grid")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def energy(self) -> float:
-        return float(self.grid.step * np.sum(np.abs(self.values) ** 2))
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.energy))
-
-    def normalized(self) -> "CircularSignal":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero signal")
-        return CircularSignal(self.grid, self.values / n)
+        super().__post_init__()
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,22 +107,6 @@ def von_mises(lam: float, n_gamma: int = 256) -> CircularSignal:
     return CircularSignal(grid, np.exp(lam * np.cos(grid.points)) / norm)
 
 
-def _rotate(values: np.ndarray, theta: float) -> np.ndarray:
-    """Samples of g -> f(g - theta) on the periodic grid; exact for
-    trigonometric polynomials (any band-limited periodic signal)."""
-    n = values.size
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * k * theta))
-
-
-def _batch_rotate(values: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Row j holds the rotation of ``values`` by thetas[j]."""
-    n = values.size
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    spectrum = np.fft.fft(values)
-    return np.fft.ifft(np.exp(-1j * np.outer(thetas, k)) * spectrum[None, :], axis=1)
-
-
 def displace(m: int, theta: float, phi: CircularSignal) -> CircularSignal:
     """exp(-1j*m*theta/2) exp(1j*m*gamma) phi(gamma - theta); unitary.
 
@@ -149,7 +114,7 @@ def displace(m: int, theta: float, phi: CircularSignal) -> CircularSignal:
     through the half-phase (the representation is projective in theta).
     """
     gamma = phi.grid.points
-    rotated = _rotate(phi.values, theta)
+    rotated = spectral_shift(phi.values, phi.grid.step, theta)
     out = np.exp(-1j * m * theta / 2.0) * np.exp(1j * m * gamma) * rotated
     return CircularSignal(phi.grid, out)
 
@@ -183,8 +148,7 @@ def truncated_trace(m: int, theta: float, n_cut: int) -> complex:
 # reproducing kernel
 # ---------------------------------------------------------------------------
 
-def reproducing_kernel(lam: float, m: int, theta: float,
-                       mprime: int, thetaprime: float) -> complex:
+def reproducing_kernel(lam: float, m: int, theta, mprime: int, thetaprime):
     """Overlap <psi_{m,theta} | psi_{m',theta'}> of displaced von Mises
     windows, in closed form:
 
@@ -194,18 +158,19 @@ def reproducing_kernel(lam: float, m: int, theta: float,
     The half-angle is evaluated on the raw difference of the angle
     arguments (no wrapping): the kernel is 2*pi-periodic only up to the
     sign (-1)^(m-m'), exactly like the displacement phase.  Coincident
-    arguments give exactly 1.
+    arguments give exactly 1.  theta and thetaprime broadcast against each
+    other (an outer grid from a column and a row); scalar angles return a
+    complex.  The Bessel ratio uses the exponentially scaled ive, so large
+    lambda cannot overflow.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    nu = m - mprime
-    x = 2.0 * lam * np.cos(abs(theta - thetaprime) / 2.0)
-    if x >= 0:
-        radial = bessel_i(abs(nu), x)
-    else:
-        radial = (-1.0) ** (nu % 2) * bessel_i(abs(nu), -x)
-    phase = np.exp(1j * (mprime * theta - m * thetaprime) / 2.0)
-    return complex(phase * (radial / bessel_i(0, 2.0 * lam)))
+    theta = np.asarray(theta, dtype=float)
+    thetaprime = np.asarray(thetaprime, dtype=float)
+    x = 2.0 * lam * np.cos((theta - thetaprime) / 2.0)
+    radial = ive(abs(m - mprime), x) / ive(0, 2.0 * lam) * np.exp(np.abs(x) - 2.0 * lam)
+    kernel = np.exp(1j * (mprime * theta - m * thetaprime) / 2.0) * radial
+    return complex(kernel) if kernel.ndim == 0 else kernel
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +219,7 @@ def cyl_gabor_transform(psi: CircularSignal, phi: CircularSignal, m_max: int,
         raise ValueError("m_max too large for %d-point signals" % n)
     theta_axis = theta_axis or phi.grid
     thetas = theta_axis.points
-    windows = _batch_rotate(psi.values, thetas)            # (n_theta, n_gamma)
+    windows = spectral_shift(psi.values, psi.grid.step, thetas)  # (n_theta, n_gamma)
     spectra = np.fft.fft(np.conj(windows) * phi.values[None, :], axis=1)
     spectra *= phi.grid.step                               # Riemann measure
     m_vals = np.arange(-m_max, m_max + 1)
@@ -273,20 +238,17 @@ def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients,
     """
     if abs(psi.norm - 1.0) > 1e-10:
         raise ValueError("analysis window must have unit norm")
-    total = np.sum(np.abs(coeffs.values) ** 2)
-    if total > 0:
-        tail = np.sum(np.abs(coeffs.values[0, :]) ** 2)
-        tail += np.sum(np.abs(coeffs.values[-1, :]) ** 2)
-        if tail > tail_tol * total:
-            warnings.warn(
-                "outermost m-rows carry %.2e of the coefficient energy; "
-                "increase m_max" % (tail / total),
-                TruncationWarning,
-                stacklevel=2,
-            )
+    tail = edge_mass_share(np.abs(coeffs.values) ** 2, axes=(0,))
+    if tail > tail_tol:
+        warnings.warn(
+            "outermost m-rows carry %.2e of the coefficient energy; "
+            "increase m_max" % tail,
+            TruncationWarning,
+            stacklevel=2,
+        )
     thetas = coeffs.theta_axis.points
     gamma = psi.grid.points
-    windows = _batch_rotate(psi.values, thetas)            # (n_theta, n_gamma)
+    windows = spectral_shift(psi.values, psi.grid.step, thetas)  # (n_theta, n_gamma)
     descaled = coeffs.values * np.exp(-1j * np.outer(coeffs.m_values, thetas) / 2.0)
     modes = np.exp(1j * np.outer(coeffs.m_values, gamma))  # (2M+1, n_gamma)
     partial = descaled.T @ modes                           # (n_theta, n_gamma)

@@ -31,7 +31,9 @@ from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
     batch_fractional_shift,
+    edge_peak_ratio,
     fractional_shift,
+    spectral_shift,
 )
 
 __all__ = [
@@ -77,6 +79,8 @@ class SampledSignal:
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (self.grid.count,):
             raise ValueError("values must be a vector matching the grid")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("signal values must be finite")
         object.__setattr__(self, "values", values)
 
     @property
@@ -92,7 +96,7 @@ class SampledSignal:
         n = self.norm
         if n == 0.0:
             raise ValueError("cannot normalize the zero signal")
-        return SampledSignal(self.grid, self.values / n)
+        return type(self)(self.grid, self.values / n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,26 +253,6 @@ def gabor_reconstruct(probe: Probe, coeffs: TFCoefficients,
 # covariance and uncertainty diagnostics
 # ---------------------------------------------------------------------------
 
-def _spectral_shift_2d(values: np.ndarray, grid: PhaseSpaceGrid,
-                       d_omega: float, d_b: float) -> np.ndarray:
-    """Band-limited evaluation of F(omega - d_omega, b - d_b) for F sampled
-    on the grid, axis by axis; integer-cell shifts reduce to exact rolls."""
-    out = values
-    for axis, (ax, delta) in enumerate(((grid.omega_axis, d_omega),
-                                        (grid.b_axis, d_b))):
-        cells = delta / ax.step
-        nearest = round(cells)
-        if abs(cells - nearest) < 1e-12:
-            out = np.roll(out, int(nearest), axis=axis)
-            continue
-        nu = 2.0 * np.pi * np.fft.fftfreq(ax.count, d=ax.step)
-        shape = [1, 1]
-        shape[axis] = ax.count
-        ramp = np.exp(-1j * nu * delta).reshape(shape)
-        out = np.fft.ifft(np.fft.fft(out, axis=axis) * ramp, axis=axis)
-    return out
-
-
 def covariance_residual(probe: Probe, s: SampledSignal, omega0: float,
                         b0: float, grid: PhaseSpaceGrid | None = None) -> float:
     """Max-abs defect of the displacement covariance of the transform.
@@ -283,7 +267,8 @@ def covariance_residual(probe: Probe, s: SampledSignal, omega0: float,
     grid = grid or default_tf_grid()
     lhs = gabor_transform(probe, displace(omega0, b0, s), grid).values
     base = gabor_transform(probe, s, grid).values
-    shifted = _spectral_shift_2d(base, grid, omega0, b0)
+    shifted = spectral_shift(base, grid.omega_axis.step, omega0, axis=0)
+    shifted = spectral_shift(shifted, grid.b_axis.step, b0, axis=1)
     omega = grid.omega_axis.points[:, None]
     rhs = np.exp(-1j * (omega - 0.5 * omega0) * b0) * shifted
     return float(np.abs(lhs - rhs).max())
@@ -297,8 +282,7 @@ def uncertainty_product(s: SampledSignal, decay_tol: float = 1e-6) -> float:
     Gaussian the product saturates the lower bound 1/2.
     """
     mag2 = np.abs(s.values) ** 2
-    peak = mag2.max()
-    if peak > 0 and max(mag2[0], mag2[-1]) > (decay_tol * peak) ** 1:
+    if edge_peak_ratio(mag2) > decay_tol:
         warnings.warn(
             "signal does not decay at the grid edges; moments are unreliable",
             SlowDecayWarning,

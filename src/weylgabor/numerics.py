@@ -15,12 +15,12 @@ helper.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve
+from scipy.special import iv
 
 __all__ = [
     "EdgeEnergyWarning",
@@ -28,6 +28,9 @@ __all__ = [
     "PhaseSpaceGrid",
     "bessel_i",
     "periodic_trapezoid",
+    "edge_peak_ratio",
+    "edge_mass_share",
+    "spectral_shift",
     "fractional_shift",
     "batch_fractional_shift",
     "grid_convolve",
@@ -37,7 +40,7 @@ __all__ = [
 
 class EdgeEnergyWarning(UserWarning):
     """Samples near the grid edge are large enough to wrap around in a
-    spectral shift or convolution."""
+    spectral shift or to be truncated by a convolution."""
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +137,12 @@ class PhaseSpaceGrid:
 # ---------------------------------------------------------------------------
 
 _BESSEL_ORDER_CAP = 64
-_BESSEL_SERIES_CUTOFF = 30.0
 
 
 def bessel_i(order: int, x: float) -> float:
-    """I_order(x) for integer order >= 0 and x >= 0.
-
-    Ascending power series for x <= 30; downward Miller recurrence with the
-    exp(x) sum normalization above that.  Negative arguments are rejected;
-    callers can fold them out with I_n(-x) = (-1)^n I_n(x).
+    """I_order(x) for integer order in [0, 64] and x >= 0, from scipy's
+    ``iv`` (Amos's algorithm).  Negative arguments are rejected; callers
+    can fold them out with I_n(-x) = (-1)^n I_n(x).
     """
     n = int(order)
     if n != order or n < 0 or n > _BESSEL_ORDER_CAP:
@@ -150,51 +150,7 @@ def bessel_i(order: int, x: float) -> float:
     x = float(x)
     if x < 0.0:
         raise ValueError("x must be non-negative; use I_n(-x) = (-1)^n I_n(x)")
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x <= _BESSEL_SERIES_CUTOFF:
-        return _bessel_i_series(n, x)
-    return _bessel_i_miller(n, x)
-
-
-def _bessel_i_series(n: int, x: float) -> float:
-    # sum_k (x/2)^(n+2k) / (k! (n+k)!)
-    half = 0.5 * x
-    term = half ** n / math.factorial(n)
-    total = term
-    for k in range(1, 1000):
-        term *= half * half / (k * (n + k))
-        total += term
-        if term < 1e-18 * total:
-            break
-    return total
-
-
-def _bessel_i_miller(n: int, x: float) -> float:
-    # Downward recurrence I_{k-1} = I_{k+1} + (2k/x) I_k from a seed well
-    # above both the order and the turning point k ~ x, normalized with
-    # I_0(x) + 2*sum_{k>=1} I_k(x) = exp(x).
-    top = max(n, x)
-    start = int(top + 10.0 * math.sqrt(top) + 20.0)
-    fp = 0.0          # f_{k+1}
-    fc = 1e-30        # f_k, arbitrary seed scale
-    total = 0.0
-    saved = 0.0
-    for k in range(start, 0, -1):
-        fm = fp + (2.0 * k / x) * fc
-        total += 2.0 * fc
-        if k == n:
-            saved = fc
-        fp, fc = fc, fm
-        if abs(fc) > 1e250:
-            fc *= 1e-250
-            fp *= 1e-250
-            total *= 1e-250
-            saved *= 1e-250
-    total += fc       # fc now holds f_0
-    if n == 0:
-        saved = fc
-    return saved / total * math.exp(x)
+    return float(iv(n, x))
 
 
 # ---------------------------------------------------------------------------
@@ -212,22 +168,65 @@ def periodic_trapezoid(values: np.ndarray, step: float | None = None):
     return step * values.sum(axis=-1)
 
 
-def _warn_hot_edges(values: np.ndarray, tol: float, what: str) -> None:
-    mag = np.abs(values)
+def edge_peak_ratio(values: np.ndarray, axes: tuple | None = None) -> float:
+    """Largest |value| on the first and last lines along each of ``axes``
+    (every axis by default), divided by the largest |value| anywhere; 0.0
+    for an all-zero array."""
+    mag = np.abs(np.asarray(values))
     peak = mag.max()
     if peak == 0.0:
-        return
-    if values.ndim == 1:
-        edge = max(mag[0], mag[-1])
-    else:
-        edge = max(mag[0, :].max(), mag[-1, :].max(), mag[:, 0].max(), mag[:, -1].max())
-    if edge > tol * peak:
+        return 0.0
+    axes = range(mag.ndim) if axes is None else axes
+    edge = max(np.take(mag, [0, -1], axis=ax).max() for ax in axes)
+    return float(edge / peak)
+
+
+def edge_mass_share(values: np.ndarray, axes: tuple | None = None) -> float:
+    """Sum over the first and last lines along each of ``axes`` (every axis
+    by default), each cell counted once, divided by the total sum; 0.0 when
+    the total is not positive.  Meant for non-negative densities."""
+    values = np.asarray(values)
+    total = values.sum()
+    if not total > 0:
+        return 0.0
+    border = np.zeros(values.shape, dtype=bool)
+    for ax in range(values.ndim) if axes is None else axes:
+        np.moveaxis(border, ax, 0)[[0, -1]] = True
+    return float(values[border].sum() / total)
+
+
+def _warn_hot_edges(values: np.ndarray, tol: float, what: str, effect: str) -> None:
+    ratio = edge_peak_ratio(values)
+    if ratio > tol:
         warnings.warn(
-            "%s: edge samples reach %.2e of the peak; wrap-around will "
-            "contaminate the result" % (what, edge / peak),
+            "%s: edge samples reach %.2e of the peak; %s" % (what, ratio, effect),
             EdgeEnergyWarning,
             stacklevel=3,
         )
+
+
+_WRAP_AROUND = "wrap-around will contaminate the result"
+
+
+def spectral_shift(values: np.ndarray, step: float, shift, axis: int = -1) -> np.ndarray:
+    """Band-limited translate along ``axis``: samples of t -> s(t - shift).
+
+    An FFT phase ramp, so the shift wraps periodically, which is exact for
+    periodic band-limited signals and needs decayed edges otherwise (no
+    check here).  A scalar shift by an integer number of samples is an
+    exact roll.  For 1-D ``values``, a 1-D array of shifts returns one
+    translate per entry, stacked as rows.
+    """
+    values = np.asarray(values, dtype=complex)
+    if np.ndim(shift) == 0:
+        cells = shift / step
+        nearest = round(cells)
+        if abs(cells - nearest) < 1e-12:
+            return np.roll(values, int(nearest), axis=axis)
+    moved = np.moveaxis(values, axis, -1)
+    nu = 2.0 * np.pi * np.fft.fftfreq(moved.shape[-1], d=step)
+    ramps = np.exp(-1j * np.multiply.outer(shift, nu))
+    return np.moveaxis(np.fft.ifft(np.fft.fft(moved) * ramps), -1, axis)
 
 
 def fractional_shift(values: np.ndarray, step: float, shift: float,
@@ -241,13 +240,8 @@ def fractional_shift(values: np.ndarray, step: float, shift: float,
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1:
         raise ValueError("expected a 1-D sample array")
-    _warn_hot_edges(values, edge_tol, "fractional_shift")
-    cells = shift / step
-    nearest = round(cells)
-    if abs(cells - nearest) < 1e-12:
-        return np.roll(values, int(nearest))
-    nu = 2.0 * np.pi * np.fft.fftfreq(values.size, d=step)
-    return np.fft.ifft(np.fft.fft(values) * np.exp(-1j * nu * shift))
+    _warn_hot_edges(values, edge_tol, "fractional_shift", _WRAP_AROUND)
+    return spectral_shift(values, step, shift)
 
 
 def batch_fractional_shift(values: np.ndarray, step: float, shifts: np.ndarray,
@@ -262,11 +256,8 @@ def batch_fractional_shift(values: np.ndarray, step: float, shifts: np.ndarray,
     shifts = np.asarray(shifts, dtype=float)
     if values.ndim != 1 or shifts.ndim != 1:
         raise ValueError("expected 1-D sample and shift arrays")
-    _warn_hot_edges(values, edge_tol, "batch_fractional_shift")
-    nu = 2.0 * np.pi * np.fft.fftfreq(values.size, d=step)
-    spectrum = np.fft.fft(values)
-    ramps = np.exp(-1j * np.outer(shifts, nu))
-    return np.fft.ifft(ramps * spectrum[None, :], axis=1)
+    _warn_hot_edges(values, edge_tol, "batch_fractional_shift", _WRAP_AROUND)
+    return spectral_shift(values, step, shifts)
 
 
 def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid,
@@ -277,14 +268,15 @@ def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid,
     Uses a zero-padded FFT convolution, then restricts the full output back
     to the input lattice.  Both axes must contain 0 on a lattice point so
     the restriction is exact; both inputs should decay at the boundary
-    (checked, warning only).
+    (checked, warning only), since mass pushed beyond the lattice is lost.
     """
     f = np.asarray(f)
     g = np.asarray(g)
     if f.shape != grid.shape or g.shape != grid.shape:
         raise ValueError("inputs must live on the given grid")
-    _warn_hot_edges(f, edge_tol, "grid_convolve (first input)")
-    _warn_hot_edges(g, edge_tol, "grid_convolve (second input)")
+    for values, which in ((f, "first"), (g, "second")):
+        _warn_hot_edges(values, edge_tol, "grid_convolve (%s input)" % which,
+                        "mass beyond the lattice is truncated")
     s0 = grid.omega_axis.origin_index()
     s1 = grid.b_axis.origin_index()
     n0, n1 = grid.shape

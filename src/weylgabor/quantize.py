@@ -35,6 +35,7 @@ from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
     batch_fractional_shift,
+    edge_peak_ratio,
     fractional_shift,
     grid_convolve,
 )
@@ -77,6 +78,8 @@ class Distribution:
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
             raise ValueError("values must match the grid shape")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("distribution values must be finite")
         peak = np.abs(values).max()
         if peak > 0 and values.min() < -1e-9 * peak:
             raise ValueError("distribution values must be non-negative")
@@ -200,20 +203,6 @@ def _require_unit_mass(w: Distribution, who: str) -> None:
                          "normalized() first" % (who, w.mass))
 
 
-def _warn_band_edges(w: Distribution) -> None:
-    peak = w.values.max()
-    if peak <= 0:
-        return
-    edge = max(w.values[0, :].max(), w.values[-1, :].max())
-    if edge > 1e-8 * peak:
-        warnings.warn(
-            "distribution reaches %.2e of its peak at the frequency-band "
-            "edge; the operator is band-truncated" % (edge / peak),
-            BandCoverageWarning,
-            stacklevel=3,
-        )
-
-
 def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     """Kernel of the density operator obtained by smearing displaced-probe
     projectors with the density w.
@@ -226,7 +215,14 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     _require_unit_mass(w, "quantize_to_kernel")
     if abs(psi_a.norm - 1.0) > 1e-10:
         raise ValueError("probe must have unit norm")
-    _warn_band_edges(w)
+    band_edge = edge_peak_ratio(w.values, axes=(0,))
+    if band_edge > 1e-8:
+        warnings.warn(
+            "distribution reaches %.2e of its peak at the frequency-band "
+            "edge; the operator is band-truncated" % band_edge,
+            BandCoverageWarning,
+            stacklevel=2,
+        )
     tgrid = psi_a.grid
     n_t = tgrid.count
     d_om = w.grid.omega_axis.step
@@ -266,9 +262,7 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
         raise ValueError("weight must match the grid shape")
     if not np.all(np.isfinite(w_values)):
         raise ValueError("weight must be finite")
-    peak = np.abs(w_values).max()
-    if peak > 0 and max(np.abs(w_values[0, :]).max(),
-                        np.abs(w_values[-1, :]).max()) > 1e-8 * peak:
+    if edge_peak_ratio(w_values, axes=(0,)) > 1e-8:
         warnings.warn(
             "weight reaches the frequency-band edge; the operator is "
             "band-truncated",

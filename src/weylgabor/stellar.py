@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gabor import gaussian_probe
-from .numerics import Grid1D, PhaseSpaceGrid, find_local_minima
+from .numerics import Grid1D, PhaseSpaceGrid, edge_mass_share, find_local_minima
 from .quantize import (
     Distribution,
     OperatorKernel,
@@ -141,15 +141,6 @@ def stellar_weight(zeros: Sequence[complex], s: float, z) -> np.ndarray:
     return anisotropic_stellar_weight(zeros, 1.0 - s, 1.0 / s - 1.0, z)
 
 
-def _boundary_fraction(values: np.ndarray) -> float:
-    total = float(values.sum())
-    if total <= 0:
-        return 0.0
-    ring = (values[0, :].sum() + values[-1, :].sum()
-            + values[1:-1, 0].sum() + values[1:-1, -1].sum())
-    return float(ring) / total
-
-
 def stellar_distribution(zeros: Sequence[complex], s: float,
                          grid: PhaseSpaceGrid) -> StellarDensity:
     """Normalized stellar density on the grid.
@@ -166,7 +157,7 @@ def stellar_distribution(zeros: Sequence[complex], s: float,
     raw_total = float(grid.integrate(values))
     if raw_total <= 0:
         raise ValueError("density has no mass on the grid")
-    tail = _boundary_fraction(values)
+    tail = edge_mass_share(values)
     if tail > 1e-6:
         warnings.warn(
             "boundary ring holds %.3g of the on-grid mass; normalization is "
@@ -273,6 +264,15 @@ def stellar_experiment(zeros: Sequence[complex], params: StellarParams,
     force-matched.  The symmetry residual is the Hausdorff distance between
     the non-origin minima and their rotation by 2*pi/symmetry_fold.
     """
+    return _experiment(zeros, params, rel_threshold, match_cutoff,
+                       symmetry_fold, origin_radius)[0]
+
+
+def _experiment(zeros: Sequence[complex], params: StellarParams,
+                rel_threshold: float = 1e-2, match_cutoff: float = 0.5,
+                symmetry_fold: int | None = None, origin_radius: float = 0.25):
+    """stellar_experiment's report, followed by the normalized density and
+    its portrait that the report was measured on."""
     density = stellar_distribution(zeros, params.s, params.grid)
     w = density.distribution
     smoothed = portrait(w, params.probe_a, params.probe_r)
@@ -300,7 +300,7 @@ def stellar_experiment(zeros: Sequence[complex], params: StellarParams,
             w_minima, symmetry_fold, origin_radius)
         report["portrait_symmetry_residual"] = _rotation_residual(
             p_minima, symmetry_fold, origin_radius)
-    return report
+    return report, w, smoothed
 
 
 def quantize_stellar(zeros: Sequence[complex], params: StellarParams,

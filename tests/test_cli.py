@@ -105,6 +105,22 @@ def test_gabor_run_with_csv_signal(tmp_path):
     assert report["parseval_rel_error"] < 1e-5
 
 
+def test_gabor_rejects_nonfinite_csv_signal(tmp_path, capsys):
+    grid = Grid1D.regular(-20.0, 20.0, 64)
+    values = np.pi ** -0.25 * np.exp(-grid.points ** 2 / 2.0)
+    values[30] = np.inf
+    rows = "\n".join("%.17g,%.17g,0" % (t, v)
+                     for t, v in zip(grid.points, values))
+    csv_path = tmp_path / "signal.csv"
+    csv_path.write_text("# t,re,im\n" + rows + "\n")
+    cfg = _write_config(tmp_path / "cfg.json", "gabor",
+                        signal_csv=str(csv_path), n_tf=32)
+    out = tmp_path / "out"
+    assert cli.main(["gabor", "--config", cfg, "--out", str(out)]) == 2
+    assert "non-finite" in _stderr_error(capsys)
+    assert not out.exists()
+
+
 def test_gabor_rejects_two_signal_sources(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", "gabor",
                         signal="gaussian", signal_csv="whatever.csv")
@@ -153,10 +169,13 @@ def test_quantize_run_default_density(tmp_path):
     assert len(lines) == 1 + 128 * 128
 
 
-def _write_density_csv(path, normalized=True):
+def _write_density_csv(path, normalized=True, poison=None):
     grid = PhaseSpaceGrid.square(-4.0, 4.0, 16)
     w = gaussian_distribution(grid, 1.0, 1.0).normalized()
     values = w.values if normalized else 2.0 * w.values
+    if poison is not None:
+        values = values.copy()
+        values[5, 7] = poison
     lines = ["# " + cli.PHASE_GRID_HEADER,
              "# " + ",".join(["%.17g" % grid.omega_axis.start,
                               "%.17g" % grid.omega_axis.step, "16",
@@ -178,6 +197,15 @@ def test_quantize_accepts_normalized_csv_density(tmp_path):
     diag = _read_json(out / "diagnostics.json")
     assert diag["w"] == "csv:w.csv"
     assert abs(diag["trace"] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("poison", [float("nan"), float("inf")])
+def test_quantize_rejects_nonfinite_csv_density(tmp_path, capsys, poison):
+    csv_path = _write_density_csv(tmp_path / "w.csv", poison=poison)
+    cfg = _write_config(tmp_path / "cfg.json", "quantize", w_csv=csv_path)
+    rc = cli.main(["quantize", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "non-finite" in _stderr_error(capsys)
 
 
 def test_quantize_rejects_unnormalized_csv_density(tmp_path, capsys):
@@ -234,6 +262,15 @@ def test_stellar_rejects_malformed_zeros(tmp_path, capsys):
     rc = cli.main(["stellar", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "zeros JSON" in _stderr_error(capsys)
+
+
+def test_stellar_manifest_lists_each_warning_once(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", "stellar", n_grid=64)
+    out = tmp_path / "out"
+    assert cli.main(["stellar", "--config", cfg, "--out", str(out)]) == 0
+    texts = _read_json(out / "manifest.json")["warnings"]
+    assert texts
+    assert len(texts) == len(set(texts))
 
 
 def test_stellar_strict_mode_reports_warnings(tmp_path):

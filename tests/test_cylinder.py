@@ -1,8 +1,11 @@
 """Windowed analysis on the circle: integer-frequency displacements, the
 von Mises reproducing kernel, and the transform/resynthesis pair."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import iv
 
 from weylgabor.cylinder import (
     CircularSignal,
@@ -18,7 +21,7 @@ from weylgabor.cylinder import (
     truncated_trace,
     von_mises,
 )
-from weylgabor.numerics import Grid1D, bessel_i
+from weylgabor.numerics import EdgeEnergyWarning, Grid1D, bessel_i
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,6 +54,13 @@ def test_circular_signal_rejects_noncircle_grid():
         CircularSignal(Grid1D.regular(-1.0, 1.0, 64), np.zeros(64))
     with pytest.raises(ValueError):
         CircularSignal(circle_grid(64), np.zeros(63))
+
+
+def test_circular_signal_is_a_finite_sampled_signal():
+    w = von_mises(2.0, 64)
+    assert type(CircularSignal(w.grid, 3.0 * w.values).normalized()) is CircularSignal
+    with pytest.raises(ValueError, match="finite"):
+        CircularSignal(w.grid, np.full(64, np.nan))
 
 
 def test_von_mises_flat_at_zero_concentration():
@@ -208,6 +218,24 @@ def test_kernel_hermitian_symmetry():
         assert abs(k - np.conj(reproducing_kernel(1.5, mp, tp, m, t))) < 1e-15
 
 
+@pytest.mark.parametrize("lam", [0.5, 2.0, 40.0])
+def test_kernel_grid_matches_scipy_bessel(lam):
+    # theta - theta' spans (-4*pi, 4*pi), so cos of the half-difference
+    # takes both signs; negative arguments fold as I_n(-x) = (-1)^n I_n(x)
+    axis = Grid1D.regular(-TWO_PI, TWO_PI, 41).points
+    t, tp = axis[:, None], axis[None, :]
+    for m, mp in ((3, 0), (-2, 3), (1, 1)):
+        grid = reproducing_kernel(lam, m, t, mp, tp)
+        x = 2.0 * lam * np.cos((t - tp) / 2.0)
+        nu = abs(m - mp)
+        radial = np.sign(x) ** nu * iv(nu, np.abs(x)) / iv(0, 2.0 * lam)
+        expected = np.exp(1j * (mp * t - m * tp) / 2.0) * radial
+        assert grid.shape == (41, 41)
+        assert (x < 0).any()
+        assert np.abs(grid - expected).max() < 1e-13
+    assert isinstance(reproducing_kernel(lam, 1, 0.3, 0, 2.0), complex)
+
+
 def test_kernel_modulus_is_bessel_ratio():
     lam, m, t, mp, tp = 2.0, 4, 0.9, 1, 2.2
     k = reproducing_kernel(lam, m, t, mp, tp)
@@ -316,6 +344,16 @@ def test_round_trip_modulated_signal():
     rec = cyl_reconstruct(w, cyl_gabor_transform(w, sig, 32))
     rel = np.abs(rec.values - sig.values).max() / np.abs(sig.values).max()
     assert rel < 1e-8
+
+
+def test_periodic_shifts_raise_no_edge_warning():
+    # a von Mises window peaks at gamma = 0, the first grid sample; on the
+    # circle that is no edge, so the shifts must not warn about wrap-around
+    w = von_mises(5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EdgeEnergyWarning)
+        moved = displace(1, 0.3, w)
+        cyl_reconstruct(w, cyl_gabor_transform(w, moved, 24))
 
 
 def test_reconstruct_warns_on_small_cutoff():

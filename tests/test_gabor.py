@@ -60,6 +60,14 @@ def test_signal_shape_validation():
         SampledSignal(default_time_grid(), np.zeros(1024)).normalized()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_signal_rejects_nonfinite_samples(bad):
+    values = np.zeros(1024, dtype=complex)
+    values[17] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SampledSignal(default_time_grid(), values)
+
+
 # ---------------------------------------------------------------------------
 # displacement operator
 # ---------------------------------------------------------------------------
@@ -181,7 +189,7 @@ def test_covariance_residual_vanishes_at_origin():
     assert covariance_residual(gaussian_probe(), s, 0.0, 0.0) < 1e-12
 
 
-@pytest.mark.parametrize("omega0,b0", [(1.0, 1.0), (2.0, -0.5)])
+@pytest.mark.parametrize("omega0,b0", [(1.0, 1.0), (2.0, -0.5), (0.73, -1.37)])
 def test_covariance_residual_small_for_resolved_shifts(omega0, b0):
     s = make_test_signal("gaussian")
     probe = gaussian_probe()

@@ -13,10 +13,13 @@ from weylgabor.numerics import (
     PhaseSpaceGrid,
     batch_fractional_shift,
     bessel_i,
+    edge_mass_share,
+    edge_peak_ratio,
     find_local_minima,
     fractional_shift,
     grid_convolve,
     periodic_trapezoid,
+    spectral_shift,
 )
 
 # frozen once from the ascending power series sum_k (x/2)^(2k) / (k!)^2
@@ -219,6 +222,40 @@ def test_batch_shift_matches_singles():
                                    rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("shift", [0.37, 5 * 0.0625])
+def test_spectral_shift_acts_along_one_axis(shift):
+    grid = Grid1D.regular(-8.0, 8.0, 256)
+    rng = np.random.default_rng(4)
+    block = _unit_gaussian(grid)[:, None] * rng.normal(size=(1, 5))
+    moved = spectral_shift(block, grid.step, shift, axis=0)
+    for j in range(5):
+        np.testing.assert_allclose(moved[:, j],
+                                   fractional_shift(block[:, j], grid.step, shift),
+                                   rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(spectral_shift(block.T, grid.step, shift, axis=1),
+                                  moved.T)
+
+
+def test_edge_peak_ratio_reads_chosen_border_lines():
+    values = np.zeros((5, 6))
+    values[2, 3] = -4.0
+    values[2, 0] = 1.0
+    values[4, 2] = 0.5
+    assert edge_peak_ratio(values) == 0.25
+    assert edge_peak_ratio(values, axes=(0,)) == 0.125
+    assert edge_peak_ratio(values, axes=(1,)) == 0.25
+    assert edge_peak_ratio(np.zeros(8)) == 0.0
+    assert edge_peak_ratio(np.array([3.0, 1.0, 6.0, 2.0j])) == 0.5
+
+
+def test_edge_mass_share_counts_corners_once():
+    values = np.ones((4, 5))
+    assert edge_mass_share(values) == 14.0 / 20.0
+    assert edge_mass_share(values, axes=(0,)) == 10.0 / 20.0
+    assert edge_mass_share(values, axes=(1,)) == 8.0 / 20.0
+    assert edge_mass_share(np.zeros((4, 5))) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # phase-space convolution
 # ---------------------------------------------------------------------------
@@ -275,6 +312,15 @@ def test_convolve_warns_on_leaky_edges():
     tight = _gaussian_2d(grid, 0.05, 0.05)
     with pytest.warns(EdgeEnergyWarning):
         grid_convolve(wide, tight, grid)
+
+
+def test_convolve_warning_names_truncation_not_wrap_around():
+    grid = PhaseSpaceGrid.square(-2.0, 2.0, 32)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        grid_convolve(_gaussian_2d(grid, 9.0, 9.0), _gaussian_2d(grid, 0.05, 0.05), grid)
+    texts = [str(w.message) for w in caught]
+    assert texts and all("truncated" in t and "wrap" not in t for t in texts)
 
 
 def test_convolve_shape_mismatch():

@@ -55,6 +55,14 @@ def test_distribution_shape_check():
         Distribution(TF_GRID, np.ones(17))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distribution_rejects_nonfinite_values(bad):
+    values = np.ones(TF_GRID.shape)
+    values[3, 4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Distribution(TF_GRID, values)
+
+
 def test_point_mass_has_unit_mass_on_one_cell():
     d = point_mass_distribution(TF_GRID, 1.5, -0.5)
     assert abs(d.mass - 1.0) < 1e-12
