@@ -3,7 +3,7 @@
 Five subcommands (group-check, gabor, cylinder, quantize, stellar) share
 one calling convention:
 
-    weylgabor <subcommand> --out DIR [--config FILE] [--strict] [--threads N]
+    weylgabor <subcommand> --out DIR [--config FILE] [--strict]
 
 The optional config is a single JSON document with at most the keys
 "command" (must match the subcommand when present), "seed" (integer, used
@@ -18,9 +18,7 @@ Reruns with the same config and seed produce byte-identical outputs
 (the manifest differs only in its wall_time_s field).
 
 Exit codes: 0 success; 2 validation failure (error JSON on stderr);
-3 run completed but raised warnings and --strict was given.  --threads is
-validated and recorded in the manifest; the computation itself is
-single-threaded regardless.
+3 run completed but raised warnings and --strict was given.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ from .quantize import (
 )
 from .stellar import StellarParams, _experiment, pentagon_zeros
 
-SCHEMA = 1
+SCHEMA = 2
 PHASE_GRID_HEADER = "omega_start,omega_step,n_omega,b_start,b_step,n_b"
 GENERIC_GRID_HEADER = ("axis0_start,axis0_step,axis0_count,"
                        "axis1_start,axis1_step,axis1_count")
@@ -99,6 +97,14 @@ def _load_config(path, command: str):
     if not isinstance(params, dict):
         raise ValidationFailure("parameters must be a JSON object")
     return seed, params
+
+
+def _one_source(key: str, name, file_key: str, path, default):
+    """An input comes by name or from a file, never both; with neither,
+    ``default`` names it.  Returns the name to use (None for a file)."""
+    if name is not None and path is not None:
+        raise ValidationFailure("give only one of %r or %r" % (key, file_key))
+    return default if name is None and path is None else name
 
 
 class _Params:
@@ -145,54 +151,67 @@ class _Params:
 # writers and readers
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    return "%.17g" % float(value)
-
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8", newline="\n")
 
 
-def _axis_meta(axis: Grid1D) -> list:
-    return [_fmt(axis.start), _fmt(axis.step), "%d" % axis.count]
+def _write_csv(path: Path, comments, blocks) -> None:
+    """Write "# "-prefixed comment lines, then every row of each 2-D float
+    block as %.17g values joined by commas.  Each block is formatted with
+    one row template and streamed to the file, so the whole text is never
+    held in memory."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines("# %s\n" % line for line in comments)
+        for block in blocks:
+            template = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            fh.write(template * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_grid_csv(path: Path, axis0: Grid1D, axis1: Grid1D,
                     values: np.ndarray, header: str) -> None:
-    lines = ["# " + header,
-             "# " + ",".join(_axis_meta(axis0) + _axis_meta(axis1))]
-    for row in np.asarray(values, dtype=float):
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    meta = ",".join("%.17g,%.17g,%d" % (a.start, a.step, a.count)
+                    for a in (axis0, axis1))
+    # one block per first-axis row
+    _write_csv(path, (header, meta), np.asarray(values, dtype=float)[:, None])
 
 
-def _read_phase_grid_csv(path) -> Distribution:
+def _require_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValidationFailure("%s CSV holds non-finite values" % what)
+
+
+def _read_csv(path, what: str):
+    """Leading comment lines (without their "# ") and the finite float body
+    of a CSV; read and parse failures become ValidationFailures."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
+        head = next((i for i, line in enumerate(lines)
+                     if not line.startswith("#")), len(lines))
+        rows = np.loadtxt(lines[head:], delimiter=",", comments="#", ndmin=2)
     except OSError as exc:
-        raise ValidationFailure("cannot read grid CSV: %s" % exc)
-    if len(lines) < 3 or lines[0].lstrip("# ").strip() != PHASE_GRID_HEADER:
+        raise ValidationFailure("cannot read %s CSV: %s" % (what, exc))
+    except ValueError as exc:
+        raise ValidationFailure("%s CSV parse error: %s" % (what, exc))
+    _require_finite(rows, what)
+    return [line.lstrip("# ") for line in lines[:head]], rows
+
+
+def _read_phase_grid_csv(path) -> Distribution:
+    comments, values = _read_csv(path, "grid")
+    if len(comments) < 2 or comments[0].strip() != PHASE_GRID_HEADER:
         raise ValidationFailure(
             "grid CSV must start with '# %s'" % PHASE_GRID_HEADER)
-    meta = lines[1].lstrip("# ").split(",")
+    meta = comments[1].split(",")
     if len(meta) != 6:
         raise ValidationFailure("grid CSV metadata line must carry 6 fields")
     try:
-        omega = Grid1D(float(meta[0]), float(meta[1]), int(meta[2]))
-        b = Grid1D(float(meta[3]), float(meta[4]), int(meta[5]))
-        values = np.array([[float(cell) for cell in line.split(",")]
-                           for line in lines[2:] if line.strip()])
+        grid = PhaseSpaceGrid(*(Grid1D(float(meta[k]), float(meta[k + 1]),
+                                       int(meta[k + 2])) for k in (0, 3)))
     except ValueError as exc:
         raise ValidationFailure("grid CSV parse error: %s" % exc)
-    if not (np.all(np.isfinite([omega.start, omega.step, b.start, b.step]))
-            and np.all(np.isfinite(values))):
-        raise ValidationFailure("grid CSV holds non-finite values")
-    grid = PhaseSpaceGrid(omega, b)
+    _require_finite(np.array(meta, dtype=float), "grid")
     if values.shape != grid.shape:
         raise ValidationFailure(
             "grid CSV body %s does not match declared shape %s"
@@ -201,16 +220,9 @@ def _read_phase_grid_csv(path) -> Distribution:
 
 
 def _read_signal_csv(path) -> SampledSignal:
-    try:
-        rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except OSError as exc:
-        raise ValidationFailure("cannot read signal CSV: %s" % exc)
-    except ValueError as exc:
-        raise ValidationFailure("signal CSV parse error: %s" % exc)
+    _, rows = _read_csv(path, "signal")
     if rows.shape[1] != 3 or rows.shape[0] < 2:
         raise ValidationFailure("signal CSV needs columns t, re, im")
-    if not np.all(np.isfinite(rows)):
-        raise ValidationFailure("signal CSV holds non-finite values")
     t = rows[:, 0]
     steps = np.diff(t)
     step = steps[0]
@@ -312,6 +324,19 @@ def _run_group_check(params: _Params, seed: int, outdir: Path) -> None:
 # gabor
 # ---------------------------------------------------------------------------
 
+def _energy_report(signal, coeffs, recon) -> dict:
+    """Parseval and round-trip bookkeeping of a transform and its inverse."""
+    diff = recon.values - signal.values
+    roundtrip = float(np.sqrt(signal.grid.step * np.sum(np.abs(diff) ** 2)))
+    return {
+        "signal_energy": signal.energy,
+        "coefficient_energy": coeffs.energy,
+        "parseval_rel_error": abs(coeffs.energy - signal.energy) / signal.energy,
+        "roundtrip_l2_error": roundtrip,
+        "roundtrip_rel_error": roundtrip / signal.norm,
+    }
+
+
 def _run_gabor(params: _Params, seed: int, outdir: Path) -> None:
     name = params.strval("signal", None)
     csv_path = params.strval("signal_csv", None)
@@ -325,10 +350,7 @@ def _run_gabor(params: _Params, seed: int, outdir: Path) -> None:
     params.finish()
     if probe_width <= 0:
         raise ValidationFailure("probe_width must be positive")
-    if name is not None and csv_path is not None:
-        raise ValidationFailure("give only one of 'signal' or 'signal_csv'")
-    if name is None and csv_path is None:
-        name = "gaussian"
+    name = _one_source("signal", name, "signal_csv", csv_path, "gaussian")
     if csv_path is not None:
         signal = _read_signal_csv(csv_path)
         label = "csv:%s" % Path(csv_path).name
@@ -340,19 +362,9 @@ def _run_gabor(params: _Params, seed: int, outdir: Path) -> None:
     tf_grid = PhaseSpaceGrid.square(tf_min, tf_max, n_tf)
     probe = gaussian_probe(grid, probe_width)
     coeffs = gabor_transform(probe, signal, tf_grid)
-    recon = gabor_reconstruct(probe, coeffs)
-    diff = recon.values - signal.values
-    roundtrip = float(np.sqrt(grid.step * np.sum(np.abs(diff) ** 2)))
-    report = {
-        "schema": SCHEMA,
-        "signal": label,
-        "probe_width": probe_width,
-        "signal_energy": signal.energy,
-        "coefficient_energy": coeffs.energy,
-        "parseval_rel_error": abs(coeffs.energy - signal.energy) / signal.energy,
-        "roundtrip_l2_error": roundtrip,
-        "roundtrip_rel_error": roundtrip / signal.norm,
-    }
+    report = {"schema": SCHEMA, "signal": label, "probe_width": probe_width}
+    report.update(_energy_report(signal, coeffs,
+                                 gabor_reconstruct(probe, coeffs)))
     _write_grid_csv(outdir / "coefficients_modulus.csv",
                     tf_grid.omega_axis, tf_grid.b_axis,
                     np.abs(coeffs.values), PHASE_GRID_HEADER)
@@ -380,8 +392,6 @@ def _run_cylinder(params: _Params, seed: int, outdir: Path) -> None:
         m_max = cyl.adaptive_m_cutoff(probe, signal)
     coeffs = cyl.cyl_gabor_transform(probe, signal, m_max)
     recon = cyl.cyl_reconstruct(probe, coeffs)
-    diff = recon.values - signal.values
-    roundtrip = float(np.sqrt(signal.grid.step * np.sum(np.abs(diff) ** 2)))
     axis = Grid1D.regular(-2.0 * np.pi, 2.0 * np.pi, n_theta)
     kernel = cyl.reproducing_kernel(lam, m, axis.points[:, None],
                                     mprime, axis.points[None, :])
@@ -391,12 +401,8 @@ def _run_cylinder(params: _Params, seed: int, outdir: Path) -> None:
         "m": m,
         "mprime": mprime,
         "m_cutoff": int(m_max),
-        "signal_energy": signal.energy,
-        "coefficient_energy": coeffs.energy,
-        "parseval_rel_error": abs(coeffs.energy - signal.energy) / signal.energy,
-        "roundtrip_l2_error": roundtrip,
-        "roundtrip_rel_error": roundtrip / signal.norm,
     }
+    report.update(_energy_report(signal, coeffs, recon))
     for suffix, block in (("real", kernel.real), ("imag", kernel.imag),
                           ("modulus", np.abs(kernel))):
         _write_grid_csv(outdir / ("kernel_%s.csv" % suffix), axis, axis,
@@ -427,10 +433,7 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
     params.finish()
     if probe_width <= 0:
         raise ValidationFailure("probe_width must be positive")
-    if kind is not None and w_csv is not None:
-        raise ValidationFailure("give only one of 'w' or 'w_csv'")
-    if kind is None and w_csv is None:
-        kind = "gaussian"
+    kind = _one_source("w", kind, "w_csv", w_csv, "gaussian")
     if w_csv is not None:
         w = _read_phase_grid_csv(w_csv)
         if abs(w.mass - 1.0) > 1e-6:
@@ -453,15 +456,9 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
     kernel = quantize_to_kernel(w, probe)
     diag = density_diagnostics(kernel)
     t = time_grid.points
-    lines = ["# t_i,t_j,re,im"]
-    entries = kernel.entries
-    for i in range(time_grid.count):
-        ti = _fmt(t[i])
-        row = entries[i]
-        for j in range(time_grid.count):
-            lines.append(",".join((ti, _fmt(t[j]),
-                                   _fmt(row[j].real), _fmt(row[j].imag))))
-    _write_text(outdir / "kernel.csv", "\n".join(lines) + "\n")
+    _write_csv(outdir / "kernel.csv", ("t_i,t_j,re,im",),
+               (np.column_stack((np.full(t.size, ti), t, row.real, row.imag))
+                for ti, row in zip(t, kernel.entries)))
     report = {"schema": SCHEMA, "w": label, "probe_width": probe_width}
     report.update(diag)
     _write_json(outdir / "diagnostics.json", report)
@@ -472,8 +469,6 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_zeros(spec_name, zeros_path):
-    if spec_name is not None and zeros_path is not None:
-        raise ValidationFailure("give only one of 'zeros' or 'zeros_json'")
     if spec_name is not None:
         if spec_name != "pentagon":
             raise ValidationFailure("named zero fixtures: 'pentagon'")
@@ -507,8 +502,7 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
     match_cutoff = params.floatval("match_cutoff", 0.5)
     fold = params.optional_int("symmetry_fold", minimum=2)
     params.finish()
-    if name is None and zeros_path is None:
-        name = "pentagon"
+    name = _one_source("zeros", name, "zeros_json", zeros_path, "pentagon")
     zeros = _load_zeros(name, zeros_path)
     if fold is None and name == "pentagon":
         fold = 5
@@ -537,11 +531,9 @@ _RUNNERS = {
 # orchestration
 # ---------------------------------------------------------------------------
 
-def run(command: str, config_path, out_dir, strict: bool, threads: int) -> int:
+def run(command: str, config_path, out_dir, strict: bool) -> int:
     if command not in _RUNNERS:
         raise ValidationFailure("unknown command %r" % command)
-    if threads < 1:
-        raise ValidationFailure("--threads must be >= 1")
     seed, raw_params = _load_config(config_path, command)
     out = Path(out_dir)
     if out.exists():
@@ -569,7 +561,6 @@ def run(command: str, config_path, out_dir, strict: bool, threads: int) -> int:
         "command": command,
         "version": __version__,
         "config": {"command": command, "seed": seed, "parameters": raw_params},
-        "threads": threads,
         "strict": bool(strict),
         "wall_time_s": wall,
         "warnings": warning_texts,
@@ -606,12 +597,9 @@ def main(argv=None) -> int:
                             "already contain files)")
         p.add_argument("--strict", action="store_true",
                        help="exit 3 when the run raises warnings")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count to record; execution is "
-                            "single-threaded either way")
     args = parser.parse_args(argv)
     try:
-        return run(args.command, args.config, args.out, args.strict, args.threads)
+        return run(args.command, args.config, args.out, args.strict)
     except ValidationFailure as exc:
         print(json.dumps({"schema": SCHEMA, "error": str(exc)}),
               file=sys.stderr)

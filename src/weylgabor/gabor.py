@@ -295,7 +295,7 @@ def uncertainty_product(s: SampledSignal, decay_tol: float = 1e-6) -> float:
 
     spectrum = np.fft.fft(s.values)
     smag2 = np.abs(spectrum) ** 2
-    nu = 2.0 * np.pi * np.fft.fftfreq(s.grid.count, d=s.grid.step)
+    nu = s.grid.angular_frequencies()
     stotal = smag2.sum()
     mean_nu = (nu * smag2).sum() / stotal
     var_nu = ((nu - mean_nu) ** 2 * smag2).sum() / stotal

@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.special import iv
 
 __all__ = [
@@ -280,7 +280,8 @@ def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid,
     s0 = grid.omega_axis.origin_index()
     s1 = grid.b_axis.origin_index()
     n0, n1 = grid.shape
-    full = fftconvolve(f, g, mode="full")
+    fshape = [next_fast_len(2 * n - 1, real=True) for n in grid.shape]
+    full = irfftn(rfftn(f, fshape) * rfftn(g, fshape), fshape)
     return grid.cell_measure * full[s0:s0 + n0, s1:s1 + n1]
 
 

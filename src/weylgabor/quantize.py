@@ -38,6 +38,7 @@ from .numerics import (
     edge_peak_ratio,
     fractional_shift,
     grid_convolve,
+    spectral_shift,
 )
 
 __all__ = [
@@ -253,9 +254,9 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     so real weights with the symmetry w(-omega, -b) = w(omega, b) produce
     Hermitian kernels to roundoff (the one-sided modulation fails this at
     spectral-leakage level for frequencies off the FFT comb).  The sum
-    collapses to one dense transform over omega plus one circulant
-    accumulation per b-node.  Linear in w; a point mass 2*pi*delta at the
-    origin returns the identity kernel.
+    collapses to one dense transform over omega and one product with the
+    stacked shift rows, read off at (i + j, i - j mod n).  Linear in w; a
+    point mass 2*pi*delta at the origin returns the identity kernel.
     """
     w_values = np.asarray(w_values, dtype=complex)
     if w_values.shape != grid.shape:
@@ -276,14 +277,13 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     pair_sums = 2.0 * t[0] + time_grid.step * np.arange(2 * n_t - 1)
     pair_phase = np.exp(0.5j * np.outer(pair_sums, omegas))  # (2*n_t-1, n_omega)
     amplitudes = grid.cell_measure * (pair_phase @ w_values)  # (2*n_t-1, n_b)
-    nu = 2.0 * np.pi * np.fft.fftfreq(n_t, d=time_grid.step)
-    shift_rows = np.fft.ifft(np.exp(-1j * np.outer(bs, nu)), axis=1)
+    impulse = np.zeros(n_t)
+    impulse[0] = 1.0
+    shift_rows = spectral_shift(impulse, time_grid.step, bs)  # (n_b, n_t)
     idx = np.arange(n_t)
     sum_index = idx[:, None] + idx[None, :]
     circ_index = (idx[:, None] - idx[None, :]) % n_t
-    matrix = np.zeros((n_t, n_t), dtype=complex)
-    for k in range(bs.size):
-        matrix += amplitudes[sum_index, k] * shift_rows[k][circ_index]
+    matrix = (amplitudes @ shift_rows)[sum_index, circ_index]
     return OperatorKernel(time_grid, matrix / time_grid.step)
 
 

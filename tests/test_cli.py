@@ -4,13 +4,16 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from weylgabor import cli
 from weylgabor.numerics import Grid1D, PhaseSpaceGrid
-from weylgabor.quantize import gaussian_distribution
+from weylgabor.gabor import gaussian_probe
+from weylgabor.quantize import gaussian_distribution, portrait, quantize_to_kernel
+from weylgabor.stellar import pentagon_zeros, stellar_distribution
 
 EXPECTED_SUITES = {
     "heisenberg_line_matrix",
@@ -40,7 +43,7 @@ def _read_json(path):
 def _stderr_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     payload = json.loads(err)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     return payload["error"]
 
 
@@ -53,7 +56,7 @@ def test_group_check_run(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["group-check", "--config", cfg, "--out", str(out)]) == 0
     report = _read_json(out / "group_check.json")
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert report["seed"] == 7
     assert report["trials"] == 50
     assert set(report["suites"]) == EXPECTED_SUITES
@@ -169,6 +172,24 @@ def test_quantize_run_default_density(tmp_path):
     assert len(lines) == 1 + 128 * 128
 
 
+def test_kernel_csv_holds_the_exact_kernel(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", "quantize",
+                        n_tf=64, n_time=48, tf_min=-8.0, tf_max=8.0,
+                        time_start=-10.0, time_stop=10.0)
+    out = tmp_path / "out"
+    assert cli.main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "kernel.csv", delimiter=",", comments="#")
+    tgrid = Grid1D.regular(-10.0, 10.0, 48)
+    w = gaussian_distribution(PhaseSpaceGrid.square(-8.0, 8.0, 64)).normalized()
+    entries = quantize_to_kernel(w, gaussian_probe(tgrid, 1.0).signal).entries
+    t = tgrid.points
+    assert rows.shape == (48 * 48, 4)
+    assert np.array_equal(rows[:, 0], np.repeat(t, 48))
+    assert np.array_equal(rows[:, 1], np.tile(t, 48))
+    assert np.array_equal(rows[:, 2], entries.real.ravel())
+    assert np.array_equal(rows[:, 3], entries.imag.ravel())
+
+
 def _write_density_csv(path, normalized=True, poison=None):
     grid = PhaseSpaceGrid.square(-4.0, 4.0, 16)
     w = gaussian_distribution(grid, 1.0, 1.0).normalized()
@@ -208,6 +229,25 @@ def test_quantize_rejects_nonfinite_csv_density(tmp_path, capsys, poison):
     assert "non-finite" in _stderr_error(capsys)
 
 
+def test_grid_csv_round_trips_exactly(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", "stellar", n_grid=64)
+    out = tmp_path / "out"
+    assert cli.main(["stellar", "--config", cfg, "--out", str(out)]) == 0
+    grid = PhaseSpaceGrid.square(-4.0, 4.0, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        density = stellar_distribution(pentagon_zeros(), 0.945, grid).distribution
+        smoothed = portrait(density, 2.0, 2.0)
+    for name, expected in (("w.csv", density), ("portrait.csv", smoothed)):
+        w = cli._read_phase_grid_csv(out / name)
+        assert w.grid == grid
+        assert np.array_equal(w.values, expected.values)
+        rewritten = tmp_path / ("again_" + name)
+        cli._write_grid_csv(rewritten, w.grid.omega_axis, w.grid.b_axis,
+                            w.values, cli.PHASE_GRID_HEADER)
+        assert rewritten.read_bytes() == (out / name).read_bytes()
+
+
 def test_quantize_rejects_unnormalized_csv_density(tmp_path, capsys):
     csv_path = _write_density_csv(tmp_path / "w.csv", normalized=False)
     cfg = _write_config(tmp_path / "cfg.json", "quantize", w_csv=csv_path)
@@ -225,7 +265,7 @@ def test_stellar_run_pentagon_default(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["stellar", "--config", cfg, "--out", str(out)]) == 0
     report = _read_json(out / "report.json")
-    assert report["schema"] == 1
+    assert report["schema"] == 2
     assert len(report["zeros"]) == 6
     assert report["symmetry_fold"] == 5
     assert len(report["w_minima"]) == 6
@@ -349,11 +389,13 @@ def test_bad_seed(tmp_path, capsys):
     assert "seed" in _stderr_error(capsys)
 
 
-def test_threads_must_be_positive(tmp_path, capsys):
-    rc = cli.main(["group-check", "--out", str(tmp_path / "out"),
-                   "--threads", "0"])
-    assert rc == 2
-    assert "--threads" in _stderr_error(capsys)
+def test_threads_is_an_unknown_argument(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["group-check", "--out", str(tmp_path / "out"),
+                  "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_refuses_nonempty_output_dir(tmp_path, capsys):
@@ -379,6 +421,15 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weylgabor.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 
 def test_module_invocation(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", "group-check", trials=5)

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylgabor.gabor import SampledSignal, displace
 from weylgabor.numerics import EdgeEnergyWarning, Grid1D, PhaseSpaceGrid
@@ -295,6 +297,42 @@ def test_weyl_warns_on_hot_band_edge():
     tgrid = Grid1D.regular(-5.0, 5.0, 32)
     with pytest.warns(BandCoverageWarning):
         weyl_operator_from_weight(np.ones(grid.shape), grid, tgrid)
+
+
+# ---------------------------------------------------------------------------
+# properties at small sizes
+# ---------------------------------------------------------------------------
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=25)
+@given(SEEDS, st.sampled_from([8, 12, 16]), st.sampled_from([16, 24, 33]))
+def test_weyl_conjugate_symmetric_weight_gives_hermitian_kernel(seed, n_tf, n_t):
+    # Dropping index 0 leaves a lattice symmetric about the origin, on which
+    # w(-omega, -b) = conj w(omega, b) makes the operator self-adjoint.
+    grid = PhaseSpaceGrid.square(-4.0, 4.0, n_tf)
+    tgrid = Grid1D.regular(-6.0, 6.0, n_t)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_tf - 1,) * 2) + 1j * rng.standard_normal((n_tf - 1,) * 2)
+    w = np.zeros(grid.shape, dtype=complex)
+    w[1:, 1:] = z + np.conj(z[::-1, ::-1])
+    w[[1, -1], :] = 0.0
+    k = weyl_operator_from_weight(w, grid, tgrid).entries
+    assert np.abs(k - k.conj().T).max() <= 1e-10 * np.abs(k).max()
+
+
+@settings(max_examples=25)
+@given(SEEDS, st.sampled_from([8, 12, 16]), st.sampled_from([32, 48, 64]))
+def test_quantized_random_density_has_unit_trace_and_is_positive(seed, n_tf, n_t):
+    grid = PhaseSpaceGrid.square(-4.0, 4.0, n_tf)
+    tgrid = Grid1D.regular(-10.0, 10.0, n_t)
+    values = np.random.default_rng(seed).random(grid.shape)
+    values[[0, -1], :] = 0.0
+    w = Distribution(grid, values).normalized()
+    diag = density_diagnostics(quantize_to_kernel(w, gaussian_probe_signal(1.0, tgrid)))
+    assert abs(diag["trace"] - 1.0) <= 1e-10
+    assert diag["min_eigenvalue"] >= -1e-10
 
 
 # ---------------------------------------------------------------------------
