@@ -4,12 +4,18 @@ Circular signals live in L2(S1, d gamma); the phase space pairs an integer
 Fourier index m with an angle theta.  The displacement operator acts by
 
     (displace(m, theta) phi)(gamma)
-        = exp(-1j*m*theta/2) exp(1j*m*gamma) phi(gamma - theta),
+        = exp(1j*m*(gamma - theta/2)) phi(gamma - theta),
 
-two displacements compose with the phase exp(1j*(m*theta' - m'*theta)/2),
-and the transform of a signal phi against a unit-norm window psi is
-S(m, theta) = <displace(m, theta) psi | phi>.  Coefficient energy carries
-the cell measure d(theta)/(2*pi) summed over m.
+which is gabor.displace at omega = m, b = theta (re-exported here; a
+CircularSignal translates by a periodic rotation).  Angles are raw reals:
+adding 2*pi flips the sign for odd m through the half-phase (the
+representation is projective in theta).  Two displacements
+compose with the phase exp(1j*(m*theta' - m'*theta)/2), and the transform
+of a signal phi against a unit-norm window psi is
+S(m, theta) = <displace(m, theta) psi | phi>: the line's windowed Fourier
+analysis on the integer comb m = -M..M, times exp(1j*m*theta/2).
+Resynthesis is the line's too, with the cell measure d(theta)/(2*pi)
+summed over m.
 
 The von Mises window exp(lambda*cos(gamma)) / sqrt(2*pi*I0(2*lambda)) is
 the circular stand-in for the Gaussian; its reproducing kernel has the
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ive
 
-from .gabor import SampledSignal
+from .gabor import SampledSignal, _analyze, _synthesize, displace
 from .numerics import Grid1D, bessel_i, edge_mass_share, spectral_shift
 
 __all__ = [
@@ -68,6 +74,11 @@ class CircularSignal(SampledSignal):
         _check_circle(self.grid)
         super().__post_init__()
 
+    def translated(self, theta) -> np.ndarray:
+        """Samples of g -> phi(g - theta), one row per angle for an array;
+        a rotation, so there is no edge to check."""
+        return spectral_shift(self.values, self.grid.step, theta)
+
 
 @dataclass(frozen=True, eq=False)
 class CylCoefficients:
@@ -76,7 +87,6 @@ class CylCoefficients:
     m_max: int
     theta_axis: Grid1D
     values: np.ndarray
-    probe_label: str = "custom"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -105,18 +115,6 @@ def von_mises(lam: float, n_gamma: int = 256) -> CircularSignal:
     grid = circle_grid(n_gamma)
     norm = np.sqrt(_TWO_PI * bessel_i(0, 2.0 * lam))
     return CircularSignal(grid, np.exp(lam * np.cos(grid.points)) / norm)
-
-
-def displace(m: int, theta: float, phi: CircularSignal) -> CircularSignal:
-    """exp(-1j*m*theta/2) exp(1j*m*gamma) phi(gamma - theta); unitary.
-
-    theta is taken as a raw real: adding 2*pi flips the sign for odd m
-    through the half-phase (the representation is projective in theta).
-    """
-    gamma = phi.grid.points
-    rotated = spectral_shift(phi.values, phi.grid.step, theta)
-    out = np.exp(-1j * m * theta / 2.0) * np.exp(1j * m * gamma) * rotated
-    return CircularSignal(phi.grid, out)
 
 
 def displacement_matrix_element(m: int, theta: float, n: int, nprime: int) -> complex:
@@ -177,12 +175,11 @@ def reproducing_kernel(lam: float, m: int, theta, mprime: int, thetaprime):
 # transform / reconstruction
 # ---------------------------------------------------------------------------
 
-def adaptive_m_cutoff(psi: CircularSignal, phi: CircularSignal | None = None,
-                      tol: float = 1e-12) -> int:
-    """Smallest M whose Fourier tail of conj(psi)*phi holds less than
-    ``tol`` of the product's energy.  A heuristic for choosing the m-range
-    of the transform; for von Mises windows with lambda <= 5, M = 32 is
-    already in the flat-tail regime.
+def adaptive_m_cutoff(psi: CircularSignal, phi: CircularSignal | None = None) -> int:
+    """Smallest M whose Fourier tail of conj(psi)*phi holds less than 1e-12
+    of the product's energy.  A heuristic for choosing the m-range of the
+    transform; for von Mises windows with lambda <= 5, M = 32 is already in
+    the flat-tail regime.
     """
     phi = phi or psi
     if psi.grid.count != phi.grid.count:
@@ -196,50 +193,41 @@ def adaptive_m_cutoff(psi: CircularSignal, phi: CircularSignal | None = None,
     ms = np.minimum(np.arange(psi.grid.count),
                     psi.grid.count - np.arange(psi.grid.count))
     for m_cut in range(1, half):
-        if power[ms > m_cut].sum() < tol * total:
+        if power[ms > m_cut].sum() < 1e-12 * total:
             return m_cut
     return half - 1
 
 
-def cyl_gabor_transform(psi: CircularSignal, phi: CircularSignal, m_max: int,
-                        theta_axis: Grid1D | None = None) -> CylCoefficients:
+def cyl_gabor_transform(psi: CircularSignal, phi: CircularSignal,
+                        m_max: int) -> CylCoefficients:
     """Coefficients S(m, theta) = <displace(m, theta) psi | phi> for
-    |m| <= m_max on the theta nodes.
+    |m| <= m_max on the signal's own angle nodes.
 
-    For each fixed theta, all m-slices come from one FFT of the windowed
-    product conj(psi(g - theta)) phi(g), times the half-phase
-    exp(1j*m*theta/2).
+    The line's windowed Fourier analysis on the integer comb, times the
+    half-phase exp(1j*m*theta/2) that the line's coefficients leave out.
     """
     if abs(psi.norm - 1.0) > 1e-10:
         raise ValueError("analysis window must have unit norm")
     if psi.grid.count != phi.grid.count:
         raise ValueError("window and signal must share a grid")
-    n = phi.grid.count
-    if 2 * m_max + 1 > n:
-        raise ValueError("m_max too large for %d-point signals" % n)
-    theta_axis = theta_axis or phi.grid
-    thetas = theta_axis.points
-    windows = spectral_shift(psi.values, psi.grid.step, thetas)  # (n_theta, n_gamma)
-    spectra = np.fft.fft(np.conj(windows) * phi.values[None, :], axis=1)
-    spectra *= phi.grid.step                               # Riemann measure
-    m_vals = np.arange(-m_max, m_max + 1)
-    gathered = spectra[:, m_vals % n].T                    # (2M+1, n_theta)
-    phases = np.exp(1j * np.outer(m_vals, thetas) / 2.0)
-    return CylCoefficients(m_max, theta_axis, phases * gathered)
+    if 2 * m_max + 1 > phi.grid.count:
+        raise ValueError("m_max too large for %d-point signals" % phi.grid.count)
+    m_vals, thetas = np.arange(-m_max, m_max + 1), phi.grid.points
+    half_phase = np.exp(1j * np.outer(m_vals, thetas) / 2.0)
+    return CylCoefficients(m_max, phi.grid, half_phase * _analyze(psi, phi, m_vals, thetas))
 
 
-def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients,
-                    tail_tol: float = 1e-10) -> CircularSignal:
+def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients) -> CircularSignal:
     """Resynthesis phi(g) = (1/2pi) sum_m integral S(m,theta)
     (displace(m,theta) psi)(g) d(theta).
 
-    Warns when the outermost m-rows still hold a visible share of the
+    Warns when the outermost m-rows hold more than 1e-10 of the
     coefficient energy (cutoff too small).
     """
     if abs(psi.norm - 1.0) > 1e-10:
         raise ValueError("analysis window must have unit norm")
     tail = edge_mass_share(np.abs(coeffs.values) ** 2, axes=(0,))
-    if tail > tail_tol:
+    if tail > 1e-10:
         warnings.warn(
             "outermost m-rows carry %.2e of the coefficient energy; "
             "increase m_max" % tail,
@@ -247,10 +235,6 @@ def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients,
             stacklevel=2,
         )
     thetas = coeffs.theta_axis.points
-    gamma = psi.grid.points
-    windows = spectral_shift(psi.values, psi.grid.step, thetas)  # (n_theta, n_gamma)
     descaled = coeffs.values * np.exp(-1j * np.outer(coeffs.m_values, thetas) / 2.0)
-    modes = np.exp(1j * np.outer(coeffs.m_values, gamma))  # (2M+1, n_gamma)
-    partial = descaled.T @ modes                           # (n_theta, n_gamma)
-    values = coeffs.theta_axis.step / _TWO_PI * np.sum(partial * windows, axis=0)
-    return CircularSignal(psi.grid, values)
+    return CircularSignal(psi.grid, _synthesize(
+        psi, coeffs.m_values, thetas, descaled, coeffs.theta_axis.step / _TWO_PI))

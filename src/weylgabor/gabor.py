@@ -18,12 +18,15 @@ The displacement operator, by contrast, carries the symmetric half-phase
 whose composition picks up exp(1j*(omega*b' - omega'*b)/2).  The two
 conventions differ by a phase exp(1j*omega*b/2) on the coefficient level;
 covariance_residual carries the resulting cross factor explicitly.
+
+The displacement, analysis and resynthesis here serve the circle as well:
+weylgabor.cylinder runs them on the integer frequency comb.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,13 +101,20 @@ class SampledSignal:
             raise ValueError("cannot normalize the zero signal")
         return type(self)(self.grid, self.values / n)
 
+    def translated(self, b) -> np.ndarray:
+        """Samples of t -> s(t - b), band-limited; an array of shifts gives
+        one translate per row.  The shift wraps around the grid, so hot
+        edges raise an EdgeEnergyWarning."""
+        if np.ndim(b) == 0:
+            return fractional_shift(self.values, self.grid.step, b)
+        return batch_fractional_shift(self.values, self.grid.step, b)
+
 
 @dataclass(frozen=True, eq=False)
 class Probe:
     """Unit-norm analysis window."""
 
     signal: SampledSignal
-    label: str = "custom"
 
     def __post_init__(self):
         if abs(self.signal.norm - 1.0) > 1e-10:
@@ -117,7 +127,6 @@ class TFCoefficients:
 
     grid: PhaseSpaceGrid
     values: np.ndarray
-    probe_label: str = "custom"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -152,7 +161,7 @@ def gaussian_probe(grid: Grid1D | None = None, width: float = 1.0) -> Probe:
     grid = grid or default_time_grid()
     t = grid.points
     values = (np.pi * width) ** -0.25 * np.exp(-(t ** 2) / (2.0 * width))
-    return Probe(SampledSignal(grid, values), label="gaussian(width=%g)" % width)
+    return Probe(SampledSignal(grid, values))
 
 
 def make_test_signal(name: str, grid: Grid1D | None = None) -> SampledSignal:
@@ -181,65 +190,62 @@ def make_test_signal(name: str, grid: Grid1D | None = None) -> SampledSignal:
 
 
 # ---------------------------------------------------------------------------
-# displacement operator
+# displacement, analysis and resynthesis
 # ---------------------------------------------------------------------------
 
 def displace(omega: float, b: float, s: SampledSignal) -> SampledSignal:
     """Phase-space displacement exp(1j*omega*(t - b/2)) s(t - b).
 
     Unitary on well-contained signals; composing two displacements
-    multiplies by exp(1j*(omega*b' - omega'*b)/2).
+    multiplies by exp(1j*(omega*b' - omega'*b)/2).  The result has the
+    type of ``s``, whose ``translated`` supplies s(t - b): on the circle
+    (integer omega, angle b) this is the cylinder's displacement.
     """
-    shifted = fractional_shift(s.values, s.grid.step, b)
     phase = np.exp(1j * omega * (s.grid.points - 0.5 * b))
-    return SampledSignal(s.grid, phase * shifted)
+    return type(s)(s.grid, phase * s.translated(b))
 
 
-# ---------------------------------------------------------------------------
-# transform / reconstruction
-# ---------------------------------------------------------------------------
+def _analyze(window: SampledSignal, s: SampledSignal, omegas: np.ndarray,
+             shifts: np.ndarray) -> np.ndarray:
+    """sum_t exp(-1j*omega*t) conj(window(t - b)) s(t) dt, indexed [omega, b]:
+    one dense Fourier matrix applied to every windowed copy of the signal."""
+    windowed = np.conj(window.translated(shifts)) * s.values[None, :]
+    fourier = s.grid.step * np.exp(-1j * np.outer(omegas, s.grid.points))
+    return fourier @ windowed.T
 
-def _window_positions(probe: Probe, b_axis: Grid1D) -> np.ndarray:
-    """Row k holds psi(t - b_k) on the probe's time grid."""
-    return batch_fractional_shift(probe.signal.values, probe.signal.grid.step,
-                                  b_axis.points)
+
+def _synthesize(window: SampledSignal, omegas: np.ndarray, shifts: np.ndarray,
+                values: np.ndarray, measure: float) -> np.ndarray:
+    """measure * sum_{omega, b} values[omega, b] exp(1j*omega*t) window(t - b)."""
+    # windows first, so the shift's temporaries and the mode table never coexist
+    windows = window.translated(shifts)                         # (n_b, n_t)
+    modes = np.exp(1j * np.outer(window.grid.points, omegas))   # (n_t, n_omega)
+    return measure * np.einsum("tk,kt->t", modes @ values, windows)
 
 
 def gabor_transform(probe: Probe, s: SampledSignal,
                     grid: PhaseSpaceGrid | None = None) -> TFCoefficients:
-    """S(omega, b) = sum_t exp(-1j*omega*t) conj(psi(t-b)) s(t) dt on the grid.
-
-    Every b-column is a windowed copy of the signal; the omega-axis is one
-    dense Fourier matrix applied to all columns at once.
-    """
+    """S(omega, b) = sum_t exp(-1j*omega*t) conj(psi(t-b)) s(t) dt on the grid."""
     grid = grid or default_tf_grid()
     if probe.signal.grid != s.grid:
         raise ValueError("probe and signal must share a time grid")
-    t = s.grid.points
-    windows = _window_positions(probe, grid.b_axis)      # (n_b, n_t)
-    windowed = np.conj(windows) * s.values[None, :]      # rows: fixed b
-    fourier = s.grid.step * np.exp(-1j * np.outer(grid.omega_axis.points, t))
-    return TFCoefficients(grid, fourier @ windowed.T, probe_label=probe.label)
+    return TFCoefficients(grid, _analyze(probe.signal, s, grid.omega_axis.points,
+                                         grid.b_axis.points))
 
 
-def gabor_reconstruct(probe: Probe, coeffs: TFCoefficients,
-                      deficit_tol: float = 0.01) -> SampledSignal:
+def gabor_reconstruct(probe: Probe, coeffs: TFCoefficients) -> SampledSignal:
     """Resynthesis s(t) = sum S(omega,b) exp(1j*omega*t) psi(t-b) dM.
 
     Warns when the resynthesized energy differs from the coefficient energy
-    by more than ``deficit_tol`` (grid does not cover the signal's
-    time-frequency support).
+    by more than 1 % (grid does not cover the signal's time-frequency
+    support).
     """
     grid = coeffs.grid
-    tgrid = probe.signal.grid
-    t = tgrid.points
-    windows = _window_positions(probe, grid.b_axis)      # (n_b, n_t)
-    modes = np.exp(1j * np.outer(t, grid.omega_axis.points))   # (n_t, n_omega)
-    partial = modes @ coeffs.values                      # (n_t, n_b)
-    values = grid.cell_measure * np.einsum("tk,kt->t", partial, windows)
-    out = SampledSignal(tgrid, values)
+    out = SampledSignal(probe.signal.grid, _synthesize(
+        probe.signal, grid.omega_axis.points, grid.b_axis.points,
+        coeffs.values, grid.cell_measure))
     target = coeffs.energy
-    if target > 0 and abs(out.energy - target) > deficit_tol * target:
+    if target > 0 and abs(out.energy - target) > 0.01 * target:
         warnings.warn(
             "reconstructed energy %.6g vs coefficient energy %.6g; grid "
             "coverage is insufficient" % (out.energy, target),
@@ -274,7 +280,7 @@ def covariance_residual(probe: Probe, s: SampledSignal, omega0: float,
     return float(np.abs(lhs - rhs).max())
 
 
-def uncertainty_product(s: SampledSignal, decay_tol: float = 1e-6) -> float:
+def uncertainty_product(s: SampledSignal) -> float:
     """Time-frequency dispersion product Delta_t * Delta_omega.
 
     Second moments are computed from the step-weighted samples in time and
@@ -282,7 +288,7 @@ def uncertainty_product(s: SampledSignal, decay_tol: float = 1e-6) -> float:
     Gaussian the product saturates the lower bound 1/2.
     """
     mag2 = np.abs(s.values) ** 2
-    if edge_peak_ratio(mag2) > decay_tol:
+    if edge_peak_ratio(mag2) > 1e-6:
         warnings.warn(
             "signal does not decay at the grid edges; moments are unreliable",
             SlowDecayWarning,

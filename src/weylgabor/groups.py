@@ -75,21 +75,6 @@ class Ring:
     def coerce(self, value):
         raise NotImplementedError
 
-    def add(self, x, y):
-        return self.coerce(x + y)
-
-    def sub(self, x, y):
-        return self.coerce(x - y)
-
-    def mul(self, x, y):
-        return self.coerce(x * y)
-
-    def neg(self, x):
-        return self.coerce(-x)
-
-    def half(self, x):
-        raise TypeError("%s coordinates cannot be halved" % self.name)
-
     def __repr__(self):
         return "<ring %s>" % self.name
 
@@ -108,9 +93,6 @@ class _RealRing(Ring):
         if isinstance(value, np.floating):
             return float(value)
         raise TypeError("real coordinates must be int, float, or Fraction; got %r" % (value,))
-
-    def half(self, x):
-        return _half(x)
 
 
 class _IntegerRing(Ring):
@@ -175,6 +157,8 @@ class WHElement:
     (a b' - b a')/2; over the integers and prime fields it uses the
     polarized cocycle a b', which keeps coordinates inside the ring.  The
     two presentations differ by the coordinate change c -> c + a b / 2.
+    Coordinates pass through ``ring.coerce`` on construction, which is
+    where a prime field reduces mod p.
     """
 
     c: Any
@@ -194,26 +178,29 @@ def wh_identity(ring: Ring = REAL) -> WHElement:
 
 def wh_compose(g1: WHElement, g2: WHElement) -> WHElement:
     """Group product g1 * g2; the law depends on the ring (see WHElement)."""
-    ring = g1.ring
-    if ring != g2.ring:
+    if g1.ring != g2.ring:
         raise ValueError("ring mismatch: %r vs %r" % (g1.ring, g2.ring))
-    a = ring.add(g1.a, g2.a)
-    b = ring.add(g1.b, g2.b)
-    if ring.symmetric_law:
-        cross = ring.sub(ring.mul(g1.a, g2.b), ring.mul(g1.b, g2.a))
-        c = ring.add(ring.add(g1.c, g2.c), ring.half(cross))
+    if g1.ring.symmetric_law:
+        c = g1.c + g2.c + _half(g1.a * g2.b - g1.b * g2.a)
     else:
-        c = ring.add(ring.add(g1.c, g2.c), ring.mul(g1.a, g2.b))
-    return WHElement(c, a, b, ring=ring)
+        c = g1.c + g2.c + g1.a * g2.b
+    return WHElement(c, g1.a + g2.a, g1.b + g2.b, ring=g1.ring)
 
 
 def wh_inverse(g: WHElement) -> WHElement:
-    ring = g.ring
-    if ring.symmetric_law:
-        c = ring.neg(g.c)
-    else:
-        c = ring.sub(ring.mul(g.a, g.b), g.c)
-    return WHElement(c, ring.neg(g.a), ring.neg(g.b), ring=g.ring)
+    c = -g.c if g.ring.symmetric_law else g.a * g.b - g.c
+    return WHElement(c, -g.a, -g.b, ring=g.ring)
+
+
+def _heisenberg_matrix(a, b, corner) -> np.ndarray:
+    """Block matrix [[1, a^T, corner], [0, I_n, b], [0, 0, 1]] of size n+2:
+    the embedding of the rank-one, polarized and symplectic laws."""
+    n = len(a)
+    m = np.eye(n + 2)
+    m[0, 1:n + 1] = [float(v) for v in a]
+    m[1:n + 1, n + 1] = [float(v) for v in b]
+    m[0, n + 1] = float(corner)
+    return m
 
 
 def wh_to_matrix(g: WHElement) -> np.ndarray:
@@ -224,12 +211,7 @@ def wh_to_matrix(g: WHElement) -> np.ndarray:
     """
     if not g.ring.symmetric_law:
         raise ValueError("matrix embedding is defined for real coordinates")
-    corner = g.c + _half(g.a * g.b)
-    return np.array([
-        [1.0, float(g.a), float(corner)],
-        [0.0, 1.0, float(g.b)],
-        [0.0, 0.0, 1.0],
-    ])
+    return _heisenberg_matrix((g.a,), (g.b,), g.c + _half(g.a * g.b))
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +260,7 @@ def polarized_compose(g1: PolarizedElement, g2: PolarizedElement) -> PolarizedEl
 
 def polarized_to_matrix(g: PolarizedElement) -> np.ndarray:
     """Block matrix [[1, a^T, c], [0, I_n, b], [0, 0, 1]] of size n+2."""
-    n = g.dim
-    m = np.eye(n + 2)
-    m[0, 1:n + 1] = [float(v) for v in g.a]
-    m[1:n + 1, n + 1] = [float(v) for v in g.b]
-    m[0, n + 1] = float(g.c)
-    return m
+    return _heisenberg_matrix(g.a, g.b, g.c)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +308,8 @@ def symplectic_compose(g1: SymplecticElement, g2: SymplecticElement) -> Symplect
 def symplectic_to_matrix(g: SymplecticElement) -> np.ndarray:
     """Block embedding [[1, a^T, c + a.b/2], [0, I_n, b], [0, 0, 1]]; the
     half-product corner makes the skew-form law a matrix product."""
-    n = g.half_dim
-    a = g.v[:n]
-    b = g.v[n:]
-    m = np.eye(n + 2)
-    m[0, 1:n + 1] = [float(x) for x in a]
-    m[1:n + 1, n + 1] = [float(x) for x in b]
-    m[0, n + 1] = float(g.c + _half(sum(x * y for x, y in zip(a, b))))
-    return m
+    a, b = g.v[:g.half_dim], g.v[g.half_dim:]
+    return _heisenberg_matrix(a, b, g.c + _half(sum(x * y for x, y in zip(a, b))))
 
 
 # ---------------------------------------------------------------------------

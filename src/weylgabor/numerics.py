@@ -15,6 +15,7 @@ helper.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -141,8 +142,10 @@ _BESSEL_ORDER_CAP = 64
 
 def bessel_i(order: int, x: float) -> float:
     """I_order(x) for integer order in [0, 64] and x >= 0, from scipy's
-    ``iv`` (Amos's algorithm).  Negative arguments are rejected; callers
-    can fold them out with I_n(-x) = (-1)^n I_n(x).
+    ``iv`` (Amos's algorithm).  Below x = 1e-300, where ``iv`` returns
+    NaN or a spurious 0, the leading term (x/2)^n / n! is exact.
+    Negative arguments are rejected; callers can fold them out with
+    I_n(-x) = (-1)^n I_n(x).
     """
     n = int(order)
     if n != order or n < 0 or n > _BESSEL_ORDER_CAP:
@@ -150,7 +153,7 @@ def bessel_i(order: int, x: float) -> float:
     x = float(x)
     if x < 0.0:
         raise ValueError("x must be non-negative; use I_n(-x) = (-1)^n I_n(x)")
-    return float(iv(n, x))
+    return float(iv(n, x) if x > 1e-300 else (x / 2.0) ** n / math.factorial(n))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +198,10 @@ def edge_mass_share(values: np.ndarray, axes: tuple | None = None) -> float:
     return float(values[border].sum() / total)
 
 
-def _warn_hot_edges(values: np.ndarray, tol: float, what: str, effect: str) -> None:
+def _warn_hot_edges(values: np.ndarray, what: str, effect: str) -> None:
+    """Warn when the edge samples exceed 1e-8 of the peak."""
     ratio = edge_peak_ratio(values)
-    if ratio > tol:
+    if ratio > 1e-8:
         warnings.warn(
             "%s: edge samples reach %.2e of the peak; %s" % (what, ratio, effect),
             EdgeEnergyWarning,
@@ -229,8 +233,7 @@ def spectral_shift(values: np.ndarray, step: float, shift, axis: int = -1) -> np
     return np.moveaxis(np.fft.ifft(np.fft.fft(moved) * ramps), -1, axis)
 
 
-def fractional_shift(values: np.ndarray, step: float, shift: float,
-                     edge_tol: float = 1e-8) -> np.ndarray:
+def fractional_shift(values: np.ndarray, step: float, shift: float) -> np.ndarray:
     """Band-limited translate: samples of t -> s(t - shift) on the same grid.
 
     Implemented as an FFT phase ramp, so the shift wraps periodically; a
@@ -240,12 +243,11 @@ def fractional_shift(values: np.ndarray, step: float, shift: float,
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1:
         raise ValueError("expected a 1-D sample array")
-    _warn_hot_edges(values, edge_tol, "fractional_shift", _WRAP_AROUND)
+    _warn_hot_edges(values, "fractional_shift", _WRAP_AROUND)
     return spectral_shift(values, step, shift)
 
 
-def batch_fractional_shift(values: np.ndarray, step: float, shifts: np.ndarray,
-                           edge_tol: float = 1e-8) -> np.ndarray:
+def batch_fractional_shift(values: np.ndarray, step: float, shifts: np.ndarray) -> np.ndarray:
     """Row k of the result holds fractional_shift(values, step, shifts[k]).
 
     One forward FFT and a single batched inverse FFT, which is the workhorse
@@ -256,12 +258,11 @@ def batch_fractional_shift(values: np.ndarray, step: float, shifts: np.ndarray,
     shifts = np.asarray(shifts, dtype=float)
     if values.ndim != 1 or shifts.ndim != 1:
         raise ValueError("expected 1-D sample and shift arrays")
-    _warn_hot_edges(values, edge_tol, "batch_fractional_shift", _WRAP_AROUND)
+    _warn_hot_edges(values, "batch_fractional_shift", _WRAP_AROUND)
     return spectral_shift(values, step, shifts)
 
 
-def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid,
-                  edge_tol: float = 1e-8) -> np.ndarray:
+def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """Phase-space convolution (f * g)(x) = sum f(x') g(x - x') dM on the grid,
     with the cell measure dM = d(omega) d(b) / (2*pi).
 
@@ -275,7 +276,7 @@ def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid,
     if f.shape != grid.shape or g.shape != grid.shape:
         raise ValueError("inputs must live on the given grid")
     for values, which in ((f, "first"), (g, "second")):
-        _warn_hot_edges(values, edge_tol, "grid_convolve (%s input)" % which,
+        _warn_hot_edges(values, "grid_convolve (%s input)" % which,
                         "mass beyond the lattice is truncated")
     s0 = grid.omega_axis.origin_index()
     s1 = grid.b_axis.origin_index()
@@ -327,19 +328,17 @@ def find_local_minima(w: np.ndarray, grid: PhaseSpaceGrid,
     return hits
 
 
-_REFINE_DESIGN = None
+# least-squares fit of a full quadratic in the cell offsets (u, v) to a 3x3
+# patch flattened row by row
+_U, _V = np.repeat((-1.0, 0.0, 1.0), 3), np.tile((-1.0, 0.0, 1.0), 3)
+_REFINE_DESIGN = np.linalg.pinv(
+    np.column_stack([np.ones(9), _U, _V, _U * _U, _U * _V, _V * _V]))
 
 
 def _refine_minimum(w: np.ndarray, i: int, j: int):
     """Least-squares quadratic over the 3x3 patch centered at (i, j);
     returns (d_row, d_col, value) with offsets in cell units, clamped to
     one cell."""
-    global _REFINE_DESIGN
-    if _REFINE_DESIGN is None:
-        u, v = np.meshgrid((-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), indexing="ij")
-        u, v = u.ravel(), v.ravel()
-        design = np.column_stack([np.ones(9), u, v, u * u, u * v, v * v])
-        _REFINE_DESIGN = np.linalg.pinv(design)
     coeff = _REFINE_DESIGN @ w[i - 1:i + 2, j - 1:j + 2].ravel()
     c0, cu, cv, cuu, cuv, cvv = coeff
     hess = np.array([[2.0 * cuu, cuv], [cuv, 2.0 * cvv]])

@@ -238,11 +238,12 @@ def _greedy_match(zeros: Sequence[complex], minima, cutoff: float) -> dict:
     }
 
 
-def _rotation_residual(minima, fold: int, origin_radius: float):
-    """Hausdorff distance between the non-origin minima and their rotation
-    by 2*pi/fold about the origin; None when no such minima exist."""
+def _rotation_residual(minima, fold: int):
+    """Hausdorff distance between the minima farther than 0.25 from the
+    origin and their rotation by 2*pi/fold about it; None when no such
+    minima exist."""
     pts = np.array([m[1] + 1j * m[0] for m in minima], dtype=complex)
-    pts = pts[np.abs(pts) > origin_radius]
+    pts = pts[np.abs(pts) > 0.25]
     if pts.size == 0:
         return None
     rotated = pts * np.exp(2j * np.pi / fold)
@@ -254,8 +255,7 @@ def _rotation_residual(minima, fold: int, origin_radius: float):
 
 def stellar_experiment(zeros: Sequence[complex], params: StellarParams,
                        rel_threshold: float = 1e-2, match_cutoff: float = 0.5,
-                       symmetry_fold: int | None = None,
-                       origin_radius: float = 0.25) -> dict:
+                       symmetry_fold: int | None = None) -> dict:
     """Build the stellar density, smooth it, locate the minima of both, and
     report zero preservation and discrete rotational symmetry.
 
@@ -264,13 +264,12 @@ def stellar_experiment(zeros: Sequence[complex], params: StellarParams,
     force-matched.  The symmetry residual is the Hausdorff distance between
     the non-origin minima and their rotation by 2*pi/symmetry_fold.
     """
-    return _experiment(zeros, params, rel_threshold, match_cutoff,
-                       symmetry_fold, origin_radius)[0]
+    return _experiment(zeros, params, rel_threshold, match_cutoff, symmetry_fold)[0]
 
 
 def _experiment(zeros: Sequence[complex], params: StellarParams,
                 rel_threshold: float = 1e-2, match_cutoff: float = 0.5,
-                symmetry_fold: int | None = None, origin_radius: float = 0.25):
+                symmetry_fold: int | None = None):
     """stellar_experiment's report, followed by the normalized density and
     its portrait that the report was measured on."""
     density = stellar_distribution(zeros, params.s, params.grid)
@@ -296,10 +295,8 @@ def _experiment(zeros: Sequence[complex], params: StellarParams,
         if symmetry_fold < 2:
             raise ValueError("symmetry fold must be at least 2")
         report["symmetry_fold"] = symmetry_fold
-        report["w_symmetry_residual"] = _rotation_residual(
-            w_minima, symmetry_fold, origin_radius)
-        report["portrait_symmetry_residual"] = _rotation_residual(
-            p_minima, symmetry_fold, origin_radius)
+        report["w_symmetry_residual"] = _rotation_residual(w_minima, symmetry_fold)
+        report["portrait_symmetry_residual"] = _rotation_residual(p_minima, symmetry_fold)
     return report, w, smoothed
 
 

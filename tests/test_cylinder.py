@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import iv
 
 from weylgabor.cylinder import (
@@ -21,7 +23,7 @@ from weylgabor.cylinder import (
     truncated_trace,
     von_mises,
 )
-from weylgabor.numerics import EdgeEnergyWarning, Grid1D, bessel_i
+from weylgabor.numerics import EdgeEnergyWarning, Grid1D, bessel_i, spectral_shift
 
 TWO_PI = 2.0 * np.pi
 
@@ -70,6 +72,7 @@ def test_von_mises_flat_at_zero_concentration():
 
 def test_von_mises_unit_norm():
     assert abs(von_mises(1.0).norm - 1.0) < 1e-12
+    assert abs(von_mises(5e-324).norm - 1.0) < 1e-12
 
 
 def test_von_mises_peak_value():
@@ -119,6 +122,16 @@ def test_displacement_conjugation_rule():
     chain = displace(m1, t1, displace(m2, t2, displace(-m1, -t1, w))).values
     rhs = np.exp(1j * (m1 * t2 - m2 * t1)) * displace(m2, t2, w).values
     assert np.abs(chain - rhs).max() < 1e-11
+
+
+def test_displace_keeps_the_circle_and_never_checks_edges():
+    # a von Mises window peaks at gamma = 0, the first sample; a rotation
+    # has no edge, so the shared displacement must not warn
+    w = von_mises(5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EdgeEnergyWarning)
+        moved = displace(2, 0.37, w)
+    assert type(moved) is CircularSignal
 
 
 def test_full_turn_flips_sign_for_odd_m():
@@ -368,3 +381,52 @@ def test_reconstruct_warns_on_small_cutoff():
 def test_coefficient_shape_validation():
     with pytest.raises(ValueError):
         CylCoefficients(4, circle_grid(32), np.zeros((8, 32)))
+
+
+# ---------------------------------------------------------------------------
+# transform against independent oracles
+# ---------------------------------------------------------------------------
+
+def _fft_gather_transform(psi, phi, m_max):
+    """Reference form of the circle transform: for each angle, one FFT of
+    the windowed product conj(psi(g - theta)) phi(g), its m-slices gathered
+    from the signed FFT comb and multiplied by exp(1j*m*theta/2)."""
+    thetas = phi.grid.points
+    windows = spectral_shift(psi.values, psi.grid.step, thetas)
+    spectra = phi.grid.step * np.fft.fft(np.conj(windows) * phi.values[None, :], axis=1)
+    m_vals = np.arange(-m_max, m_max + 1)
+    gathered = spectra[:, m_vals % phi.grid.count].T
+    return np.exp(1j * np.outer(m_vals, thetas) / 2.0) * gathered
+
+
+def _random_circular_signal(seed, n_gamma):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=n_gamma) + 1j * rng.normal(size=n_gamma)
+    return CircularSignal(circle_grid(n_gamma), values).normalized()
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([15, 16, 33, 64]),
+       st.floats(0.0, 1.0), st.floats(0.0, 5.0))
+def test_transform_matches_fft_gather_and_inner_products(seed, n_gamma, m_frac, lam):
+    psi = von_mises(lam, n_gamma).normalized()
+    phi = _random_circular_signal(seed, n_gamma)
+    m_max = int(round(m_frac * ((n_gamma - 1) // 2)))
+    coeffs = cyl_gabor_transform(psi, phi, m_max)
+    assert np.abs(coeffs.values - _fft_gather_transform(psi, phi, m_max)).max() < 1e-12
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(6):
+        i = int(rng.integers(0, 2 * m_max + 1))
+        j = int(rng.integers(0, n_gamma))
+        m, theta = int(coeffs.m_values[i]), float(phi.grid.points[j])
+        direct = _inner(displace(m, theta, psi), phi)
+        assert abs(coeffs.values[i, j] - direct) < 1e-12
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([15, 33]), st.floats(0.0, 5.0))
+def test_full_comb_transform_is_parseval(seed, n_gamma, lam):
+    # with all n = 2*M + 1 Fourier indices the comb is a full DFT, so the
+    # coefficient energy equals the signal energy up to roundoff
+    psi = von_mises(lam, n_gamma).normalized()
+    phi = _random_circular_signal(seed, n_gamma)
+    coeffs = cyl_gabor_transform(psi, phi, (n_gamma - 1) // 2)
+    assert abs(coeffs.energy - phi.energy) < 1e-12

@@ -21,7 +21,7 @@ from weylgabor.gabor import (
     make_test_signal,
     uncertainty_product,
 )
-from weylgabor.numerics import Grid1D, PhaseSpaceGrid
+from weylgabor.numerics import EdgeEnergyWarning, Grid1D, PhaseSpaceGrid
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +91,16 @@ def test_displace_is_unitary():
     for _ in range(20):
         omega, b = rng.uniform(-4.0, 4.0, size=2)
         assert abs(displace(omega, b, s).norm - s.norm) < 1e-10
+
+
+def test_displace_warns_on_hot_line_edges():
+    # on the line the shift wraps around, so a signal that has not decayed
+    # at the grid edges must still raise the edge warning
+    grid = Grid1D.regular(-4.0, 4.0, 128)
+    hot = SampledSignal(grid, np.exp(-grid.points ** 2 / 50.0))
+    with pytest.warns(EdgeEnergyWarning):
+        out = displace(0.5, 0.3, hot)
+    assert type(out) is SampledSignal
 
 
 def test_displacement_composition_phase():

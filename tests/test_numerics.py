@@ -90,6 +90,14 @@ def test_bessel_base_cases():
     assert abs(bessel_i(0, 2.0) - I0_AT_2) < 1e-14
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-310, 2.2250738585072014e-308, 1e-301])
+def test_bessel_at_tiny_arguments_is_the_leading_term(x):
+    # scipy's iv gives NaN here, and 0.0 for I_1(1e-301)
+    assert bessel_i(0, x) == 1.0
+    assert bessel_i(1, x) == x / 2.0
+    assert bessel_i(4, x) == 0.0
+
+
 @pytest.mark.parametrize("x", [0.5, 2.0, 10.0])
 def test_bessel_three_term_recurrence(x):
     for nu in range(1, 11):
