@@ -159,14 +159,19 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_csv(path: Path, comments, blocks) -> None:
     """Write "# "-prefixed comment lines, then every row of each 2-D float
-    block as %.17g values joined by commas.  Each block is formatted with
-    one row template and streamed to the file, so the whole text is never
-    held in memory."""
+    block as %.17g values joined by commas.  A block may instead be a
+    (template, values) pair whose template already holds the constant part
+    of its text and one %.17g per value.  Each block is formatted with one
+    template and streamed to the file, so the whole text is never held in
+    memory."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines("# %s\n" % line for line in comments)
         for block in blocks:
-            template = ",".join(["%.17g"] * block.shape[1]) + "\n"
-            fh.write(template * len(block) % tuple(block.ravel().tolist()))
+            if isinstance(block, tuple):
+                template, block = block
+            else:
+                template = (",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def _write_grid_csv(path: Path, axis0: Grid1D, axis1: Grid1D,
@@ -457,10 +462,13 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
     probe = gaussian_probe_signal(probe_width, time_grid)
     kernel = quantize_to_kernel(w, probe)
     diag = density_diagnostics(kernel)
-    t = time_grid.points
+    # rows t_i,t_j,re,im: the time axis is formatted once, and each kernel
+    # row's template repeats its t_i before every preformatted ",t_j,"
+    times = ["%.17g" % t for t in time_grid.points.tolist()]
+    tails = [",%s,%%.17g,%%.17g\n" % t for t in times]
     _write_csv(outdir / "kernel.csv", ("t_i,t_j,re,im",),
-               (np.column_stack((np.full(t.size, ti), t, row.real, row.imag))
-                for ti, row in zip(t, kernel.entries)))
+               ((ti + ti.join(tails), np.column_stack((row.real, row.imag)))
+                for ti, row in zip(times, kernel.entries)))
     report = {"schema": SCHEMA, "w": label, "probe_width": probe_width}
     report.update(diag)
     _write_json(outdir / "diagnostics.json", report)

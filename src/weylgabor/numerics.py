@@ -15,6 +15,7 @@ helper.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -328,18 +329,20 @@ def find_local_minima(w: np.ndarray, grid: PhaseSpaceGrid,
     return hits
 
 
-# least-squares fit of a full quadratic in the cell offsets (u, v) to a 3x3
-# patch flattened row by row
-_U, _V = np.repeat((-1.0, 0.0, 1.0), 3), np.tile((-1.0, 0.0, 1.0), 3)
-_REFINE_DESIGN = np.linalg.pinv(
-    np.column_stack([np.ones(9), _U, _V, _U * _U, _U * _V, _V * _V]))
+@functools.cache
+def _refine_design() -> np.ndarray:
+    """Least-squares fit of a full quadratic in the cell offsets (u, v) to a
+    3x3 patch flattened row by row; computed on first use, so importing
+    the package runs no SVD."""
+    u, v = np.repeat((-1.0, 0.0, 1.0), 3), np.tile((-1.0, 0.0, 1.0), 3)
+    return np.linalg.pinv(np.column_stack([np.ones(9), u, v, u * u, u * v, v * v]))
 
 
 def _refine_minimum(w: np.ndarray, i: int, j: int):
     """Least-squares quadratic over the 3x3 patch centered at (i, j);
     returns (d_row, d_col, value) with offsets in cell units, clamped to
     one cell."""
-    coeff = _REFINE_DESIGN @ w[i - 1:i + 2, j - 1:j + 2].ravel()
+    coeff = _refine_design() @ w[i - 1:i + 2, j - 1:j + 2].ravel()
     c0, cu, cv, cuu, cuv, cvv = coeff
     hess = np.array([[2.0 * cuu, cuv], [cuv, 2.0 * cvv]])
     try:

@@ -208,10 +208,13 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     """Kernel of the density operator obtained by smearing displaced-probe
     projectors with the density w.
 
-    The partial Fourier transform of w runs over the omega-axis once (one
-    dense transform onto the lag set t' - t), after which each b-node
-    contributes a rank-one update.  Trace equals mass(w) exactly and the
-    kernel is positive semidefinite up to roundoff by construction.
+    w is real, so w_p(-xi) = conj w_p(xi) and the kernel is Hermitian: only
+    the lags t' - t = L*dt for L = 0..n_t-1 are transformed (one dense
+    transform over the omega-axis), and the L-th upper diagonal is one
+    product of w_p(L*dt, b) with the stacked probe overlaps
+    psi(t_i - b) conj(psi(t_i + L*dt - b)) over the b-nodes.  The lower
+    triangle is its conjugate.  Trace equals mass(w) exactly and the kernel
+    is positive semidefinite up to roundoff by construction.
     """
     _require_unit_mass(w, "quantize_to_kernel")
     if abs(psi_a.norm - 1.0) > 1e-10:
@@ -228,16 +231,19 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     n_t = tgrid.count
     d_om = w.grid.omega_axis.step
     d_b = w.grid.b_axis.step
-    lags = tgrid.step * np.arange(-(n_t - 1), n_t)
+    lags = tgrid.step * np.arange(n_t)
     fourier = np.exp(-1j * np.outer(lags, w.grid.omega_axis.points))
-    w_partial = (d_om / _SQRT_2PI) * (fourier @ w.values)   # (2*n_t-1, n_b)
+    w_partial = (d_om / _SQRT_2PI) * (fourier @ w.values)   # (n_t, n_b)
     shifted = batch_fractional_shift(psi_a.values, tgrid.step,
                                      w.grid.b_axis.points)  # (n_b, n_t)
-    lag_index = (np.arange(n_t)[None, :] - np.arange(n_t)[:, None]) + (n_t - 1)
-    entries = np.zeros((n_t, n_t), dtype=complex)
-    for k in range(w.grid.b_axis.count):
-        col = shifted[k]
-        entries += w_partial[:, k][lag_index] * (col[:, None] * np.conj(col)[None, :])
+    conj_shifted = np.conj(shifted)
+    entries = np.empty((n_t, n_t), dtype=complex)
+    flat = entries.reshape(-1)
+    for lag in range(n_t):
+        m = n_t - lag
+        diag = w_partial[lag] @ (shifted[:, :m] * conj_shifted[:, lag:])
+        flat[lag:m * (n_t + 1):n_t + 1] = diag     # entries[i, i + lag]
+        flat[lag * n_t::n_t + 1] = np.conj(diag)   # entries[i + lag, i]
     entries *= d_b / _SQRT_2PI
     return OperatorKernel(tgrid, entries)
 

@@ -190,6 +190,26 @@ def test_kernel_csv_holds_the_exact_kernel(tmp_path):
     assert np.array_equal(rows[:, 3], entries.imag.ravel())
 
 
+def test_kernel_csv_bytes_are_the_four_column_format(tmp_path):
+    # odd n_time and an off-centre density, so no row or entry is special
+    cfg = _write_config(tmp_path / "cfg.json", "quantize",
+                        n_tf=32, n_time=31, tf_min=-6.0, tf_max=6.0,
+                        time_start=-7.0, time_stop=7.0,
+                        center_omega=0.7, center_b=-0.4)
+    out = tmp_path / "out"
+    assert cli.main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+    tgrid = Grid1D.regular(-7.0, 7.0, 31)
+    w = gaussian_distribution(PhaseSpaceGrid.square(-6.0, 6.0, 32),
+                              center=(0.7, -0.4)).normalized()
+    entries = quantize_to_kernel(w, gaussian_probe(tgrid, 1.0).signal).entries
+    t = tgrid.points
+    expected = "# t_i,t_j,re,im\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g\n" % (t[i], t[j], entries[i, j].real,
+                                       entries[i, j].imag)
+        for i in range(31) for j in range(31))
+    assert (out / "kernel.csv").read_bytes() == expected.encode("utf-8")
+
+
 def _write_density_csv(path, normalized=True, poison=None):
     grid = PhaseSpaceGrid.square(-4.0, 4.0, 16)
     w = gaussian_distribution(grid, 1.0, 1.0).normalized()
@@ -429,6 +449,16 @@ def test_cli_import_leaves_scipy_signal_unloaded():
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_runs_no_refine_design_svd():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import weylgabor.cli, weylgabor.numerics as n; "
+         "print(n._refine_design.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 def test_module_invocation(tmp_path):

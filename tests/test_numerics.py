@@ -21,6 +21,7 @@ from weylgabor.numerics import (
     periodic_trapezoid,
     spectral_shift,
 )
+from weylgabor.numerics import _refine_design
 
 # frozen once from the ascending power series sum_k (x/2)^(2k) / (k!)^2
 I0_AT_2 = 2.279585302336067
@@ -377,6 +378,13 @@ def test_off_lattice_minimum_is_refined():
     assert len(hits) == 1
     om, bb, _ = hits[0]
     assert abs(om - 0.31) < 1e-9 and abs(bb + 0.27) < 1e-9
+
+
+def test_refine_design_is_the_quadratic_fit_pseudo_inverse():
+    u, v = np.repeat((-1.0, 0.0, 1.0), 3), np.tile((-1.0, 0.0, 1.0), 3)
+    design = np.column_stack([np.ones(9), u, v, u * u, u * v, v * v])
+    assert np.array_equal(_refine_design(), np.linalg.pinv(design))
+    assert _refine_design() is _refine_design()
 
 
 def test_minima_sorted_by_depth():
