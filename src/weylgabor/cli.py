@@ -51,17 +51,15 @@ from .quantize import (
     Distribution,
     density_diagnostics,
     gaussian_distribution,
-    gaussian_probe_signal,
     overlap_kernel,
     quantize_to_kernel,
 )
-from .stellar import StellarParams, _experiment, pentagon_zeros
+from .stellar import StellarParams, pentagon_zeros, stellar_experiment
 
 SCHEMA = 2
 PHASE_GRID_HEADER = "omega_start,omega_step,n_omega,b_start,b_step,n_b"
 GENERIC_GRID_HEADER = ("axis0_start,axis0_step,axis0_count,"
                        "axis1_start,axis1_step,axis1_count")
-COMMANDS = ("group-check", "gabor", "cylinder", "quantize", "stellar")
 
 
 class ValidationFailure(Exception):
@@ -119,8 +117,10 @@ class _Params:
 
     def floatval(self, key, default):
         value = self._pop(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationFailure("parameter %r must be a number" % key)
+        # json reads NaN and Infinity as floats; NaN fails the comparison
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not abs(value) <= sys.float_info.max):
+            raise ValidationFailure("parameter %r must be a finite number" % key)
         return float(value)
 
     def intval(self, key, default, minimum=None):
@@ -158,28 +158,24 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_csv(path: Path, comments, blocks) -> None:
-    """Write "# "-prefixed comment lines, then every row of each 2-D float
-    block as %.17g values joined by commas.  A block may instead be a
-    (template, values) pair whose template already holds the constant part
-    of its text and one %.17g per value.  Each block is formatted with one
-    template and streamed to the file, so the whole text is never held in
-    memory."""
+    """Write "# "-prefixed comment lines, then each (template, values)
+    block: the template holds the constant text of the block and one %.17g
+    per value.  Blocks are formatted one at a time and streamed to the
+    file, so the whole text is never held in memory."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines("# %s\n" % line for line in comments)
-        for block in blocks:
-            if isinstance(block, tuple):
-                template, block = block
-            else:
-                template = (",".join(["%.17g"] * block.shape[1]) + "\n") * len(block)
-            fh.write(template % tuple(block.ravel().tolist()))
+        for template, values in blocks:
+            fh.write(template % tuple(values.ravel().tolist()))
 
 
 def _write_grid_csv(path: Path, axis0: Grid1D, axis1: Grid1D,
                     values: np.ndarray, header: str) -> None:
     meta = ",".join("%.17g,%.17g,%d" % (a.start, a.step, a.count)
                     for a in (axis0, axis1))
+    values = np.asarray(values, dtype=float)
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
     # one block per first-axis row
-    _write_csv(path, (header, meta), np.asarray(values, dtype=float)[:, None])
+    _write_csv(path, (header, meta), ((row, v) for v in values))
 
 
 def _require_finite(values, what: str) -> None:
@@ -235,7 +231,10 @@ def _read_signal_csv(path) -> SampledSignal:
     if step <= 0 or np.abs(steps - step).max() > 1e-9 * max(abs(step), 1.0):
         raise ValidationFailure("signal CSV time column must be uniform")
     grid = Grid1D(float(t[0]), float(step), len(t))
-    return SampledSignal(grid, rows[:, 1] + 1j * rows[:, 2])
+    signal = SampledSignal(grid, rows[:, 1] + 1j * rows[:, 2])
+    if signal.energy == 0.0:
+        raise ValidationFailure("signal CSV has zero energy")
+    return signal
 
 
 def _sha256(path: Path) -> str:
@@ -459,7 +458,7 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
         w = w.normalized()
         label = kind
     time_grid = Grid1D.regular(t_start, t_stop, n_time)
-    probe = gaussian_probe_signal(probe_width, time_grid)
+    probe = gaussian_probe(time_grid, probe_width)
     kernel = quantize_to_kernel(w, probe)
     diag = density_diagnostics(kernel)
     # rows t_i,t_j,re,im: the time axis is formatted once, and each kernel
@@ -518,8 +517,9 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
         fold = 5
     pars = StellarParams(s=s, probe_a=probe_a, probe_r=probe_r,
                          grid=PhaseSpaceGrid.square(grid_min, grid_max, n_grid))
-    report, w, smoothed = _experiment(zeros, pars, rel_threshold=rel_threshold,
-                                      match_cutoff=match_cutoff, symmetry_fold=fold)
+    report, w, smoothed = stellar_experiment(
+        zeros, pars, rel_threshold=rel_threshold, match_cutoff=match_cutoff,
+        symmetry_fold=fold)
     report["schema"] = SCHEMA
     _write_grid_csv(outdir / "w.csv", pars.grid.omega_axis, pars.grid.b_axis,
                     w.values, PHASE_GRID_HEADER)
@@ -528,12 +528,18 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
     _write_json(outdir / "report.json", report)
 
 
-_RUNNERS = {
-    "group-check": _run_group_check,
-    "gabor": _run_gabor,
-    "cylinder": _run_cylinder,
-    "quantize": _run_quantize,
-    "stellar": _run_stellar,
+# subcommand -> (runner, help), in the order the CLI lists them
+COMMANDS = {
+    "group-check": (_run_group_check,
+                    "run the randomized group-law and matrix-oracle suites"),
+    "gabor": (_run_gabor,
+              "transform a line signal and report reconstruction quality"),
+    "cylinder": (_run_cylinder,
+                 "circle transform, reproducing kernel grids, reports"),
+    "quantize": (_run_quantize,
+                 "quantize a phase-space density to an operator kernel"),
+    "stellar": (_run_stellar,
+                "zero-constellation density, portrait, minima report"),
 }
 
 
@@ -542,7 +548,7 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def run(command: str, config_path, out_dir, strict: bool) -> int:
-    if command not in _RUNNERS:
+    if command not in COMMANDS:
         raise ValidationFailure("unknown command %r" % command)
     seed, raw_params = _load_config(config_path, command)
     out = Path(out_dir)
@@ -556,7 +562,7 @@ def run(command: str, config_path, out_dir, strict: bool) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _RUNNERS[command](_Params(raw_params), seed, tmp)
+            COMMANDS[command][0](_Params(raw_params), seed, tmp)
     except (ValidationFailure, ValueError) as exc:
         shutil.rmtree(tmp, ignore_errors=True)
         raise ValidationFailure(str(exc))
@@ -591,15 +597,8 @@ def main(argv=None) -> int:
         description="Group checks, time-frequency transforms, quantization, "
                     "and zero-constellation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "group-check": "run the randomized group-law and matrix-oracle suites",
-        "gabor": "transform a line signal and report reconstruction quality",
-        "cylinder": "circle transform, reproducing kernel grids, reports",
-        "quantize": "quantize a phase-space density to an operator kernel",
-        "stellar": "zero-constellation density, portrait, minima report",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name])
+    for name, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON config file (command, seed, parameters)")
         p.add_argument("--out", required=True,

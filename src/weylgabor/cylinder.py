@@ -206,8 +206,6 @@ def cyl_gabor_transform(psi: CircularSignal, phi: CircularSignal,
     The line's windowed Fourier analysis on the integer comb, times the
     half-phase exp(1j*m*theta/2) that the line's coefficients leave out.
     """
-    if abs(psi.norm - 1.0) > 1e-10:
-        raise ValueError("analysis window must have unit norm")
     if psi.grid.count != phi.grid.count:
         raise ValueError("window and signal must share a grid")
     if 2 * m_max + 1 > phi.grid.count:
@@ -222,10 +220,13 @@ def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients) -> CircularSig
     (displace(m,theta) psi)(g) d(theta).
 
     Warns when the outermost m-rows hold more than 1e-10 of the
-    coefficient energy (cutoff too small).
+    coefficient energy (cutoff too small); a window that is not unit-norm
+    raises first.
     """
-    if abs(psi.norm - 1.0) > 1e-10:
-        raise ValueError("analysis window must have unit norm")
+    thetas = coeffs.theta_axis.points
+    descaled = coeffs.values * np.exp(-1j * np.outer(coeffs.m_values, thetas) / 2.0)
+    out = CircularSignal(psi.grid, _synthesize(
+        psi, coeffs.m_values, thetas, descaled, coeffs.theta_axis.step / _TWO_PI))
     tail = edge_mass_share(np.abs(coeffs.values) ** 2, axes=(0,))
     if tail > 1e-10:
         warnings.warn(
@@ -234,7 +235,4 @@ def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients) -> CircularSig
             TruncationWarning,
             stacklevel=2,
         )
-    thetas = coeffs.theta_axis.points
-    descaled = coeffs.values * np.exp(-1j * np.outer(coeffs.m_values, thetas) / 2.0)
-    return CircularSignal(psi.grid, _synthesize(
-        psi, coeffs.m_values, thetas, descaled, coeffs.theta_axis.step / _TWO_PI))
+    return out

@@ -43,7 +43,6 @@ __all__ = [
     "SupportCoverageWarning",
     "SlowDecayWarning",
     "SampledSignal",
-    "Probe",
     "TFCoefficients",
     "default_time_grid",
     "default_tf_grid",
@@ -111,17 +110,6 @@ class SampledSignal:
 
 
 @dataclass(frozen=True, eq=False)
-class Probe:
-    """Unit-norm analysis window."""
-
-    signal: SampledSignal
-
-    def __post_init__(self):
-        if abs(self.signal.norm - 1.0) > 1e-10:
-            raise ValueError("probe must have unit norm, got %.12g" % self.signal.norm)
-
-
-@dataclass(frozen=True, eq=False)
 class TFCoefficients:
     """Gabor coefficients on a phase-space grid, indexed [omega, b]."""
 
@@ -150,18 +138,21 @@ def default_tf_grid() -> PhaseSpaceGrid:
     return PhaseSpaceGrid.square(-16.0, 16.0, 256)
 
 
-def gaussian_probe(grid: Grid1D | None = None, width: float = 1.0) -> Probe:
-    """Normalized Gaussian window (pi*width)^(-1/4) exp(-t^2/(2*width)).
+def gaussian_probe(grid: Grid1D | None = None, width: float = 1.0) -> SampledSignal:
+    """Unit-norm Gaussian window (pi*width)^(-1/4) exp(-t^2/(2*width)).
 
     ``width`` is the variance-like scale parameter (the probe's time
-    variance is width/2).
+    variance is width/2).  A grid too short or too coarse to hold the
+    Gaussian fails the unit-norm check.
     """
     if width <= 0:
         raise ValueError("width must be positive")
     grid = grid or default_time_grid()
     t = grid.points
     values = (np.pi * width) ** -0.25 * np.exp(-(t ** 2) / (2.0 * width))
-    return Probe(SampledSignal(grid, values))
+    window = SampledSignal(grid, values)
+    _require_unit_norm(window)
+    return window
 
 
 def make_test_signal(name: str, grid: Grid1D | None = None) -> SampledSignal:
@@ -205,10 +196,18 @@ def displace(omega: float, b: float, s: SampledSignal) -> SampledSignal:
     return type(s)(s.grid, phase * s.translated(b))
 
 
+def _require_unit_norm(window: SampledSignal) -> None:
+    """Every window of the transform, the resynthesis and the quantization
+    is a unit-norm signal."""
+    if abs(window.norm - 1.0) > 1e-10:
+        raise ValueError("window must have unit norm, got %.12g" % window.norm)
+
+
 def _analyze(window: SampledSignal, s: SampledSignal, omegas: np.ndarray,
              shifts: np.ndarray) -> np.ndarray:
     """sum_t exp(-1j*omega*t) conj(window(t - b)) s(t) dt, indexed [omega, b]:
     one dense Fourier matrix applied to every windowed copy of the signal."""
+    _require_unit_norm(window)
     windowed = np.conj(window.translated(shifts)) * s.values[None, :]
     fourier = s.grid.step * np.exp(-1j * np.outer(omegas, s.grid.points))
     return fourier @ windowed.T
@@ -217,23 +216,25 @@ def _analyze(window: SampledSignal, s: SampledSignal, omegas: np.ndarray,
 def _synthesize(window: SampledSignal, omegas: np.ndarray, shifts: np.ndarray,
                 values: np.ndarray, measure: float) -> np.ndarray:
     """measure * sum_{omega, b} values[omega, b] exp(1j*omega*t) window(t - b)."""
+    _require_unit_norm(window)
     # windows first, so the shift's temporaries and the mode table never coexist
     windows = window.translated(shifts)                         # (n_b, n_t)
     modes = np.exp(1j * np.outer(window.grid.points, omegas))   # (n_t, n_omega)
     return measure * np.einsum("tk,kt->t", modes @ values, windows)
 
 
-def gabor_transform(probe: Probe, s: SampledSignal,
+def gabor_transform(probe: SampledSignal, s: SampledSignal,
                     grid: PhaseSpaceGrid | None = None) -> TFCoefficients:
-    """S(omega, b) = sum_t exp(-1j*omega*t) conj(psi(t-b)) s(t) dt on the grid."""
+    """S(omega, b) = sum_t exp(-1j*omega*t) conj(psi(t-b)) s(t) dt on the grid,
+    for a unit-norm window psi = probe."""
     grid = grid or default_tf_grid()
-    if probe.signal.grid != s.grid:
+    if probe.grid != s.grid:
         raise ValueError("probe and signal must share a time grid")
-    return TFCoefficients(grid, _analyze(probe.signal, s, grid.omega_axis.points,
+    return TFCoefficients(grid, _analyze(probe, s, grid.omega_axis.points,
                                          grid.b_axis.points))
 
 
-def gabor_reconstruct(probe: Probe, coeffs: TFCoefficients) -> SampledSignal:
+def gabor_reconstruct(probe: SampledSignal, coeffs: TFCoefficients) -> SampledSignal:
     """Resynthesis s(t) = sum S(omega,b) exp(1j*omega*t) psi(t-b) dM.
 
     Warns when the resynthesized energy differs from the coefficient energy
@@ -241,8 +242,8 @@ def gabor_reconstruct(probe: Probe, coeffs: TFCoefficients) -> SampledSignal:
     support).
     """
     grid = coeffs.grid
-    out = SampledSignal(probe.signal.grid, _synthesize(
-        probe.signal, grid.omega_axis.points, grid.b_axis.points,
+    out = SampledSignal(probe.grid, _synthesize(
+        probe, grid.omega_axis.points, grid.b_axis.points,
         coeffs.values, grid.cell_measure))
     target = coeffs.energy
     if target > 0 and abs(out.energy - target) > 0.01 * target:
@@ -259,7 +260,7 @@ def gabor_reconstruct(probe: Probe, coeffs: TFCoefficients) -> SampledSignal:
 # covariance and uncertainty diagnostics
 # ---------------------------------------------------------------------------
 
-def covariance_residual(probe: Probe, s: SampledSignal, omega0: float,
+def covariance_residual(probe: SampledSignal, s: SampledSignal, omega0: float,
                         b0: float, grid: PhaseSpaceGrid | None = None) -> float:
     """Max-abs defect of the displacement covariance of the transform.
 

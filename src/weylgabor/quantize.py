@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gabor import SampledSignal, gaussian_probe
+from .gabor import SampledSignal, _require_unit_norm
 from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
@@ -45,7 +45,6 @@ __all__ = [
     "BandCoverageWarning",
     "Distribution",
     "OperatorKernel",
-    "gaussian_probe_signal",
     "gaussian_distribution",
     "point_mass_distribution",
     "overlap_kernel",
@@ -115,11 +114,6 @@ class OperatorKernel:
     @property
     def quad_weight(self) -> float:
         return self.time_grid.step
-
-
-def gaussian_probe_signal(width: float, grid: Grid1D | None = None) -> SampledSignal:
-    """Unit-norm Gaussian probe (pi*width)^(-1/4) exp(-tau^2/(2*width))."""
-    return gaussian_probe(grid, width).signal
 
 
 def gaussian_distribution(grid: PhaseSpaceGrid, sigma_omega: float = 1.0,
@@ -204,6 +198,18 @@ def _require_unit_mass(w: Distribution, who: str) -> None:
                          "normalized() first" % (who, w.mass))
 
 
+def _warn_band_edge(values: np.ndarray, what: str) -> None:
+    """BandCoverageWarning when the values reach the frequency-band edge."""
+    band_edge = edge_peak_ratio(values, axes=(0,))
+    if band_edge > 1e-8:
+        warnings.warn(
+            "%s reaches %.2e of its peak at the frequency-band edge; the "
+            "operator is band-truncated" % (what, band_edge),
+            BandCoverageWarning,
+            stacklevel=3,
+        )
+
+
 def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     """Kernel of the density operator obtained by smearing displaced-probe
     projectors with the density w.
@@ -217,16 +223,8 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     is positive semidefinite up to roundoff by construction.
     """
     _require_unit_mass(w, "quantize_to_kernel")
-    if abs(psi_a.norm - 1.0) > 1e-10:
-        raise ValueError("probe must have unit norm")
-    band_edge = edge_peak_ratio(w.values, axes=(0,))
-    if band_edge > 1e-8:
-        warnings.warn(
-            "distribution reaches %.2e of its peak at the frequency-band "
-            "edge; the operator is band-truncated" % band_edge,
-            BandCoverageWarning,
-            stacklevel=2,
-        )
+    _require_unit_norm(psi_a)
+    _warn_band_edge(w.values, "distribution")
     tgrid = psi_a.grid
     n_t = tgrid.count
     d_om = w.grid.omega_axis.step
@@ -269,13 +267,7 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
         raise ValueError("weight must match the grid shape")
     if not np.all(np.isfinite(w_values)):
         raise ValueError("weight must be finite")
-    if edge_peak_ratio(w_values, axes=(0,)) > 1e-8:
-        warnings.warn(
-            "weight reaches the frequency-band edge; the operator is "
-            "band-truncated",
-            BandCoverageWarning,
-            stacklevel=2,
-        )
+    _warn_band_edge(w_values, "weight")
     t = time_grid.points
     n_t = time_grid.count
     omegas = grid.omega_axis.points

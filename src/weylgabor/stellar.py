@@ -255,23 +255,16 @@ def _rotation_residual(minima, fold: int):
 
 def stellar_experiment(zeros: Sequence[complex], params: StellarParams,
                        rel_threshold: float = 1e-2, match_cutoff: float = 0.5,
-                       symmetry_fold: int | None = None) -> dict:
+                       symmetry_fold: int | None = None):
     """Build the stellar density, smooth it, locate the minima of both, and
-    report zero preservation and discrete rotational symmetry.
+    report zero preservation and discrete rotational symmetry; returns the
+    report, the normalized density and its portrait.
 
     Minima are matched to the source zeros greedily by distance with the
     given cutoff; unmatched entries on either side are counted, never
     force-matched.  The symmetry residual is the Hausdorff distance between
     the non-origin minima and their rotation by 2*pi/symmetry_fold.
     """
-    return _experiment(zeros, params, rel_threshold, match_cutoff, symmetry_fold)[0]
-
-
-def _experiment(zeros: Sequence[complex], params: StellarParams,
-                rel_threshold: float = 1e-2, match_cutoff: float = 0.5,
-                symmetry_fold: int | None = None):
-    """stellar_experiment's report, followed by the normalized density and
-    its portrait that the report was measured on."""
     density = stellar_distribution(zeros, params.s, params.grid)
     w = density.distribution
     smoothed = portrait(w, params.probe_a, params.probe_r)
@@ -307,6 +300,6 @@ def quantize_stellar(zeros: Sequence[complex], params: StellarParams,
     if time_grid is None:
         time_grid = Grid1D.regular(-20.0, 20.0, 512)
     density = stellar_distribution(zeros, params.s, params.grid)
-    probe = gaussian_probe(time_grid, params.probe_a).signal
+    probe = gaussian_probe(time_grid, params.probe_a)
     kernel = quantize_to_kernel(density.distribution, probe)
     return kernel, density_diagnostics(kernel)

@@ -35,7 +35,6 @@ from weylgabor.quantize import (
     Distribution,
     density_diagnostics,
     gaussian_distribution,
-    gaussian_probe_signal,
     overlap_kernel,
     overlap_kernel_quadrature,
     quantize_to_kernel,
@@ -246,8 +245,8 @@ def test_criterion_06_overlap_density():
         dens = overlap_kernel(a, r, grid)
         mass_err = abs(dens.mass - 1.0)
         assert mass_err < 1e-8, "(%g, %g) mass error %.3g" % (a, r, mass_err)
-        psi_a = gaussian_probe_signal(a, tq)
-        psi_r = gaussian_probe_signal(r, tq)
+        psi_a = gaussian_probe(tq, a)
+        psi_r = gaussian_probe(tq, r)
         worst = 0.0
         for omega, b in lattice_points:
             i = int(round((omega - grid.omega_axis.start) / grid.omega_axis.step))
@@ -267,7 +266,7 @@ def test_criterion_07_quantized_density_operators():
     start = time.perf_counter()
     time_grid = Grid1D.regular(-20.0, 20.0, 512)
     tf_grid = PhaseSpaceGrid.square(-16.0, 16.0, 256)
-    probe = gaussian_probe_signal(1.0, time_grid)
+    probe = gaussian_probe(time_grid, 1.0)
 
     gauss = gaussian_distribution(tf_grid).normalized()
     mix_values = 0.5 * (gaussian_distribution(tf_grid, center=(3.0, 2.0)).values
@@ -332,8 +331,8 @@ def test_criterion_09_pentagon_portrait_keeps_six_minima():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MassLeakageWarning)
         warnings.simplefilter("ignore", EdgeEnergyWarning)
-        report = stellar_experiment(pentagon_zeros(), pentagon_params(),
-                                    symmetry_fold=5)
+        report, _, _ = stellar_experiment(pentagon_zeros(), pentagon_params(),
+                                          symmetry_fold=5)
     elapsed = time.perf_counter() - start
     minima = report["portrait_minima"]
     match = report["portrait_match"]

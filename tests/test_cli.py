@@ -124,6 +124,19 @@ def test_gabor_rejects_nonfinite_csv_signal(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gabor_rejects_zero_energy_csv_signal(tmp_path, capsys):
+    grid = Grid1D.regular(-20.0, 20.0, 256)
+    csv_path = tmp_path / "signal.csv"
+    csv_path.write_text("# t,re,im\n"
+                        + "".join("%.17g,0,0\n" % t for t in grid.points))
+    cfg = _write_config(tmp_path / "cfg.json", "gabor",
+                        signal_csv=str(csv_path), n_tf=32)
+    out = tmp_path / "out"
+    assert cli.main(["gabor", "--config", cfg, "--out", str(out)]) == 2
+    assert "zero energy" in _stderr_error(capsys)
+    assert not out.exists()
+
+
 def test_gabor_rejects_two_signal_sources(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", "gabor",
                         signal="gaussian", signal_csv="whatever.csv")
@@ -181,7 +194,7 @@ def test_kernel_csv_holds_the_exact_kernel(tmp_path):
     rows = np.loadtxt(out / "kernel.csv", delimiter=",", comments="#")
     tgrid = Grid1D.regular(-10.0, 10.0, 48)
     w = gaussian_distribution(PhaseSpaceGrid.square(-8.0, 8.0, 64)).normalized()
-    entries = quantize_to_kernel(w, gaussian_probe(tgrid, 1.0).signal).entries
+    entries = quantize_to_kernel(w, gaussian_probe(tgrid, 1.0)).entries
     t = tgrid.points
     assert rows.shape == (48 * 48, 4)
     assert np.array_equal(rows[:, 0], np.repeat(t, 48))
@@ -201,7 +214,7 @@ def test_kernel_csv_bytes_are_the_four_column_format(tmp_path):
     tgrid = Grid1D.regular(-7.0, 7.0, 31)
     w = gaussian_distribution(PhaseSpaceGrid.square(-6.0, 6.0, 32),
                               center=(0.7, -0.4)).normalized()
-    entries = quantize_to_kernel(w, gaussian_probe(tgrid, 1.0).signal).entries
+    entries = quantize_to_kernel(w, gaussian_probe(tgrid, 1.0)).entries
     t = tgrid.points
     expected = "# t_i,t_j,re,im\n" + "".join(
         "%.17g,%.17g,%.17g,%.17g\n" % (t[i], t[j], entries[i, j].real,
@@ -407,6 +420,22 @@ def test_bad_seed(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "seed" in _stderr_error(capsys)
+
+
+@pytest.mark.parametrize("command,key,literal", [
+    ("stellar", "match_cutoff", "NaN"),
+    ("cylinder", "shift_theta", "Infinity"),
+    ("gabor", "probe_width", "NaN"),
+])
+def test_nonfinite_config_number(tmp_path, capsys, command, key, literal):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"command": "%s", "parameters": {"%s": %s}}'
+                   % (command, key, literal))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "%r must be a finite number" % key in _stderr_error(capsys)
+    assert not out.exists()
+    assert not list(tmp_path.glob(".weylgabor-*"))
 
 
 def test_threads_is_an_unknown_argument(tmp_path, capsys):

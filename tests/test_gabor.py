@@ -6,8 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+from weylgabor.cylinder import (
+    TruncationWarning,
+    cyl_gabor_transform,
+    cyl_reconstruct,
+    von_mises,
+)
 from weylgabor.gabor import (
-    Probe,
     SampledSignal,
     SlowDecayWarning,
     SupportCoverageWarning,
@@ -22,6 +27,11 @@ from weylgabor.gabor import (
     uncertainty_product,
 )
 from weylgabor.numerics import EdgeEnergyWarning, Grid1D, PhaseSpaceGrid
+from weylgabor.quantize import (
+    BandCoverageWarning,
+    gaussian_distribution,
+    quantize_to_kernel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -41,16 +51,57 @@ def test_unknown_signal_name():
 
 @pytest.mark.parametrize("width", [0.2, 1.0, 5.0])
 def test_gaussian_probe_unit_norm(width):
-    assert abs(gaussian_probe(width=width).signal.norm - 1.0) < 1e-12
+    assert abs(gaussian_probe(width=width).norm - 1.0) < 1e-12
 
 
 def test_probe_rejects_unnormalized_window():
     grid = default_time_grid()
     bad = SampledSignal(grid, 2.0 * make_test_signal("gaussian", grid).values)
     with pytest.raises(ValueError):
-        Probe(bad)
+        gabor_transform(bad, make_test_signal("gaussian", grid))
     with pytest.raises(ValueError):
         gaussian_probe(width=-1.0)
+    # a grid too short to hold the Gaussian fails the unit-norm check
+    with pytest.raises(ValueError, match="window must have unit norm"):
+        gaussian_probe(Grid1D.regular(-1.0, 1.0, 64), width=5.0)
+
+
+def _window_consumers():
+    """name -> (unit-norm window, call(window), warning the call records with
+    that window or None).  The inputs are chosen so that a call which got
+    past the norm check would record its warning, where it has one."""
+    tgrid = Grid1D.regular(-20.0, 20.0, 128)
+    psi = gaussian_probe(tgrid)
+    s = make_test_signal("gaussian", tgrid)
+    narrow = PhaseSpaceGrid.square(-2.0, 2.0, 32)
+    coeffs = gabor_transform(psi, make_test_signal("two_bump", tgrid), narrow)
+    w = gaussian_distribution(narrow).normalized()   # reaches the band edge
+    vm = von_mises(2.0)
+    cut = cyl_gabor_transform(vm, vm, 8)             # tail on the outer m-rows
+    return {
+        "gabor_transform": (psi, lambda g: gabor_transform(g, s, narrow), None),
+        "gabor_reconstruct": (psi, lambda g: gabor_reconstruct(g, coeffs),
+                              SupportCoverageWarning),
+        "covariance_residual": (psi, lambda g: covariance_residual(g, s, 1.0, 0.5, narrow),
+                                None),
+        "cyl_gabor_transform": (vm, lambda g: cyl_gabor_transform(g, vm, 8), None),
+        "cyl_reconstruct": (vm, lambda g: cyl_reconstruct(g, cut), TruncationWarning),
+        "quantize_to_kernel": (psi, lambda g: quantize_to_kernel(w, g),
+                               BandCoverageWarning),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_window_consumers()))
+def test_every_window_consumer_rejects_a_non_unit_window(name):
+    window, call, warning = _window_consumers()[name]
+    if warning is not None:
+        with pytest.warns(warning):
+            call(window)
+    bad = type(window)(window.grid, 2.0 * window.values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="window must have unit norm, got 2"):
+            call(bad)
 
 
 def test_signal_shape_validation():
@@ -161,8 +212,8 @@ def test_round_trip_reconstruction(name, bound):
 
 def test_reconstruct_zero_coefficients():
     probe = gaussian_probe()
-    coeffs = gabor_transform(probe, SampledSignal(probe.signal.grid,
-                                                  np.zeros(probe.signal.grid.count)))
+    coeffs = gabor_transform(probe, SampledSignal(probe.grid,
+                                                  np.zeros(probe.grid.count)))
     assert gabor_reconstruct(probe, coeffs).norm == 0.0
 
 
@@ -239,7 +290,7 @@ def test_gaussian_saturates_uncertainty_bound():
 
 @pytest.mark.parametrize("width", [0.2, 5.0])
 def test_gaussian_any_width_saturates_bound(width):
-    assert abs(uncertainty_product(gaussian_probe(width=width).signal) - 0.5) < 1e-6
+    assert abs(uncertainty_product(gaussian_probe(width=width)) - 0.5) < 1e-6
 
 
 def test_first_hermite_mode_dispersion():

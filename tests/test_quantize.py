@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylgabor.gabor import SampledSignal, displace
+from weylgabor.gabor import SampledSignal, displace, gaussian_probe
 from weylgabor.numerics import (
     EdgeEnergyWarning,
     Grid1D,
@@ -22,7 +22,6 @@ from weylgabor.quantize import (
     OperatorKernel,
     density_diagnostics,
     gaussian_distribution,
-    gaussian_probe_signal,
     overlap_kernel,
     overlap_kernel_quadrature,
     point_mass_distribution,
@@ -115,8 +114,8 @@ def test_overlap_point_symmetry():
 @pytest.mark.parametrize("a,r", [(1.0, 1.0), (5.0, 0.2), (2.0, 2.0), (5.0, 10.0)])
 def test_overlap_matches_quadrature(a, r):
     grid = Grid1D.regular(-40.0, 40.0, 2048)
-    psi_a = gaussian_probe_signal(a, grid)
-    psi_r = gaussian_probe_signal(r, grid)
+    psi_a = gaussian_probe(grid, a)
+    psi_r = gaussian_probe(grid, r)
     for omega, b in [(0.0, 0.0), (0.5, 0.3), (1.0, -1.0), (2.0, 0.7)]:
         quad = overlap_kernel_quadrature(psi_a, psi_r, omega, b)
         assert abs(quad - _overlap_formula(a, r, omega, b)) < 1e-8
@@ -124,7 +123,7 @@ def test_overlap_matches_quadrature(a, r):
 
 def test_overlap_quadrature_at_origin_equal_probes():
     grid = Grid1D.regular(-40.0, 40.0, 2048)
-    p = gaussian_probe_signal(3.0, grid)
+    p = gaussian_probe(grid, 3.0)
     assert abs(overlap_kernel_quadrature(p, p, 0.0, 0.0) - 1.0) < 1e-12
 
 
@@ -176,7 +175,7 @@ def test_portrait_requires_unit_mass():
 
 def test_quantized_density_diagnostics():
     w = overlap_kernel(1.0, 1.0, TF_GRID).normalized()
-    kernel = quantize_to_kernel(w, gaussian_probe_signal(1.0, TIME_GRID))
+    kernel = quantize_to_kernel(w, gaussian_probe(TIME_GRID, 1.0))
     diag = density_diagnostics(kernel)
     assert abs(diag["trace"] - 1.0) < 1e-9
     assert diag["hermiticity_defect"] < 1e-8
@@ -186,8 +185,8 @@ def test_quantized_density_diagnostics():
 
 def test_point_mass_quantizes_to_displaced_projector():
     w = point_mass_distribution(TF_GRID, 2.0, 1.0)
-    kernel = quantize_to_kernel(w, gaussian_probe_signal(1.0, TIME_GRID))
-    psi = displace(2.0, 1.0, gaussian_probe_signal(1.0, TIME_GRID)).values
+    kernel = quantize_to_kernel(w, gaussian_probe(TIME_GRID, 1.0))
+    psi = displace(2.0, 1.0, gaussian_probe(TIME_GRID, 1.0)).values
     target = np.outer(psi, np.conj(psi))
     rel = np.linalg.norm(kernel.entries - target) / np.linalg.norm(target)
     assert rel < 1e-10
@@ -195,7 +194,7 @@ def test_point_mass_quantizes_to_displaced_projector():
 
 def test_quantize_input_validation():
     w = Distribution(TF_GRID, 2.0 * gaussian_distribution(TF_GRID).values)
-    probe = gaussian_probe_signal(1.0, TIME_GRID)
+    probe = gaussian_probe(TIME_GRID, 1.0)
     with pytest.raises(ValueError):
         quantize_to_kernel(w, probe)
     bad_probe = SampledSignal(TIME_GRID, 2.0 * probe.values)
@@ -206,7 +205,7 @@ def test_quantize_input_validation():
 def test_quantize_translation_covariance():
     # quantizing the translated density equals conjugating the kernel by the
     # displacement operator; the sandwich is applied column- then row-wise
-    probe = gaussian_probe_signal(1.0, TIME_GRID)
+    probe = gaussian_probe(TIME_GRID, 1.0)
     base = quantize_to_kernel(gaussian_distribution(TF_GRID), probe).entries
     moved = quantize_to_kernel(
         gaussian_distribution(TF_GRID, center=(1.0, 1.0)), probe).entries
@@ -227,7 +226,7 @@ def test_quantize_warns_on_band_edge_weight():
     values = gaussian_distribution(TF_GRID, center=(7.5, 0.0)).values
     w = Distribution(TF_GRID, values).normalized()
     with pytest.warns(BandCoverageWarning):
-        quantize_to_kernel(w, gaussian_probe_signal(1.0, TIME_GRID))
+        quantize_to_kernel(w, gaussian_probe(TIME_GRID, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +335,7 @@ def test_quantized_random_density_has_unit_trace_and_is_positive(seed, n_tf, n_t
     values = np.random.default_rng(seed).random(grid.shape)
     values[[0, -1], :] = 0.0
     w = Distribution(grid, values).normalized()
-    diag = density_diagnostics(quantize_to_kernel(w, gaussian_probe_signal(1.0, tgrid)))
+    diag = density_diagnostics(quantize_to_kernel(w, gaussian_probe(tgrid, 1.0)))
     assert abs(diag["trace"] - 1.0) <= 1e-10
     assert diag["min_eigenvalue"] >= -1e-10
 
@@ -396,7 +395,7 @@ def test_per_lag_kernel_matches_the_b_node_loop(seed, n_t, n_omega, n_b,
 # ---------------------------------------------------------------------------
 
 def test_diagnostics_of_rank_one_projector():
-    psi = gaussian_probe_signal(1.0, TIME_GRID).values
+    psi = gaussian_probe(TIME_GRID, 1.0).values
     kernel = OperatorKernel(TIME_GRID, np.outer(psi, np.conj(psi)))
     diag = density_diagnostics(kernel)
     assert abs(diag["trace"] - 1.0) < 1e-12
@@ -406,7 +405,7 @@ def test_diagnostics_of_rank_one_projector():
 
 def test_diagnostics_of_equal_mixture():
     t = TIME_GRID.points
-    psi0 = gaussian_probe_signal(1.0, TIME_GRID).values
+    psi0 = gaussian_probe(TIME_GRID, 1.0).values
     psi1 = SampledSignal(TIME_GRID, t * np.exp(-t ** 2 / 2.0)).normalized().values
     entries = 0.5 * (np.outer(psi0, np.conj(psi0)) + np.outer(psi1, np.conj(psi1)))
     diag = density_diagnostics(OperatorKernel(TIME_GRID, entries))

@@ -182,7 +182,7 @@ def test_single_zero_survives_smoothing_with_matched_probe():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MassLeakageWarning)
         warnings.simplefilter("ignore", EdgeEnergyWarning)
-        report = stellar_experiment([0j], params, rel_threshold=1.0)
+        report, _, _ = stellar_experiment([0j], params, rel_threshold=1.0)
     assert len(report["w_minima"]) == 1
     assert len(report["portrait_minima"]) == 1
     w_om, w_b, w_val = report["w_minima"][0]
@@ -219,8 +219,8 @@ def test_pentagon_experiment_report():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MassLeakageWarning)
         warnings.simplefilter("ignore", EdgeEnergyWarning)
-        report = stellar_experiment(pentagon_zeros(), pentagon_params(),
-                                    symmetry_fold=5)
+        report, _, _ = stellar_experiment(pentagon_zeros(), pentagon_params(),
+                                          symmetry_fold=5)
     # the raw density keeps all six zeros, pinned to machine accuracy
     assert len(report["w_minima"]) == 6
     assert report["w_match"]["matched"] == 6
