@@ -490,6 +490,16 @@ def test_cli_import_runs_no_refine_design_svd():
     assert proc.stdout.strip() == "0"
 
 
+def test_cli_import_builds_no_gauss_hermite_rule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import weylgabor.cli, weylgabor.stellar as s; "
+         "print(s._gauss_hermite.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 def test_module_invocation(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", "group-check", trials=5)
     out = tmp_path / "out"

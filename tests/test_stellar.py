@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylgabor.numerics import EdgeEnergyWarning, Grid1D, PhaseSpaceGrid
 from weylgabor.quantize import BandCoverageWarning
@@ -87,6 +89,54 @@ def test_gram_order_cap():
         hermite_gram(9, 0, 0.5)
     with pytest.raises(ValueError):
         hermite_gram(0, 0, 1.5)
+
+
+def test_non_integer_orders_are_value_errors():
+    with pytest.raises(ValueError, match="integer"):
+        hermite_poly(2.5, 0.3 + 0.1j)
+    with pytest.raises(ValueError, match="integer"):
+        hermite_gram(2.5, 0, 0.5)
+    with pytest.raises(ValueError, match="integer"):
+        hermite_gram(0, 2.5, 0.5)
+
+
+def test_integral_float_orders_act_as_integers():
+    z = np.array([0.3 + 0.1j, -1.0 + 2.0j])
+    np.testing.assert_array_equal(hermite_poly(2.0, z), hermite_poly(2, z))
+    assert hermite_gram(2.0, 0, 0.5) == hermite_gram(2, 0, 0.5)
+
+
+def test_default_gram_rule_is_exact():
+    # the 9-node Gauss-Hermite tensor rule integrates H_m conj(H_n) times
+    # the envelope exactly for m, n <= 8, even where no grid fits (s near 0, 1)
+    for s in (0.05, 0.3, 0.5, 0.945, 0.99):
+        for m in range(9):
+            for n in range(9):
+                scale = np.sqrt(gram_diagonal(m, s) * gram_diagonal(n, s))
+                target = gram_diagonal(n, s) if m == n else 0.0
+                assert abs(hermite_gram(m, n, s) - target) < 1e-12 * scale, (s, m, n)
+
+
+def _mesh_gram(m, n, s, grid):
+    """The Gram quadrature as the direct sum over the full (omega, b) mesh,
+    with the Riemann magnitude sum of the integrand as its error scale."""
+    omega_mesh, b_mesh = grid.meshes()
+    z = b_mesh + 1j * omega_mesh
+    weight = np.exp(-(1.0 - s) * b_mesh ** 2 - (1.0 / s - 1.0) * omega_mesh ** 2)
+    integrand = hermite_poly(m, z) * np.conj(hermite_poly(n, z)) * weight
+    cell = grid.omega_axis.step * grid.b_axis.step
+    return complex(cell * integrand.sum()), cell * float(np.abs(integrand).sum())
+
+
+AXES = st.builds(Grid1D, st.floats(-8.0, 4.0), st.floats(0.05, 0.6), st.integers(8, 64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(0.05, 0.95), AXES, AXES, st.integers(0, 8), st.integers(0, 8))
+def test_grid_gram_equals_the_mesh_sum(s, omega_axis, b_axis, m, n):
+    grid = PhaseSpaceGrid(omega_axis=omega_axis, b_axis=b_axis)
+    direct, magnitude = _mesh_gram(m, n, s, grid)
+    assert abs(hermite_gram(m, n, s, grid) - direct) <= 1e-12 * magnitude
 
 
 # ---------------------------------------------------------------------------
