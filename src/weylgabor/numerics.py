@@ -141,6 +141,14 @@ class PhaseSpaceGrid:
 _BESSEL_ORDER_CAP = 64
 
 
+def _integer_order(order, cap: int) -> int:
+    """``order`` as an int in [0, cap]; anything else is a ValueError."""
+    n = int(order)
+    if n != order or n < 0 or n > cap:
+        raise ValueError("order must be an integer in [0, %d], got %r" % (cap, order))
+    return n
+
+
 def bessel_i(order: int, x: float) -> float:
     """I_order(x) for integer order in [0, 64] and x >= 0, from scipy's
     ``iv`` (Amos's algorithm).  Below x = 1e-300, where ``iv`` returns
@@ -148,9 +156,7 @@ def bessel_i(order: int, x: float) -> float:
     Negative arguments are rejected; callers can fold them out with
     I_n(-x) = (-1)^n I_n(x).
     """
-    n = int(order)
-    if n != order or n < 0 or n > _BESSEL_ORDER_CAP:
-        raise ValueError("order must be an integer in [0, %d], got %r" % (_BESSEL_ORDER_CAP, order))
+    n = _integer_order(order, _BESSEL_ORDER_CAP)
     x = float(x)
     if x < 0.0:
         raise ValueError("x must be non-negative; use I_n(-x) = (-1)^n I_n(x)")

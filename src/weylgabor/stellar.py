@@ -32,7 +32,13 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .gabor import gaussian_probe
-from .numerics import Grid1D, PhaseSpaceGrid, edge_mass_share, find_local_minima
+from .numerics import (
+    Grid1D,
+    PhaseSpaceGrid,
+    _integer_order,
+    edge_mass_share,
+    find_local_minima,
+)
 from .quantize import (
     Distribution,
     OperatorKernel,
@@ -99,14 +105,6 @@ def pentagon_params() -> StellarParams:
     grid [-4, 4)^2 at 512 x 512."""
     return StellarParams(s=0.945, probe_a=2.0, probe_r=2.0,
                          grid=PhaseSpaceGrid.square(-4.0, 4.0, 512))
-
-
-def _integer_order(order, cap: int) -> int:
-    """``order`` as an int in [0, cap]; anything else is a ValueError."""
-    n = int(order)
-    if n != order or n < 0 or n > cap:
-        raise ValueError("order must be an integer in [0, %d], got %r" % (cap, order))
-    return n
 
 
 def _hermite_rows(n: int, z):
