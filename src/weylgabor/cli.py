@@ -300,8 +300,7 @@ def _run_group_check(params: _Params, seed: int, outdir: Path) -> None:
 
     filtration = groups.nilpotency_filtration_check(4)
     suites["nilpotency_filtration"] = {
-        "detail": {k: bool(v) if isinstance(v, (bool, np.bool_)) else v
-                   for k, v in filtration.items()},
+        "detail": filtration,
         "pass": bool(filtration["all_pass"]),
     }
 
@@ -495,7 +494,10 @@ def _load_zeros(spec_name, zeros_path):
                                and not isinstance(z[k], bool) for k in ("re", "im"))
                        for z in data)):
         raise ValidationFailure("zeros JSON must be a non-empty list of {re, im}")
-    return np.array([complex(z["re"], z["im"]) for z in data])
+    zeros = np.array([complex(z["re"], z["im"]) for z in data])
+    if not np.all(np.isfinite(zeros)):
+        raise ValidationFailure("zeros JSON holds non-finite values")
+    return zeros
 
 
 def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:

@@ -35,7 +35,6 @@ from .numerics import (
     PhaseSpaceGrid,
     batch_fractional_shift,
     edge_peak_ratio,
-    fractional_shift,
     spectral_shift,
 )
 
@@ -102,10 +101,9 @@ class SampledSignal:
 
     def translated(self, b) -> np.ndarray:
         """Samples of t -> s(t - b), band-limited; an array of shifts gives
-        one translate per row.  The shift wraps around the grid, so hot
-        edges raise an EdgeEnergyWarning."""
-        if np.ndim(b) == 0:
-            return fractional_shift(self.values, self.grid.step, b)
+        one translate per row.  Every module shifts a line signal through
+        here.  The shift wraps around the grid, so hot edges raise an
+        EdgeEnergyWarning."""
         return batch_fractional_shift(self.values, self.grid.step, b)
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "edge_peak_ratio",
     "edge_mass_share",
     "spectral_shift",
-    "fractional_shift",
     "batch_fractional_shift",
     "grid_convolve",
     "find_local_minima",
@@ -216,9 +215,6 @@ def _warn_hot_edges(values: np.ndarray, what: str, effect: str) -> None:
         )
 
 
-_WRAP_AROUND = "wrap-around will contaminate the result"
-
-
 def spectral_shift(values: np.ndarray, step: float, shift, axis: int = -1) -> np.ndarray:
     """Band-limited translate along ``axis``: samples of t -> s(t - shift).
 
@@ -240,32 +236,22 @@ def spectral_shift(values: np.ndarray, step: float, shift, axis: int = -1) -> np
     return np.moveaxis(np.fft.ifft(np.fft.fft(moved) * ramps), -1, axis)
 
 
-def fractional_shift(values: np.ndarray, step: float, shift: float) -> np.ndarray:
-    """Band-limited translate: samples of t -> s(t - shift) on the same grid.
+def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarray:
+    """Band-limited translates of 1-D samples: t -> s(t - shift) on the same
+    grid, checked.
 
-    Implemented as an FFT phase ramp, so the shift wraps periodically; a
+    A scalar shift gives one translate; a 1-D array of shifts gives one
+    translate per entry, stacked as rows, from one forward FFT and a single
+    batched inverse FFT (every window position of a windowed transform is
+    a shifted copy of the same probe).  The shift wraps periodically, so a
     warning is issued when the input carries visible energy at the grid
-    edges.  Shifts by an integer number of samples are exact rolls.
+    edges.  A scalar shift by an integer number of samples is an exact roll.
     """
     values = np.asarray(values, dtype=complex)
-    if values.ndim != 1:
-        raise ValueError("expected a 1-D sample array")
-    _warn_hot_edges(values, "fractional_shift", _WRAP_AROUND)
-    return spectral_shift(values, step, shift)
-
-
-def batch_fractional_shift(values: np.ndarray, step: float, shifts: np.ndarray) -> np.ndarray:
-    """Row k of the result holds fractional_shift(values, step, shifts[k]).
-
-    One forward FFT and a single batched inverse FFT, which is the workhorse
-    behind windowed transforms (every window position is a shifted copy of
-    the same probe).
-    """
-    values = np.asarray(values, dtype=complex)
-    shifts = np.asarray(shifts, dtype=float)
-    if values.ndim != 1 or shifts.ndim != 1:
-        raise ValueError("expected 1-D sample and shift arrays")
-    _warn_hot_edges(values, "batch_fractional_shift", _WRAP_AROUND)
+    if values.ndim != 1 or np.ndim(shifts) > 1:
+        raise ValueError("expected 1-D samples and a scalar or 1-D array of shifts")
+    _warn_hot_edges(values, "batch_fractional_shift",
+                    "wrap-around will contaminate the result")
     return spectral_shift(values, step, shifts)
 
 

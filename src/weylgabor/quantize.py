@@ -34,9 +34,7 @@ from .gabor import SampledSignal, _require_unit_norm
 from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
-    batch_fractional_shift,
     edge_peak_ratio,
-    fractional_shift,
     grid_convolve,
     spectral_shift,
 )
@@ -169,7 +167,7 @@ def overlap_kernel_quadrature(psi_a: SampledSignal, psi_r: SampledSignal,
     if psi_a.grid != psi_r.grid:
         raise ValueError("probes must share a grid")
     tau = psi_a.grid.points
-    advanced = fractional_shift(psi_a.values, psi_a.grid.step, -b)
+    advanced = psi_a.translated(-b)
     integral = psi_a.grid.step * np.sum(
         np.exp(-1j * omega * tau) * np.conj(psi_r.values) * advanced)
     return float(np.abs(integral) ** 2)
@@ -232,8 +230,7 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     lags = tgrid.step * np.arange(n_t)
     fourier = np.exp(-1j * np.outer(lags, w.grid.omega_axis.points))
     w_partial = (d_om / _SQRT_2PI) * (fourier @ w.values)   # (n_t, n_b)
-    shifted = batch_fractional_shift(psi_a.values, tgrid.step,
-                                     w.grid.b_axis.points)  # (n_b, n_t)
+    shifted = psi_a.translated(w.grid.b_axis.points)        # (n_b, n_t)
     conj_shifted = np.conj(shifted)
     entries = np.empty((n_t, n_t), dtype=complex)
     flat = entries.reshape(-1)

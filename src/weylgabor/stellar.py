@@ -72,6 +72,14 @@ class MassLeakageWarning(UserWarning):
     the evaluation grid, so on-grid normalization misstates the density."""
 
 
+def _envelope_rates(s: float) -> tuple:
+    """The envelope rates (1 - s, 1/s - 1) of exp(-(1-s)b^2 - (1/s-1)omega^2),
+    for a shape parameter s in (0, 1); anything else is a ValueError."""
+    if not 0.0 < s < 1.0:
+        raise ValueError("s must lie in (0,1)")
+    return 1.0 - s, 1.0 / s - 1.0
+
+
 @dataclass(frozen=True)
 class StellarParams:
     """Shape parameter, probe widths for the portrait, and evaluation grid."""
@@ -82,8 +90,7 @@ class StellarParams:
     grid: PhaseSpaceGrid
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ValueError("s must lie in (0,1)")
+        _envelope_rates(self.s)
         if self.probe_a <= 0 or self.probe_r <= 0:
             raise ValueError("probe widths must be positive")
 
@@ -151,9 +158,7 @@ def anisotropic_stellar_weight(zeros: Sequence[complex], rate_b: float,
 
 def stellar_weight(zeros: Sequence[complex], s: float, z) -> np.ndarray:
     """Unnormalized stellar density at complex points z = b + 1j*omega."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0,1)")
-    return anisotropic_stellar_weight(zeros, 1.0 - s, 1.0 / s - 1.0, z)
+    return anisotropic_stellar_weight(zeros, *_envelope_rates(s), z)
 
 
 def stellar_distribution(zeros: Sequence[complex], s: float,
@@ -187,16 +192,15 @@ def stellar_distribution(zeros: Sequence[complex], s: float,
 def gram_diagonal(n: int, s: float) -> float:
     """Closed-form diagonal Gram value
     (pi*sqrt(s)/(1-s)) * (2(1+s)/(1-s))^n * n!."""
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0,1)")
-    return float(np.pi * np.sqrt(s) / (1.0 - s)
-                 * (2.0 * (1.0 + s) / (1.0 - s)) ** n * factorial(n))
+    rate_b, _ = _envelope_rates(s)
+    return float(np.pi * np.sqrt(s) / rate_b
+                 * (2.0 * (1.0 + s) / rate_b) ** n * factorial(n))
 
 
 def default_gram_grid(s: float, n_points: int = 384) -> PhaseSpaceGrid:
     """Quadrature window sized so the weighted Hermite products up to degree
     8 decay below 1e-9 of their peak before the boundary."""
-    min_rate = 1.0 - s
+    min_rate, _ = _envelope_rates(s)
     half = max(12.0, 4.0 * np.sqrt(9.0 / min_rate))
     return PhaseSpaceGrid.square(-half, half, n_points)
 
@@ -244,9 +248,7 @@ def hermite_gram(m: int, n: int, s: float,
     """
     m = _integer_order(m, 8)
     n = _integer_order(n, 8)
-    if not 0.0 < s < 1.0:
-        raise ValueError("s must lie in (0,1)")
-    rate_b, rate_omega = 1.0 - s, 1.0 / s - 1.0
+    rate_b, rate_omega = _envelope_rates(s)
     if grid is None:
         x, w = _gauss_hermite()
         sb, so = np.sqrt(rate_b), np.sqrt(rate_omega)
@@ -315,6 +317,8 @@ def stellar_experiment(zeros: Sequence[complex], params: StellarParams,
     force-matched.  The symmetry residual is the Hausdorff distance between
     the non-origin minima and their rotation by 2*pi/symmetry_fold.
     """
+    if symmetry_fold is not None and symmetry_fold < 2:
+        raise ValueError("symmetry fold must be at least 2")
     density = stellar_distribution(zeros, params.s, params.grid)
     w = density.distribution
     smoothed = portrait(w, params.probe_a, params.probe_r)
@@ -335,8 +339,6 @@ def stellar_experiment(zeros: Sequence[complex], params: StellarParams,
         "portrait_match": _greedy_match(zeros, p_minima, match_cutoff),
     }
     if symmetry_fold is not None:
-        if symmetry_fold < 2:
-            raise ValueError("symmetry fold must be at least 2")
         report["symmetry_fold"] = symmetry_fold
         report["w_symmetry_residual"] = _rotation_residual(w_minima, symmetry_fold)
         report["portrait_symmetry_residual"] = _rotation_residual(p_minima, symmetry_fold)

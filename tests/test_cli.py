@@ -337,6 +337,20 @@ def test_stellar_rejects_malformed_zeros(tmp_path, capsys):
     assert "zeros JSON" in _stderr_error(capsys)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_stellar_rejects_nonfinite_zeros(tmp_path, capsys, literal):
+    zeros_path = tmp_path / "zeros.json"
+    zeros_path.write_text('[{"re": 0.0, "im": 0.0}, {"re": %s, "im": 0.5}]'
+                          % literal)
+    cfg = _write_config(tmp_path / "cfg.json", "stellar",
+                        zeros_json=str(zeros_path), n_grid=64)
+    out = tmp_path / "out"
+    assert cli.main(["stellar", "--config", cfg, "--out", str(out)]) == 2
+    assert "zeros JSON holds non-finite values" in _stderr_error(capsys)
+    assert not out.exists()
+    assert not list(tmp_path.glob(".weylgabor-*"))
+
+
 def test_stellar_manifest_lists_each_warning_once(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", "stellar", n_grid=64)
     out = tmp_path / "out"

@@ -16,7 +16,6 @@ from weylgabor.numerics import (
     edge_mass_share,
     edge_peak_ratio,
     find_local_minima,
-    fractional_shift,
     grid_convolve,
     periodic_trapezoid,
     spectral_shift,
@@ -174,13 +173,13 @@ def _unit_gaussian(grid):
 def test_shift_by_zero_is_identity():
     grid = Grid1D.regular(-20.0, 20.0, 256)
     s = _unit_gaussian(grid)
-    np.testing.assert_array_equal(fractional_shift(s, grid.step, 0.0), s)
+    np.testing.assert_array_equal(batch_fractional_shift(s, grid.step, 0.0), s)
 
 
 def test_shift_matches_analytic_gaussian():
     grid = Grid1D.regular(-20.0, 20.0, 1024)
     s = _unit_gaussian(grid)
-    shifted = fractional_shift(s, grid.step, 1.5)
+    shifted = batch_fractional_shift(s, grid.step, 1.5)
     target = np.pi ** -0.25 * np.exp(-(grid.points - 1.5) ** 2 / 2.0)
     assert np.abs(shifted - target).max() < 1e-10
 
@@ -191,33 +190,35 @@ def test_integer_lattice_shift_is_exact_roll():
     s = rng.normal(size=128) + 1j * rng.normal(size=128)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EdgeEnergyWarning)
-        out = fractional_shift(s, grid.step, 7 * grid.step)
+        out = batch_fractional_shift(s, grid.step, 7 * grid.step)
     np.testing.assert_array_equal(out, np.roll(s, 7))
 
 
 def test_shift_round_trip():
     grid = Grid1D.regular(-20.0, 20.0, 512)
     s = _unit_gaussian(grid)
-    back = fractional_shift(fractional_shift(s, grid.step, 2.3), grid.step, -2.3)
+    back = batch_fractional_shift(batch_fractional_shift(s, grid.step, 2.3), grid.step, -2.3)
     assert np.abs(back - s).max() < 1e-12
 
 
 def test_shift_composes_additively():
     grid = Grid1D.regular(-20.0, 20.0, 512)
     s = _unit_gaussian(grid)
-    one = fractional_shift(fractional_shift(s, grid.step, 1.1), grid.step, 0.7)
-    two = fractional_shift(s, grid.step, 1.8)
+    one = batch_fractional_shift(batch_fractional_shift(s, grid.step, 1.1), grid.step, 0.7)
+    two = batch_fractional_shift(s, grid.step, 1.8)
     assert np.abs(one - two).max() < 1e-11
 
 
 def test_shift_warns_on_hot_edges():
     with pytest.warns(EdgeEnergyWarning):
-        fractional_shift(np.ones(64), 0.1, 0.05)
+        batch_fractional_shift(np.ones(64), 0.1, 0.05)
 
 
 def test_shift_rejects_matrices():
     with pytest.raises(ValueError):
-        fractional_shift(np.ones((4, 4)), 0.1, 0.05)
+        batch_fractional_shift(np.ones((4, 4)), 0.1, 0.05)
+    with pytest.raises(ValueError):
+        batch_fractional_shift(np.ones(4), 0.1, np.zeros((2, 2)))
 
 
 def test_batch_shift_matches_singles():
@@ -227,7 +228,7 @@ def test_batch_shift_matches_singles():
     rows = batch_fractional_shift(s, grid.step, shifts)
     for k, b in enumerate(shifts):
         np.testing.assert_allclose(rows[k],
-                                   fractional_shift(s, grid.step, b),
+                                   batch_fractional_shift(s, grid.step, b),
                                    rtol=0, atol=1e-14)
 
 
@@ -239,7 +240,7 @@ def test_spectral_shift_acts_along_one_axis(shift):
     moved = spectral_shift(block, grid.step, shift, axis=0)
     for j in range(5):
         np.testing.assert_allclose(moved[:, j],
-                                   fractional_shift(block[:, j], grid.step, shift),
+                                   batch_fractional_shift(block[:, j], grid.step, shift),
                                    rtol=0, atol=1e-14)
     np.testing.assert_array_equal(spectral_shift(block.T, grid.step, shift, axis=1),
                                   moved.T)

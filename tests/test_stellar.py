@@ -163,6 +163,22 @@ def test_weight_shape_parameter_validation():
         stellar_weight([0j], 1.0, 0.1 + 0.1j)
 
 
+@pytest.mark.parametrize("s", [0.0, 1.0, 1.5, -0.2])
+@pytest.mark.parametrize("consumer", [
+    lambda s: StellarParams(s, 1.0, 1.0, PhaseSpaceGrid.square(-4.0, 4.0, 64)),
+    lambda s: stellar_weight([0j], s, 0.1 + 0.1j),
+    lambda s: gram_diagonal(2, s),
+    lambda s: hermite_gram(1, 1, s),
+    lambda s: default_gram_grid(s),
+], ids=["StellarParams", "stellar_weight", "gram_diagonal", "hermite_gram",
+        "default_gram_grid"])
+def test_every_s_consumer_rejects_s_outside_the_unit_interval(consumer, s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="s must lie"):
+            consumer(s)
+
+
 def test_anisotropic_transpose_identity():
     # swapping the axis rates while mapping zeros z -> 1j*conj(z) transposes
     # the axes of the density
@@ -290,6 +306,16 @@ def test_experiment_symmetry_fold_validation():
     params = StellarParams(0.5, 1.0, 1.0, PhaseSpaceGrid.square(-8.0, 8.0, 64))
     with pytest.raises(ValueError):
         stellar_experiment([0j], params, symmetry_fold=1)
+
+
+def test_symmetry_fold_is_checked_before_any_work():
+    # the pentagon on this grid leaks mass; a fold check made after the
+    # density is built would meet MassLeakageWarning first
+    params = StellarParams(0.945, 2.0, 2.0, PhaseSpaceGrid.square(-4.0, 4.0, 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="symmetry fold"):
+            stellar_experiment(pentagon_zeros(), params, symmetry_fold=1)
 
 
 # ---------------------------------------------------------------------------

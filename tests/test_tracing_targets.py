@@ -1,0 +1,69 @@
+"""The benchmark's span targets stay bound: bench/tracing.py wraps package
+functions by module and name, so a rename or a bypassed call would make
+``--trace 1`` fail or a per-layer span read 0."""
+
+import importlib
+import importlib.util
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import weylgabor.groups  # noqa: F401  (group_targets reads it from sys.modules)
+from weylgabor import numerics
+from weylgabor.gabor import gaussian_probe
+from weylgabor.numerics import Grid1D, PhaseSpaceGrid
+from weylgabor.quantize import gaussian_distribution, quantize_to_kernel
+
+_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("_bench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves_to_a_callable(tracing):
+    for modname, fname, _, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(modname), fname)), fname
+
+
+def test_group_targets_find_both_laws(tracing):
+    spans = [span for _, _, span, _ in tracing.group_targets()]
+    assert "groups.compose" in spans
+    assert "groups.to_matrix" in spans
+
+
+def test_every_line_shift_reaches_the_traced_binding(monkeypatch):
+    """The tracer swaps every weylgabor binding of batch_fractional_shift
+    for a wrapper; counting through the same bindings shows that scalar
+    and array translates and the quantizer's probe shifts all pass one."""
+    original = numerics.batch_fractional_shift
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.ndim(args[2]))
+        return original(*args, **kwargs)
+
+    modules = [m for n, m in sorted(sys.modules.items())
+               if n == "weylgabor" or n.startswith("weylgabor.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+
+    probe = gaussian_probe(Grid1D.regular(-10.0, 10.0, 64), 1.0)
+    probe.translated(0.3)
+    assert calls == [0]
+    probe.translated(np.array([-1.0, 0.0, 1.0]))
+    assert calls == [0, 1]
+    w = gaussian_distribution(PhaseSpaceGrid.square(-4.0, 4.0, 16)).normalized()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quantize_to_kernel(w, probe)
+    assert calls == [0, 1, 1]
