@@ -210,9 +210,9 @@ def cyl_gabor_transform(psi: CircularSignal, phi: CircularSignal,
         raise ValueError("window and signal must share a grid")
     if 2 * m_max + 1 > phi.grid.count:
         raise ValueError("m_max too large for %d-point signals" % phi.grid.count)
-    m_vals, thetas = np.arange(-m_max, m_max + 1), phi.grid.points
-    half_phase = np.exp(1j * np.outer(m_vals, thetas) / 2.0)
-    return CylCoefficients(m_max, phi.grid, half_phase * _analyze(psi, phi, m_vals, thetas))
+    m_comb, thetas = (-m_max, 1.0, 2 * m_max + 1), phi.grid.points
+    half_phase = np.exp(1j * np.outer(np.arange(-m_max, m_max + 1), thetas) / 2.0)
+    return CylCoefficients(m_max, phi.grid, half_phase * _analyze(psi, phi, m_comb, thetas))
 
 
 def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients) -> CircularSignal:
@@ -225,8 +225,9 @@ def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients) -> CircularSig
     """
     thetas = coeffs.theta_axis.points
     descaled = coeffs.values * np.exp(-1j * np.outer(coeffs.m_values, thetas) / 2.0)
+    m_comb = (-coeffs.m_max, 1.0, 2 * coeffs.m_max + 1)
     out = CircularSignal(psi.grid, _synthesize(
-        psi, coeffs.m_values, thetas, descaled, coeffs.theta_axis.step / _TWO_PI))
+        psi, m_comb, thetas, descaled, coeffs.theta_axis.step / _TWO_PI))
     tail = edge_mass_share(np.abs(coeffs.values) ** 2, axes=(0,))
     if tail > 1e-10:
         warnings.warn(

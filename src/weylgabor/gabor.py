@@ -20,7 +20,10 @@ conventions differ by a phase exp(1j*omega*b/2) on the coefficient level;
 covariance_residual carries the resulting cross factor explicitly.
 
 The displacement, analysis and resynthesis here serve the circle as well:
-weylgabor.cylinder runs them on the integer frequency comb.
+weylgabor.cylinder runs them on the integer frequency comb.  Both sums over
+a uniform frequency comb are chirp-z transforms (numerics.chirp_z), so the
+analysis costs O(n_b*(n_t + n_omega)*log) and no n_omega x n_t table of
+exponentials is ever built.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
     batch_fractional_shift,
+    chirp_z,
     edge_peak_ratio,
     spectral_shift,
 )
@@ -201,24 +205,31 @@ def _require_unit_norm(window: SampledSignal) -> None:
         raise ValueError("window must have unit norm, got %.12g" % window.norm)
 
 
-def _analyze(window: SampledSignal, s: SampledSignal, omegas: np.ndarray,
+def _analyze(window: SampledSignal, s: SampledSignal, comb: tuple,
              shifts: np.ndarray) -> np.ndarray:
-    """sum_t exp(-1j*omega*t) conj(window(t - b)) s(t) dt, indexed [omega, b]:
-    one dense Fourier matrix applied to every windowed copy of the signal."""
+    """sum_t exp(-1j*omega*t) conj(window(t - b)) s(t) dt, indexed [omega, b],
+    for the uniform frequency comb ``comb`` = (start, step, count): one
+    chirp-z transform of every windowed copy of the signal."""
     _require_unit_norm(window)
-    windowed = np.conj(window.translated(shifts)) * s.values[None, :]
-    fourier = s.grid.step * np.exp(-1j * np.outer(omegas, s.grid.points))
-    return fourier @ windowed.T
+    windowed = window.translated(shifts)            # fresh (n_b, n_t): window it in place
+    np.conjugate(windowed, out=windowed)
+    windowed *= s.grid.step * s.values
+    coeffs = chirp_z(windowed, s.grid.comb, comb, sign=-1)
+    del windowed
+    # a compact [omega, b] copy, so the transform's buffer is freed
+    return np.ascontiguousarray(coeffs.T)
 
 
-def _synthesize(window: SampledSignal, omegas: np.ndarray, shifts: np.ndarray,
+def _synthesize(window: SampledSignal, comb: tuple, shifts: np.ndarray,
                 values: np.ndarray, measure: float) -> np.ndarray:
-    """measure * sum_{omega, b} values[omega, b] exp(1j*omega*t) window(t - b)."""
+    """measure * sum_{omega, b} values[omega, b] exp(1j*omega*t) window(t - b),
+    for ``values`` on the uniform frequency comb ``comb`` = (start, step, count)."""
     _require_unit_norm(window)
-    # windows first, so the shift's temporaries and the mode table never coexist
-    windows = window.translated(shifts)                         # (n_b, n_t)
-    modes = np.exp(1j * np.outer(window.grid.points, omegas))   # (n_t, n_omega)
-    return measure * np.einsum("tk,kt->t", modes @ values, windows)
+    # windows first, so the shift's temporaries and the transform's buffer
+    # never coexist
+    windows = window.translated(shifts)                                  # (n_b, n_t)
+    modes = chirp_z(values, comb, window.grid.comb, sign=1, axis=0)     # (n_t, n_b)
+    return measure * np.einsum("tb,bt->t", modes, windows)
 
 
 def gabor_transform(probe: SampledSignal, s: SampledSignal,
@@ -228,7 +239,7 @@ def gabor_transform(probe: SampledSignal, s: SampledSignal,
     grid = grid or default_tf_grid()
     if probe.grid != s.grid:
         raise ValueError("probe and signal must share a time grid")
-    return TFCoefficients(grid, _analyze(probe, s, grid.omega_axis.points,
+    return TFCoefficients(grid, _analyze(probe, s, grid.omega_axis.comb,
                                          grid.b_axis.points))
 
 
@@ -241,7 +252,7 @@ def gabor_reconstruct(probe: SampledSignal, coeffs: TFCoefficients) -> SampledSi
     """
     grid = coeffs.grid
     out = SampledSignal(probe.grid, _synthesize(
-        probe, grid.omega_axis.points, grid.b_axis.points,
+        probe, grid.omega_axis.comb, grid.b_axis.points,
         coeffs.values, grid.cell_measure))
     target = coeffs.energy
     if target > 0 and abs(out.energy - target) > 0.01 * target:

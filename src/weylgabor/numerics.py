@@ -10,7 +10,8 @@ integrands, and integrals over the phase-space plane carry the cell
 measure ``d(omega) d(b) / (2*pi)``.  The forward Fourier kernel is
 ``exp(-1j*omega*t)``; where a symmetric ``1/sqrt(2*pi)`` normalization is
 needed it is written explicitly at the call site, never hidden inside a
-helper.
+helper.  A Fourier sum between two uniform combs is one chirp-z
+transform (``chirp_z``), never a dense table of exponentials.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import fft, ifft, irfftn, next_fast_len, rfftn
 from scipy.special import iv
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
     "edge_mass_share",
     "spectral_shift",
     "batch_fractional_shift",
+    "chirp_z",
     "grid_convolve",
     "find_local_minima",
 ]
@@ -83,6 +85,11 @@ class Grid1D:
     def span(self) -> float:
         """Total length covered, ``step * count``."""
         return self.step * self.count
+
+    @property
+    def comb(self) -> tuple:
+        """``(start, step, count)``, the form ``chirp_z`` takes."""
+        return (self.start, self.step, self.count)
 
     def angular_frequencies(self) -> np.ndarray:
         """Angular FFT frequency comb 2*pi*k/(count*step), in FFT ordering."""
@@ -222,9 +229,12 @@ def spectral_shift(values: np.ndarray, step: float, shift, axis: int = -1) -> np
     periodic band-limited signals and needs decayed edges otherwise (no
     check here).  A scalar shift by an integer number of samples is an
     exact roll.  For 1-D ``values``, a 1-D array of shifts returns one
-    translate per entry, stacked as rows.
+    translate per entry, stacked as rows.  Non-finite shifts raise a
+    ValueError.  The result is always a fresh array.
     """
     values = np.asarray(values, dtype=complex)
+    if not np.all(np.isfinite(shift)):
+        raise ValueError("shift must be finite")
     if np.ndim(shift) == 0:
         cells = shift / step
         nearest = round(cells)
@@ -232,8 +242,15 @@ def spectral_shift(values: np.ndarray, step: float, shift, axis: int = -1) -> np
             return np.roll(values, int(nearest), axis=axis)
     moved = np.moveaxis(values, axis, -1)
     nu = 2.0 * np.pi * np.fft.fftfreq(moved.shape[-1], d=step)
-    ramps = np.exp(-1j * np.multiply.outer(shift, nu))
-    return np.moveaxis(np.fft.ifft(np.fft.fft(moved) * ramps), -1, axis)
+    ramps = -1j * np.multiply.outer(shift, nu)
+    np.exp(ramps, out=ramps)
+    spectrum = np.fft.fft(moved)
+    # one batch-sized array throughout: the product lands in whichever
+    # operand has the broadcast shape (spectrum first: complex multiply is
+    # not bitwise commutative), and scipy's inverse FFT overwrites it
+    product = np.multiply(spectrum, ramps,
+                          out=ramps if ramps.ndim >= spectrum.ndim else spectrum)
+    return np.moveaxis(ifft(product, overwrite_x=True), -1, axis)
 
 
 def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarray:
@@ -253,6 +270,70 @@ def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarra
     _warn_hot_edges(values, "batch_fractional_shift",
                     "wrap-around will contaminate the result")
     return spectral_shift(values, step, shifts)
+
+
+def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
+            axis: int = -1) -> np.ndarray:
+    """Fourier sums between two uniform combs, along ``axis``:
+
+        out[k] = sum_j values[j] * exp(sign*1j*f_k*x_j),
+
+    for nodes x_j = x0 + j*dx given as ``nodes`` = (x0, dx, n), where n is
+    the length of ``axis``, and frequencies f_k = f0 + k*df given as
+    ``comb`` = (f0, df, n_f) with any n_f >= 1; ``sign`` is +1 or -1.
+
+    Bluestein's chirp-z transform: kj = (k^2 + j^2 - (k - j)^2)/2 splits
+    the kernel into a pre-chirp on j, a post-chirp on k and a chirp in the
+    lag k - j, so the sum is one FFT convolution of length
+    next_fast_len(n + n_f - 1), O((n + n_f) log(n + n_f)) per line instead
+    of the n*n_f of a dense table.  The indices j and k are counted from the
+    middle of each comb, which keeps the linear phases small, and each
+    quadratic phase is exponentiated from an exact product, so the three
+    cancel as k*j would and leave roundoff at the level of a dense table.
+    The result is a view into the one zero-padded work buffer; the FFTs and
+    the post-chirp run in place.
+    """
+    x0, dx, n = nodes
+    f0, df, n_f = comb
+    moved = np.moveaxis(np.asarray(values, dtype=complex), axis, -1)
+    if moved.shape[-1] != n:
+        raise ValueError("values hold %d samples along the axis, the nodes %d"
+                         % (moved.shape[-1], n))
+    if n_f < 1:
+        raise ValueError("the comb needs at least one frequency")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    mid_j, mid_k = n // 2, n_f // 2
+    x_mid, f_mid = x0 + mid_j * dx, f0 + mid_k * df
+    rate = 0.5 * sign * df * dx
+    j = np.arange(n) - mid_j
+    k = np.arange(n_f) - mid_k
+    size = next_fast_len(n + n_f - 1)
+    # buffer position r holds the lag k - j = r, or r - size past the comb
+    lag = np.arange(size)
+    lag[n_f:] -= size
+    lag -= mid_k - mid_j
+    chirp = fft(_square_chirp(-rate, lag), overwrite_x=True)
+    work = np.zeros(moved.shape[:-1] + (size,), dtype=complex)
+    pre = np.exp(1j * sign * f_mid * dx * j) * _square_chirp(rate, j)
+    np.multiply(moved, pre, out=work[..., :n])
+    spectrum = fft(work, overwrite_x=True)
+    spectrum *= chirp
+    out = ifft(spectrum, overwrite_x=True)[..., :n_f]
+    out *= np.exp(1j * sign * (f_mid * x_mid + df * x_mid * k)) * _square_chirp(rate, k)
+    return np.moveaxis(out, -1, axis)
+
+
+def _square_chirp(rate: float, m: np.ndarray) -> np.ndarray:
+    """exp(1j*rate*m**2) for integers m, to a few ulps however large the
+    phase: the rate is split so that its leading part times m**2 is exact
+    in float64, the exponential reduces that exact phase itself, and the
+    rest of the rate leaves a phase too small to carry visible roundoff."""
+    square = m * m
+    bits = 53 - int(square.max()).bit_length()
+    exponent = math.frexp(rate)[1]
+    lead = math.ldexp(round(math.ldexp(rate, bits - exponent)), exponent - bits)
+    return np.exp(1j * (lead * square)) * np.exp(1j * ((rate - lead) * square))
 
 
 def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:

@@ -34,6 +34,7 @@ from .gabor import SampledSignal, _require_unit_norm
 from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
+    chirp_z,
     edge_peak_ratio,
     grid_convolve,
     spectral_shift,
@@ -255,9 +256,10 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     so real weights with the symmetry w(-omega, -b) = w(omega, b) produce
     Hermitian kernels to roundoff (the one-sided modulation fails this at
     spectral-leakage level for frequencies off the FFT comb).  The sum
-    collapses to one dense transform over omega and one product with the
-    stacked shift rows, read off at (i + j, i - j mod n).  Linear in w; a
-    point mass 2*pi*delta at the origin returns the identity kernel.
+    collapses to one chirp-z transform over omega onto the comb of pair
+    midpoints (t_i + t_j)/2 and one product with the stacked shift rows,
+    read off at (i + j, i - j mod n).  Linear in w; a point mass
+    2*pi*delta at the origin returns the identity kernel.
     """
     w_values = np.asarray(w_values, dtype=complex)
     if w_values.shape != grid.shape:
@@ -265,13 +267,12 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     if not np.all(np.isfinite(w_values)):
         raise ValueError("weight must be finite")
     _warn_band_edge(w_values, "weight")
-    t = time_grid.points
     n_t = time_grid.count
-    omegas = grid.omega_axis.points
     bs = grid.b_axis.points
-    pair_sums = 2.0 * t[0] + time_grid.step * np.arange(2 * n_t - 1)
-    pair_phase = np.exp(0.5j * np.outer(pair_sums, omegas))  # (2*n_t-1, n_omega)
-    amplitudes = grid.cell_measure * (pair_phase @ w_values)  # (2*n_t-1, n_b)
+    midpoints = (time_grid.start, 0.5 * time_grid.step, 2 * n_t - 1)
+    amplitudes = chirp_z(w_values, grid.omega_axis.comb, midpoints,
+                         sign=1, axis=0)                      # (2*n_t-1, n_b)
+    amplitudes *= grid.cell_measure
     impulse = np.zeros(n_t)
     impulse[0] = 1.0
     shift_rows = spectral_shift(impulse, time_grid.step, bs)  # (n_b, n_t)

@@ -164,6 +164,17 @@ def test_cylinder_run(tmp_path):
         assert len(lines) == 2 + 33
 
 
+def test_cylinder_run_with_one_frequency(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", "cylinder",
+                        n_theta=17, n_gamma=64, m_max=0)
+    out = tmp_path / "out"
+    assert cli.main(["cylinder", "--config", cfg, "--out", str(out)]) == 0
+    assert _read_json(out / "report.json")["m_cutoff"] == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "kernel_imag.csv", "kernel_modulus.csv", "kernel_real.csv",
+        "manifest.json", "report.json"]
+
+
 # ---------------------------------------------------------------------------
 # quantize
 # ---------------------------------------------------------------------------

@@ -422,6 +422,25 @@ def test_transform_matches_fft_gather_and_inner_products(seed, n_gamma, m_frac, 
         assert abs(coeffs.values[i, j] - direct) < 1e-12
 
 
+@pytest.mark.parametrize("n_gamma", [15, 64])
+def test_one_frequency_comb_matches_fft_gather_and_direct_sums(n_gamma):
+    # m_max = 0: the comb holds m = 0 alone, so there is no step to infer
+    psi = von_mises(1.5, n_gamma).normalized()
+    phi = _random_circular_signal(7, n_gamma)
+    coeffs = cyl_gabor_transform(psi, phi, 0)
+    assert coeffs.values.shape == (1, n_gamma)
+    assert np.abs(coeffs.values - _fft_gather_transform(psi, phi, 0)).max() < 1e-12
+    for j, theta in enumerate(phi.grid.points):
+        direct = _inner(displace(0, float(theta), psi), phi)
+        assert abs(coeffs.values[0, j] - direct) < 1e-12
+    with pytest.warns(TruncationWarning):
+        recon = cyl_reconstruct(psi, coeffs)
+    # resynthesis at m = 0: (dtheta/2pi) sum_theta S(0, theta) psi(g - theta)
+    windows = spectral_shift(psi.values, psi.grid.step, phi.grid.points)
+    direct = phi.grid.step / TWO_PI * (coeffs.values[0] @ windows)
+    assert np.abs(recon.values - direct).max() < 1e-12
+
+
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([15, 33]), st.floats(0.0, 5.0))
 def test_full_comb_transform_is_parseval(seed, n_gamma, lam):
     # with all n = 2*M + 1 Fourier indices the comb is a full DFT, so the

@@ -1,6 +1,7 @@
 """Windowed-Fourier analysis on the line: transform, reconstruction,
 displacement covariance, and dispersion diagnostics."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -119,6 +120,15 @@ def test_signal_rejects_nonfinite_samples(bad):
         SampledSignal(default_time_grid(), values)
 
 
+@pytest.mark.parametrize("shift", [np.inf, -np.inf, np.nan, np.array([0.5, np.nan, 1.0])],
+                         ids=["inf", "-inf", "nan", "nan-in-array"])
+@pytest.mark.parametrize("window", ["line", "circle"])
+def test_translated_rejects_nonfinite_shifts(window, shift):
+    signal = gaussian_probe() if window == "line" else von_mises(2.0)
+    with pytest.raises(ValueError, match="shift must be finite"):
+        signal.translated(shift)
+
+
 # ---------------------------------------------------------------------------
 # displacement operator
 # ---------------------------------------------------------------------------
@@ -233,6 +243,36 @@ def test_round_trip_error_shrinks_as_ranges_double():
     assert errors[2] < 1e-5
 
 
+def _dense_transform(probe, s, grid):
+    """Reference form of the transform: the dense Fourier table
+    exp(-1j*omega*t) applied to every windowed copy of the signal."""
+    windowed = np.conj(probe.translated(grid.b_axis.points)) * s.values
+    fourier = np.exp(-1j * np.outer(grid.omega_axis.points, s.grid.points))
+    return s.grid.step * fourier @ windowed.T
+
+
+def _dense_reconstruct(probe, coeffs):
+    """Reference form of the resynthesis: the dense mode table exp(1j*omega*t)."""
+    grid = coeffs.grid
+    windows = probe.translated(grid.b_axis.points)
+    modes = np.exp(1j * np.outer(probe.grid.points, grid.omega_axis.points))
+    return grid.cell_measure * np.einsum("tk,kt->t", modes @ coeffs.values, windows)
+
+
+@pytest.mark.parametrize("n_t,n_tf,half", [(128, 32, 6.0), (96, 40, 5.0), (64, 97, 9.0)])
+def test_transform_and_resynthesis_match_dense_tables(n_t, n_tf, half):
+    tgrid = Grid1D.regular(-12.0, 12.0, n_t)
+    probe = gaussian_probe(tgrid)
+    s = make_test_signal("two_bump", tgrid)
+    grid = PhaseSpaceGrid.square(-half, half, n_tf)
+    coeffs = gabor_transform(probe, s, grid)
+    assert np.abs(coeffs.values - _dense_transform(probe, s, grid)).max() < 1e-13
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportCoverageWarning)
+        recon = gabor_reconstruct(probe, coeffs)
+    assert np.abs(recon.values - _dense_reconstruct(probe, coeffs)).max() < 1e-13
+
+
 def test_coverage_warning_on_narrow_grid():
     s = make_test_signal("two_bump")
     probe = gaussian_probe()
@@ -313,3 +353,37 @@ def test_slow_decay_warning():
     flat = SampledSignal(grid, np.ones(256)).normalized()
     with pytest.warns(SlowDecayWarning):
         uncertainty_product(flat)
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+# one (512, 2048) complex array: 512 shifted copies of a 2048-sample probe
+_BATCH_BYTES = 512 * 2048 * 16
+
+
+def _peak_bytes(call):
+    """Peak of numpy's traced allocations during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batched_translate_holds_one_batch_and_a_half():
+    # the ramps become the product and then the inverse FFT in place
+    probe = gaussian_probe(Grid1D.regular(-20.0, 20.0, 2048))
+    shifts = np.linspace(-16.0, 16.0, 512, endpoint=False)
+    assert _peak_bytes(lambda: probe.translated(shifts)) < 2.1 * _BATCH_BYTES
+
+
+def test_transform_peak_memory_stays_below_three_batches():
+    # the windowed batch and one zero-padded chirp-z buffer, no Fourier table
+    tgrid = Grid1D.regular(-20.0, 20.0, 2048)
+    probe = gaussian_probe(tgrid)
+    s = make_test_signal("chirp_tones", tgrid)
+    grid = PhaseSpaceGrid.square(-16.0, 16.0, 512)
+    assert _peak_bytes(lambda: gabor_transform(probe, s, grid)) < 2.75 * _BATCH_BYTES

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import iv
 
 from weylgabor.numerics import (
@@ -13,6 +15,7 @@ from weylgabor.numerics import (
     PhaseSpaceGrid,
     batch_fractional_shift,
     bessel_i,
+    chirp_z,
     edge_mass_share,
     edge_peak_ratio,
     find_local_minima,
@@ -244,6 +247,46 @@ def test_spectral_shift_acts_along_one_axis(shift):
                                    rtol=0, atol=1e-14)
     np.testing.assert_array_equal(spectral_shift(block.T, grid.step, shift, axis=1),
                                   moved.T)
+
+
+# ---------------------------------------------------------------------------
+# chirp-z transform
+# ---------------------------------------------------------------------------
+
+_FREQUENCY_COUNTS = {"below": lambda n: max(1, n // 2), "equal": lambda n: n,
+                     "above": lambda n: 2 * n + 3, "one": lambda n: 1}
+
+
+@pytest.mark.parametrize("counts", sorted(_FREQUENCY_COUNTS))
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("axis", [0, 1])
+@settings(max_examples=15)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40),
+       st.floats(-10.0, 10.0), st.floats(0.01, 0.5),
+       st.floats(-10.0, 10.0), st.floats(-0.5, 0.5))
+def test_chirp_z_matches_the_dense_table(counts, sign, axis, seed, n, x0, dx, f0, df):
+    # the dense formula is the oracle: exp(sign*1j*outer(f, x)) @ values
+    n_f = _FREQUENCY_COUNTS[counts](n)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+    x = x0 + dx * np.arange(n)
+    f = f0 + df * np.arange(n_f)
+    dense = np.exp(sign * 1j * np.outer(f, x)) @ values
+    fast = chirp_z(values if axis == 0 else values.T, (x0, dx, n), (f0, df, n_f),
+                   sign=sign, axis=axis)
+    assert fast.shape == (dense.shape if axis == 0 else dense.T.shape)
+    fast = fast if axis == 0 else fast.T
+    assert np.all(np.abs(fast - dense) <= 1e-12 * np.abs(values).sum(axis=0))
+
+
+def test_chirp_z_rejects_mismatched_input():
+    values = np.ones((4, 6))
+    with pytest.raises(ValueError, match="values hold 6 samples"):
+        chirp_z(values, (0.0, 1.0, 4), (0.0, 1.0, 3))
+    with pytest.raises(ValueError, match="at least one frequency"):
+        chirp_z(values, (0.0, 1.0, 6), (0.0, 1.0, 0))
+    with pytest.raises(ValueError, match="sign"):
+        chirp_z(values, (0.0, 1.0, 6), (0.0, 1.0, 3), sign=2)
 
 
 def test_edge_peak_ratio_reads_chosen_border_lines():
