@@ -18,8 +18,19 @@ Reruns with the same config and seed on the same numpy/BLAS build and
 BLAS thread count produce byte-identical outputs (the manifest differs
 only in its wall_time_s field).
 
-Exit codes: 0 success; 2 validation failure (error JSON on stderr);
-3 run completed but raised warnings and --strict was given.
+Every CSV artifact (w.csv, portrait.csv, coefficients_modulus.csv,
+kernel_{real,imag,modulus}.csv, kernel.csv) holds exact %.17g text: each
+line is the bytes of ",".join("%.17g" % v for v in line).  The csvtext
+module produces them in bulk with numpy, from correctly rounded 17-digit
+decimals, and streams them a few thousand values at a time; Python's own
+formatting remains only for the rare values whose digits it cannot
+certify (see csvtext).
+
+Exit codes: 0 success; 2 validation failure (error JSON on stderr): the
+runners check the parameters the library would reject before it runs;
+1 internal error (error JSON starting "internal:"): any other exception,
+so a fault inside the numerics or the writer is never reported as bad
+input; 3 run completed but raised warnings and --strict was given.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import csvtext
 from . import cylinder as cyl
 from . import groups
 from .gabor import (
@@ -106,6 +118,16 @@ def _one_source(key: str, name, file_key: str, path, default):
     return default if name is None and path is None else name
 
 
+def _probe(grid: Grid1D, width: float):
+    """The Gaussian probe; a time grid too short or too coarse to hold it
+    is bad input."""
+    try:
+        return gaussian_probe(grid, width)
+    except ValueError as exc:
+        raise ValidationFailure("probe_width %r does not fit the time "
+                                "grid: %s" % (width, exc))
+
+
 class _Params:
     """Typed one-shot access to the parameters object; leftovers are errors."""
 
@@ -130,6 +152,19 @@ class _Params:
         if minimum is not None and value < minimum:
             raise ValidationFailure("parameter %r must be >= %d" % (key, minimum))
         return value
+
+    def positive(self, key, default):
+        value = self.floatval(key, default)
+        if not value > 0:
+            raise ValidationFailure("parameter %r must be positive" % key)
+        return value
+
+    def span(self, lo_key, lo, hi_key, hi):
+        lo, hi = self.floatval(lo_key, lo), self.floatval(hi_key, hi)
+        if not lo < hi:
+            raise ValidationFailure(
+                "parameter %r must be below %r" % (lo_key, hi_key))
+        return lo, hi
 
     def strval(self, key, default):
         value = self._pop(key, default)
@@ -157,25 +192,19 @@ def _write_json(path: Path, obj) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _write_csv(path: Path, comments, blocks) -> None:
-    """Write "# "-prefixed comment lines, then each (template, values)
-    block: the template holds the constant text of the block and one %.17g
-    per value.  Blocks are formatted one at a time and streamed to the
-    file, so the whole text is never held in memory."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines("# %s\n" % line for line in comments)
-        for template, values in blocks:
-            fh.write(template % tuple(values.ravel().tolist()))
+def _write_csv(path: Path, comments, write_body, *body) -> None:
+    """Write "# "-prefixed comment lines, then the body that
+    ``write_body(fh, *body)`` streams to the binary file."""
+    with open(path, "wb") as fh:
+        fh.write("".join("# %s\n" % line for line in comments).encode())
+        write_body(fh, *body)
 
 
 def _write_grid_csv(path: Path, axis0: Grid1D, axis1: Grid1D,
                     values: np.ndarray, header: str) -> None:
     meta = ",".join("%.17g,%.17g,%d" % (a.start, a.step, a.count)
                     for a in (axis0, axis1))
-    values = np.asarray(values, dtype=float)
-    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    # one block per first-axis row
-    _write_csv(path, (header, meta), ((row, v) for v in values))
+    _write_csv(path, (header, meta), csvtext.write_rows, values)
 
 
 def _require_finite(values, what: str) -> None:
@@ -218,6 +247,8 @@ def _read_phase_grid_csv(path) -> Distribution:
         raise ValidationFailure(
             "grid CSV body %s does not match declared shape %s"
             % (values.shape, grid.shape))
+    if np.any(values < 0):
+        raise ValidationFailure("grid CSV holds negative values")
     return Distribution(grid, values)
 
 
@@ -345,16 +376,12 @@ def _energy_report(signal, coeffs, recon) -> dict:
 def _run_gabor(params: _Params, seed: int, outdir: Path) -> None:
     name = params.strval("signal", None)
     csv_path = params.strval("signal_csv", None)
-    probe_width = params.floatval("probe_width", 1.0)
-    t_start = params.floatval("time_start", -20.0)
-    t_stop = params.floatval("time_stop", 20.0)
+    probe_width = params.positive("probe_width", 1.0)
+    t_start, t_stop = params.span("time_start", -20.0, "time_stop", 20.0)
     n_time = params.intval("n_time", 1024, minimum=2)
-    tf_min = params.floatval("tf_min", -16.0)
-    tf_max = params.floatval("tf_max", 16.0)
+    tf_min, tf_max = params.span("tf_min", -16.0, "tf_max", 16.0)
     n_tf = params.intval("n_tf", 256, minimum=2)
     params.finish()
-    if probe_width <= 0:
-        raise ValidationFailure("probe_width must be positive")
     name = _one_source("signal", name, "signal_csv", csv_path, "gaussian")
     if csv_path is not None:
         signal = _read_signal_csv(csv_path)
@@ -362,10 +389,13 @@ def _run_gabor(params: _Params, seed: int, outdir: Path) -> None:
         grid = signal.grid
     else:
         grid = Grid1D.regular(t_start, t_stop, n_time)
-        signal = make_test_signal(name, grid)
+        try:
+            signal = make_test_signal(name, grid)
+        except ValueError as exc:
+            raise ValidationFailure("signal %r: %s" % (name, exc))
         label = name
     tf_grid = PhaseSpaceGrid.square(tf_min, tf_max, n_tf)
-    probe = gaussian_probe(grid, probe_width)
+    probe = _probe(grid, probe_width)
     coeffs = gabor_transform(probe, signal, tf_grid)
     report = {"schema": SCHEMA, "signal": label, "probe_width": probe_width}
     report.update(_energy_report(signal, coeffs,
@@ -390,6 +420,10 @@ def _run_cylinder(params: _Params, seed: int, outdir: Path) -> None:
     shift_m = params.intval("shift_m", 2)
     shift_theta = params.floatval("shift_theta", 0.7)
     params.finish()
+    if not 0.0 < lam <= 50.0:
+        raise ValidationFailure("lam must lie in (0, 50]")
+    if m_max is not None and 2 * m_max + 1 > n_gamma:
+        raise ValidationFailure("m_max must satisfy 2*m_max + 1 <= n_gamma")
 
     probe = cyl.von_mises(lam, n_gamma)
     signal = cyl.displace(shift_m, shift_theta, probe)
@@ -422,22 +456,18 @@ def _run_cylinder(params: _Params, seed: int, outdir: Path) -> None:
 def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
     kind = params.strval("w", None)
     w_csv = params.strval("w_csv", None)
-    sigma_omega = params.floatval("sigma_omega", 1.0)
-    sigma_b = params.floatval("sigma_b", 1.0)
+    sigma_omega = params.positive("sigma_omega", 1.0)
+    sigma_b = params.positive("sigma_b", 1.0)
     center_omega = params.floatval("center_omega", 0.0)
     center_b = params.floatval("center_b", 0.0)
-    a = params.floatval("a", 1.0)
-    r = params.floatval("r", 1.0)
-    tf_min = params.floatval("tf_min", -16.0)
-    tf_max = params.floatval("tf_max", 16.0)
+    a = params.positive("a", 1.0)
+    r = params.positive("r", 1.0)
+    tf_min, tf_max = params.span("tf_min", -16.0, "tf_max", 16.0)
     n_tf = params.intval("n_tf", 256, minimum=2)
-    probe_width = params.floatval("probe_width", 1.0)
-    t_start = params.floatval("time_start", -20.0)
-    t_stop = params.floatval("time_stop", 20.0)
+    probe_width = params.positive("probe_width", 1.0)
+    t_start, t_stop = params.span("time_start", -20.0, "time_stop", 20.0)
     n_time = params.intval("n_time", 256, minimum=2)
     params.finish()
-    if probe_width <= 0:
-        raise ValidationFailure("probe_width must be positive")
     kind = _one_source("w", kind, "w_csv", w_csv, "gaussian")
     if w_csv is not None:
         w = _read_phase_grid_csv(w_csv)
@@ -454,19 +484,18 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
             w = overlap_kernel(a, r, grid)
         else:
             raise ValidationFailure("w must be 'gaussian' or 'overlap'")
+        if not w.mass > 0:
+            raise ValidationFailure("w has no mass on the grid")
         w = w.normalized()
         label = kind
     time_grid = Grid1D.regular(t_start, t_stop, n_time)
-    probe = gaussian_probe(time_grid, probe_width)
-    kernel = quantize_to_kernel(w, probe)
+    kernel = quantize_to_kernel(w, _probe(time_grid, probe_width))
     diag = density_diagnostics(kernel)
-    # rows t_i,t_j,re,im: the time axis is formatted once, and each kernel
-    # row's template repeats its t_i before every preformatted ",t_j,"
-    times = ["%.17g" % t for t in time_grid.points.tolist()]
-    tails = [",%s,%%.17g,%%.17g\n" % t for t in times]
+    # rows t_i,t_j,re,im: the (n, n, 2) float view of the complex entries
+    entries = np.ascontiguousarray(kernel.entries)
     _write_csv(outdir / "kernel.csv", ("t_i,t_j,re,im",),
-               ((ti + ti.join(tails), np.column_stack((row.real, row.imag)))
-                for ti, row in zip(times, kernel.entries)))
+               csvtext.write_pair_rows, time_grid.points,
+               entries.view(np.float64).reshape(n_time, n_time, 2))
     report = {"schema": SCHEMA, "w": label, "probe_width": probe_width}
     report.update(diag)
     _write_json(outdir / "diagnostics.json", report)
@@ -504,15 +533,18 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
     name = params.strval("zeros", None)
     zeros_path = params.strval("zeros_json", None)
     s = params.floatval("s", 0.945)
-    probe_a = params.floatval("a", 2.0)
-    probe_r = params.floatval("r", 2.0)
-    grid_min = params.floatval("grid_min", -4.0)
-    grid_max = params.floatval("grid_max", 4.0)
+    probe_a = params.positive("a", 2.0)
+    probe_r = params.positive("r", 2.0)
+    grid_min, grid_max = params.span("grid_min", -4.0, "grid_max", 4.0)
     n_grid = params.intval("n_grid", 512, minimum=16)
     rel_threshold = params.floatval("rel_threshold", 1e-2)
     match_cutoff = params.floatval("match_cutoff", 0.5)
     fold = params.optional_int("symmetry_fold", minimum=2)
     params.finish()
+    if not 0.0 < s < 1.0:
+        raise ValidationFailure("s must lie in (0, 1)")
+    if not 0.0 < rel_threshold <= 1.0:
+        raise ValidationFailure("rel_threshold must lie in (0, 1]")
     name = _one_source("zeros", name, "zeros_json", zeros_path, "pentagon")
     zeros = _load_zeros(name, zeros_path)
     if fold is None and name == "pentagon":
@@ -565,9 +597,6 @@ def run(command: str, config_path, out_dir, strict: bool) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             COMMANDS[command][0](_Params(raw_params), seed, tmp)
-    except (ValidationFailure, ValueError) as exc:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise ValidationFailure(str(exc))
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
@@ -616,8 +645,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except Exception as exc:
-        print(json.dumps({"schema": SCHEMA,
-                          "error": "internal: %s" % exc}), file=sys.stderr)
+        # anything else is a fault of the program, not of its input
+        print(json.dumps({"schema": SCHEMA, "error": "internal: %s: %s"
+                          % (type(exc).__name__, exc)}), file=sys.stderr)
         return 1
 
 

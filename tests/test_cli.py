@@ -4,15 +4,17 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from weylgabor import cli
+from weylgabor import cli, csvtext, gabor
 from weylgabor.numerics import Grid1D, PhaseSpaceGrid
 from weylgabor.gabor import gaussian_probe
-from weylgabor.quantize import gaussian_distribution, portrait, quantize_to_kernel
+from weylgabor.quantize import (OperatorKernel, gaussian_distribution, portrait,
+                                quantize_to_kernel)
 from weylgabor.stellar import pentagon_zeros, stellar_distribution
 
 EXPECTED_SUITES = {
@@ -292,6 +294,14 @@ def test_grid_csv_round_trips_exactly(tmp_path):
         assert rewritten.read_bytes() == (out / name).read_bytes()
 
 
+def test_quantize_rejects_negative_csv_density(tmp_path, capsys):
+    csv_path = _write_density_csv(tmp_path / "w.csv", poison=-1e-3)
+    cfg = _write_config(tmp_path / "cfg.json", "quantize", w_csv=csv_path)
+    rc = cli.main(["quantize", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "negative values" in _stderr_error(capsys)
+
+
 def test_quantize_rejects_unnormalized_csv_density(tmp_path, capsys):
     csv_path = _write_density_csv(tmp_path / "w.csv", normalized=False)
     cfg = _write_config(tmp_path / "cfg.json", "quantize", w_csv=csv_path)
@@ -492,6 +502,110 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
     assert not list(tmp_path.glob(".weylgabor-*"))
 
 
+@pytest.mark.parametrize("command,parameters,message", [
+    ("gabor", {"probe_width": 0.0}, "'probe_width' must be positive"),
+    ("gabor", {"probe_width": 1e-6}, "does not fit the time grid"),
+    ("gabor", {"time_start": 5.0, "time_stop": -5.0},
+     "'time_start' must be below 'time_stop'"),
+    ("gabor", {"signal": "square"}, "unknown test signal"),
+    ("cylinder", {"lam": 0.0}, "lam must lie"),
+    ("cylinder", {"n_gamma": 64, "m_max": 40}, "m_max must satisfy"),
+    ("quantize", {"sigma_b": -1.0}, "'sigma_b' must be positive"),
+    ("quantize", {"w": "overlap", "a": 0.0}, "'a' must be positive"),
+    ("quantize", {"tf_min": 1.0, "tf_max": 1.0}, "'tf_min' must be below"),
+    ("quantize", {"center_omega": 1e4}, "no mass on the grid"),
+    ("stellar", {"s": 0.0}, "s must lie"),
+    ("stellar", {"r": -2.0}, "'r' must be positive"),
+    ("stellar", {"rel_threshold": 1.5}, "rel_threshold must lie"),
+    ("stellar", {"grid_min": 4.0, "grid_max": -4.0}, "'grid_min' must be below"),
+])
+def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
+                                                parameters, message):
+    cfg = _write_config(tmp_path / "cfg.json", command, **parameters)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in _stderr_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("module,name", [(gabor, "chirp_z"),
+                                         (csvtext, "_format")])
+def test_internal_faults_exit_1(tmp_path, capsys, monkeypatch, module, name):
+    # a ValueError from inside the numerics or the writer is not bad input
+    def fault(*args, **kwargs):
+        raise ValueError("injected fault")
+    monkeypatch.setattr(module, name, fault)
+    cfg = _write_config(tmp_path / "cfg.json", "gabor", n_time=64, n_tf=32)
+    out = tmp_path / "out"
+    assert cli.main(["gabor", "--config", cfg, "--out", str(out)]) == 1
+    assert _stderr_error(capsys) == "internal: ValueError: injected fault"
+    assert not out.exists()
+    assert not list(tmp_path.glob(".weylgabor-*"))
+
+
+# ---------------------------------------------------------------------------
+# CSV writer: memory, laziness, fallback share
+# ---------------------------------------------------------------------------
+
+_WRITER_PEAK_BYTES = 2 * 2 ** 20  # far below the text of either file
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_csv_writer_streams(tmp_path):
+    values = np.random.default_rng(5).random((512, 512))
+    axis = Grid1D.regular(-4.0, 4.0, 512)
+    peak = _traced_peak(lambda: cli._write_grid_csv(
+        tmp_path / "w.csv", axis, axis, values, cli.PHASE_GRID_HEADER))
+    assert (tmp_path / "w.csv").stat().st_size > 2 * _WRITER_PEAK_BYTES
+    assert peak < _WRITER_PEAK_BYTES
+
+
+def test_kernel_csv_writer_streams(tmp_path, monkeypatch):
+    tgrid = Grid1D.regular(-20.0, 20.0, 384)
+    rng = np.random.default_rng(6)
+    kernel = OperatorKernel(tgrid, rng.standard_normal((384, 384))
+                            + 1j * rng.standard_normal((384, 384)))
+    # only the writer runs at full size: the kernel is precomputed
+    monkeypatch.setattr(cli, "quantize_to_kernel", lambda w, probe: kernel)
+    monkeypatch.setattr(cli, "density_diagnostics", lambda k: {})
+    cfg = _write_config(tmp_path / "cfg.json", "quantize", n_time=384, n_tf=16)
+    out = tmp_path / "out"
+    peak = _traced_peak(lambda: cli.main(
+        ["quantize", "--config", cfg, "--out", str(out)]))
+    assert (out / "kernel.csv").stat().st_size > 2 * _WRITER_PEAK_BYTES
+    assert peak < _WRITER_PEAK_BYTES
+
+
+def test_few_values_take_the_python_fallback(tmp_path, monkeypatch):
+    counts = {"values": 0, "fallback": 0}
+    bulk, fallback = csvtext._format, csvtext._fallback_text
+
+    def counted_bulk(values, buf, keep):
+        counts["values"] += values.size
+        bulk(values, buf, keep)
+
+    def counted_fallback(value):
+        counts["fallback"] += 1
+        return fallback(value)
+
+    monkeypatch.setattr(csvtext, "_format", counted_bulk)
+    monkeypatch.setattr(csvtext, "_fallback_text", counted_fallback)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for command in ("stellar", "quantize", "cylinder"):
+            assert cli.main([command, "--out", str(tmp_path / command)]) == 0
+    assert counts["values"] > 500_000
+    assert counts["fallback"] * 10 ** 4 < counts["values"]
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
@@ -520,6 +634,16 @@ def test_cli_import_builds_no_gauss_hermite_rule():
         [sys.executable, "-c",
          "import weylgabor.cli, weylgabor.stellar as s; "
          "print(s._gauss_hermite.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_cli_import_builds_no_formatter_table():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import weylgabor.cli, weylgabor.csvtext as c; "
+         "print(c._tables.cache_info().currsize)"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
