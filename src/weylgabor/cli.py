@@ -280,40 +280,34 @@ def _sha256(path: Path) -> str:
 # group-check
 # ---------------------------------------------------------------------------
 
-def _matrix_suite(draw, compose, to_matrix, trials) -> dict:
-    worst = 0.0
-    for _ in range(trials):
-        g1 = draw()
-        g2 = draw()
-        product = to_matrix(compose(g1, g2))
-        direct = to_matrix(g1) @ to_matrix(g2)
-        worst = max(worst, float(np.abs(product - direct).max()))
-    return {"max_error": worst, "pass": bool(worst < 1e-12)}
-
-
 def _run_group_check(params: _Params, seed: int, outdir: Path) -> None:
     trials = params.intval("trials", 1000, minimum=1)
     params.finish()
     rng = np.random.default_rng(seed)
-
-    def rnd(k):
-        return [float(x) for x in rng.uniform(-3.0, 3.0, size=k)]
-
+    # (suite, coordinates per element, element from a row of coordinates in
+    # its own field order, law, matrix map).  Built per call, so the laws
+    # are read from the module's bindings when the run starts.
+    table = [("heisenberg_line_matrix", 3, lambda x: groups.WHElement(*x),
+              groups.wh_compose, groups.wh_to_matrix)]
+    table += [("polarized_rank%d_matrix" % n, 2 * n + 1,
+               lambda x: groups.PolarizedElement(x[:len(x) // 2], x[len(x) // 2:-1], x[-1]),
+               groups.polarized_compose, groups.polarized_to_matrix) for n in (1, 2, 3)]
+    table += [("symplectic_dim%d_matrix" % dim, dim + 1,
+               lambda x: groups.SymplecticElement(x[0], x[1:]),
+               groups.symplectic_compose, groups.symplectic_to_matrix) for dim in (2, 4)]
+    table.append(("unitriangular4_matrix", 6,
+                  lambda x: groups.Unitriangular4Element(x[0], x[1:3], x[3:]),
+                  groups.unitriangular4_compose, groups.unitriangular4_to_matrix))
     suites = {}
-    suites["heisenberg_line_matrix"] = _matrix_suite(
-        lambda: groups.WHElement(*rnd(3)),
-        groups.wh_compose, groups.wh_to_matrix, trials)
-    for n in (1, 2, 3):
-        suites["polarized_rank%d_matrix" % n] = _matrix_suite(
-            lambda n=n: groups.PolarizedElement(tuple(rnd(n)), tuple(rnd(n)), rnd(1)[0]),
-            groups.polarized_compose, groups.polarized_to_matrix, trials)
-    for dim in (2, 4):
-        suites["symplectic_dim%d_matrix" % dim] = _matrix_suite(
-            lambda dim=dim: groups.SymplecticElement(rnd(1)[0], tuple(rnd(dim))),
-            groups.symplectic_compose, groups.symplectic_to_matrix, trials)
-    suites["unitriangular4_matrix"] = _matrix_suite(
-        lambda: groups.Unitriangular4Element(rnd(1)[0], tuple(rnd(2)), tuple(rnd(3))),
-        groups.unitriangular4_compose, groups.unitriangular4_to_matrix, trials)
+    for name, k, element, compose, to_matrix in table:
+        law, left, right = [], [], []
+        for x1, x2 in rng.uniform(-3.0, 3.0, (trials, 2, k)).tolist():
+            g1, g2 = element(x1), element(x2)
+            law.append(to_matrix(compose(g1, g2)))
+            left.append(to_matrix(g1))
+            right.append(to_matrix(g2))
+        error = float(np.abs(np.array(law) - np.array(left) @ np.array(right)).max())
+        suites[name] = {"max_error": error, "pass": bool(error < 1e-12)}
 
     field = groups.PrimeField(5)
     elements = [groups.WHElement(c, a, b, ring=field)
@@ -335,16 +329,12 @@ def _run_group_check(params: _Params, seed: int, outdir: Path) -> None:
         "pass": bool(filtration["all_pass"]),
     }
 
-    worst = 0.0
-    order = 4
-    for i in range(1, order + 1):
-        for j in range(1, order + 1):
-            for k in range(1, order + 1):
-                for l in range(1, order + 1):
-                    lhs = groups.matrix_unit(order, i, j) @ groups.matrix_unit(order, k, l)
-                    rhs = (1.0 if j == k else 0.0) * groups.matrix_unit(order, i, l)
-                    worst = max(worst, float(np.abs(lhs - rhs).max()))
-    suites["matrix_unit_products"] = {"max_error": worst, "pass": bool(worst == 0.0)}
+    units = np.array([[groups.matrix_unit(4, i, j) for j in range(1, 5)]
+                      for i in range(1, 5)])
+    # E_ij E_kl = delta_jk E_il for every index quadruple
+    error = float(np.abs(np.einsum("ijab,klbc->ijklac", units, units)
+                         - np.einsum("jk,ilac->ijklac", np.eye(4), units)).max())
+    suites["matrix_unit_products"] = {"max_error": error, "pass": bool(error == 0.0)}
 
     report = {
         "schema": SCHEMA,
@@ -549,8 +539,12 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
     zeros = _load_zeros(name, zeros_path)
     if fold is None and name == "pentagon":
         fold = 5
-    pars = StellarParams(s=s, probe_a=probe_a, probe_r=probe_r,
-                         grid=PhaseSpaceGrid.square(grid_min, grid_max, n_grid))
+    grid = PhaseSpaceGrid.square(grid_min, grid_max, n_grid)
+    try:  # the portrait convolution centres its kernel on the origin
+        grid.omega_axis.origin_index()  # the b axis too: the grid is square
+    except ValueError as exc:
+        raise ValidationFailure("stellar grid: %s" % exc)
+    pars = StellarParams(s=s, probe_a=probe_a, probe_r=probe_r, grid=grid)
     report, w, smoothed = stellar_experiment(
         zeros, pars, rel_threshold=rel_threshold, match_cutoff=match_cutoff,
         symmetry_fold=fold)

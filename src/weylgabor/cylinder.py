@@ -29,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft
 from scipy.special import ive
 
 from .gabor import SampledSignal, _analyze, _synthesize, displace
@@ -185,7 +186,7 @@ def adaptive_m_cutoff(psi: CircularSignal, phi: CircularSignal | None = None) ->
     if psi.grid.count != phi.grid.count:
         raise ValueError("signals must share a grid")
     product = np.conj(psi.values) * phi.values
-    power = np.abs(np.fft.fft(product)) ** 2
+    power = np.abs(fft(product)) ** 2
     total = power.sum()
     if total == 0.0:
         return 1

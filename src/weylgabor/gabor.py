@@ -32,6 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft
 
 from .numerics import (
     Grid1D,
@@ -309,7 +310,7 @@ def uncertainty_product(s: SampledSignal) -> float:
     mean_t = (t * mag2).sum() / total
     var_t = ((t - mean_t) ** 2 * mag2).sum() / total
 
-    spectrum = np.fft.fft(s.values)
+    spectrum = fft(s.values)
     smag2 = np.abs(spectrum) ** 2
     nu = s.grid.angular_frequencies()
     stotal = smag2.sum()

@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft, irfftn, next_fast_len, rfftn
+from scipy.fft import fft, fftfreq, ifft, irfftn, next_fast_len, rfftn
 from scipy.special import iv
 
 __all__ = [
@@ -93,7 +93,7 @@ class Grid1D:
 
     def angular_frequencies(self) -> np.ndarray:
         """Angular FFT frequency comb 2*pi*k/(count*step), in FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.count, d=self.step)
+        return 2.0 * np.pi * fftfreq(self.count, d=self.step)
 
     def origin_index(self) -> int:
         """Index of the sample at 0; raises if 0 is not on the lattice."""
@@ -241,10 +241,10 @@ def spectral_shift(values: np.ndarray, step: float, shift, axis: int = -1) -> np
         if abs(cells - nearest) < 1e-12:
             return np.roll(values, int(nearest), axis=axis)
     moved = np.moveaxis(values, axis, -1)
-    nu = 2.0 * np.pi * np.fft.fftfreq(moved.shape[-1], d=step)
+    nu = 2.0 * np.pi * fftfreq(moved.shape[-1], d=step)
     ramps = -1j * np.multiply.outer(shift, nu)
     np.exp(ramps, out=ramps)
-    spectrum = np.fft.fft(moved)
+    spectrum = fft(moved)
     # one batch-sized array throughout: the product lands in whichever
     # operand has the broadcast shape (spectrum first: complex multiply is
     # not bitwise commutative), and scipy's inverse FFT overwrites it

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from weylgabor import cli, csvtext, gabor
+from weylgabor import cli, csvtext, gabor, groups
 from weylgabor.numerics import Grid1D, PhaseSpaceGrid
 from weylgabor.gabor import gaussian_probe
 from weylgabor.quantize import (OperatorKernel, gaussian_distribution, portrait,
@@ -71,6 +71,49 @@ def test_group_check_run(tmp_path):
         actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert actual == digest
     assert "manifest.json" not in manifest["outputs"]
+
+
+def _group_check_suites(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", "group-check", seed=3, trials=5)
+    out = tmp_path / "out"
+    assert cli.main(["group-check", "--config", cfg, "--out", str(out)]) == 0
+    report = _read_json(out / "group_check.json")
+    return report, {name for name, suite in report["suites"].items()
+                    if not suite["pass"]}
+
+
+def test_group_check_fails_a_suite_with_nan_matrices(tmp_path, monkeypatch):
+    monkeypatch.setattr(groups, "wh_to_matrix",
+                        lambda g: np.full((3, 3), np.nan))
+    report, failed = _group_check_suites(tmp_path)
+    assert failed == {"heisenberg_line_matrix"}
+    assert np.isnan(report["suites"]["heisenberg_line_matrix"]["max_error"])
+    assert report["all_pass"] is False
+
+
+def test_group_check_sees_a_corner_off_by_1e_9(tmp_path, monkeypatch):
+    law = groups.polarized_compose
+
+    def off(g1, g2):
+        g = law(g1, g2)
+        return groups.PolarizedElement(g.a, g.b, g.c + 1e-9)
+
+    monkeypatch.setattr(groups, "polarized_compose", off)
+    report, failed = _group_check_suites(tmp_path)
+    assert failed == {"polarized_rank%d_matrix" % n for n in (1, 2, 3)}
+    for name in failed:
+        assert 5e-10 < report["suites"][name]["max_error"] < 2e-9
+    assert report["all_pass"] is False
+
+
+def test_group_check_sees_a_wrong_matrix_unit(tmp_path, monkeypatch):
+    unit = groups.matrix_unit
+    monkeypatch.setattr(groups, "matrix_unit",
+                        lambda order, i, j: unit(order, j, i))
+    report, failed = _group_check_suites(tmp_path)
+    assert "matrix_unit_products" in failed
+    assert report["suites"]["matrix_unit_products"]["max_error"] == 1.0
+    assert report["all_pass"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +561,13 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
     ("stellar", {"r": -2.0}, "'r' must be positive"),
     ("stellar", {"rel_threshold": 1.5}, "rel_threshold must lie"),
     ("stellar", {"grid_min": 4.0, "grid_max": -4.0}, "'grid_min' must be below"),
+    ("stellar", {"grid_min": -4.1, "grid_max": 4.0, "n_grid": 64},
+     "origin is not on the lattice"),
+    ("stellar", {"grid_min": 1.0, "grid_max": 3.0, "n_grid": 32},
+     "origin is not on the lattice"),
+    ("stellar", {"n_grid": 33}, "origin is not on the lattice"),
+    ("stellar", {"grid_min": 200.0, "grid_max": 210.0, "n_grid": 16},
+     "origin is not on the lattice"),
 ])
 def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
                                                 parameters, message):

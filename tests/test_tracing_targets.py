@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import weylgabor.groups  # noqa: F401  (group_targets reads it from sys.modules)
-from weylgabor import numerics
+from weylgabor import cli, numerics
 from weylgabor.gabor import gaussian_probe
 from weylgabor.numerics import Grid1D, PhaseSpaceGrid
 from weylgabor.quantize import gaussian_distribution, quantize_to_kernel
@@ -67,3 +67,37 @@ def test_every_line_shift_reaches_the_traced_binding(monkeypatch):
         warnings.simplefilter("ignore")
         quantize_to_kernel(w, probe)
     assert calls == [0, 1, 1]
+
+
+def test_group_check_reaches_the_traced_group_bindings(tracing, tmp_path,
+                                                       monkeypatch):
+    """group-check reads each law and matrix map from the module bindings
+    that the tracer swaps, so the groups.compose and groups.to_matrix spans
+    count every call it makes."""
+    modules = [m for n, m in sorted(sys.modules.items())
+               if n == "weylgabor" or n.startswith("weylgabor.")]
+    calls = {"groups.compose": 0, "groups.to_matrix": 0}
+
+    def counter(fn, span):
+        def counted(*args, **kwargs):
+            calls[span] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for modname, fname, span, _ in tracing.group_targets():
+        original = getattr(sys.modules[modname], fname)
+        counted = counter(original, span)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+    trials = 4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"parameters": {"trials": %d}}' % trials)
+    assert cli.main(["group-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    # seven matrix suites: one law and three matrices per trial; the Z_5
+    # suite composes 18 x 12 pairs for closure and 125 inverses
+    assert calls == {"groups.compose": 7 * trials + 18 * 12 + 125,
+                     "groups.to_matrix": 3 * 7 * trials}
