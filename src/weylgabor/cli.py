@@ -528,7 +528,7 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
     grid_min, grid_max = params.span("grid_min", -4.0, "grid_max", 4.0)
     n_grid = params.intval("n_grid", 512, minimum=16)
     rel_threshold = params.floatval("rel_threshold", 1e-2)
-    match_cutoff = params.floatval("match_cutoff", 0.5)
+    match_cutoff = params.positive("match_cutoff", 0.5)
     fold = params.optional_int("symmetry_fold", minimum=2)
     params.finish()
     if not 0.0 < s < 1.0:

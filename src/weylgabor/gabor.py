@@ -40,7 +40,6 @@ from .numerics import (
     batch_fractional_shift,
     chirp_z,
     edge_peak_ratio,
-    spectral_shift,
 )
 
 __all__ = [
@@ -275,19 +274,20 @@ def covariance_residual(probe: SampledSignal, s: SampledSignal, omega0: float,
     """Max-abs defect of the displacement covariance of the transform.
 
     Compares the transform of the displaced signal against
-    exp(-1j*(omega - omega0/2)*b0) * S(omega - omega0, b - b0), the shifted
-    reference being evaluated by band-limited interpolation.  The phase is
-    forced by the conventions at the top of this module: substituting
-    u = t - b0 in the transform of the displaced signal gives
-    exp(-1j*omega*b0) exp(1j*omega0*b0/2) out front, nothing else.
+    exp(-1j*(omega - omega0/2)*b0) * S(omega - omega0, b - b0), the
+    reference being the transform itself on the grid moved by
+    (omega0, b0), so nothing is interpolated.  The phase is forced by the
+    conventions at the top of this module: substituting u = t - b0 in the
+    transform of the displaced signal gives exp(-1j*omega*b0)
+    exp(1j*omega0*b0/2) out front, nothing else.
     """
     grid = grid or default_tf_grid()
+    om, b = grid.omega_axis, grid.b_axis
+    moved = PhaseSpaceGrid(Grid1D(om.start - omega0, om.step, om.count),
+                           Grid1D(b.start - b0, b.step, b.count))
     lhs = gabor_transform(probe, displace(omega0, b0, s), grid).values
-    base = gabor_transform(probe, s, grid).values
-    shifted = spectral_shift(base, grid.omega_axis.step, omega0, axis=0)
-    shifted = spectral_shift(shifted, grid.b_axis.step, b0, axis=1)
-    omega = grid.omega_axis.points[:, None]
-    rhs = np.exp(-1j * (omega - 0.5 * omega0) * b0) * shifted
+    rhs = gabor_transform(probe, s, moved).values
+    rhs *= np.exp(-1j * (om.points[:, None] - 0.5 * omega0) * b0)
     return float(np.abs(lhs - rhs).max())
 
 

@@ -11,7 +11,10 @@ measure ``d(omega) d(b) / (2*pi)``.  The forward Fourier kernel is
 ``exp(-1j*omega*t)``; where a symmetric ``1/sqrt(2*pi)`` normalization is
 needed it is written explicitly at the call site, never hidden inside a
 helper.  A Fourier sum between two uniform combs is one chirp-z
-transform (``chirp_z``), never a dense table of exponentials.
+transform (``chirp_z``), with one exception: ``quantize_to_kernel`` keeps
+its dense (n_t, n_omega) lag table, because at the kernel sizes it is run
+at (n_t <= 384) the chirp-z form gained nothing and would change the
+bytes of ``kernel.csv``.
 """
 
 from __future__ import annotations
@@ -222,35 +225,34 @@ def _warn_hot_edges(values: np.ndarray, what: str, effect: str) -> None:
         )
 
 
-def spectral_shift(values: np.ndarray, step: float, shift, axis: int = -1) -> np.ndarray:
-    """Band-limited translate along ``axis``: samples of t -> s(t - shift).
+def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
+    """Band-limited translate of 1-D samples: samples of t -> s(t - shift).
 
     An FFT phase ramp, so the shift wraps periodically, which is exact for
     periodic band-limited signals and needs decayed edges otherwise (no
     check here).  A scalar shift by an integer number of samples is an
-    exact roll.  For 1-D ``values``, a 1-D array of shifts returns one
-    translate per entry, stacked as rows.  Non-finite shifts raise a
-    ValueError.  The result is always a fresh array.
+    exact roll; a 1-D array of shifts returns one translate per entry,
+    stacked as rows.  Anything but 1-D samples and a scalar or 1-D array
+    of finite shifts raises a ValueError.  The result is always a fresh
+    array.
     """
     values = np.asarray(values, dtype=complex)
+    if values.ndim != 1 or np.ndim(shift) > 1:
+        raise ValueError("expected 1-D samples and a scalar or 1-D array of shifts")
     if not np.all(np.isfinite(shift)):
         raise ValueError("shift must be finite")
     if np.ndim(shift) == 0:
         cells = shift / step
         nearest = round(cells)
         if abs(cells - nearest) < 1e-12:
-            return np.roll(values, int(nearest), axis=axis)
-    moved = np.moveaxis(values, axis, -1)
-    nu = 2.0 * np.pi * fftfreq(moved.shape[-1], d=step)
+            return np.roll(values, int(nearest))
+    nu = 2.0 * np.pi * fftfreq(values.size, d=step)
     ramps = -1j * np.multiply.outer(shift, nu)
     np.exp(ramps, out=ramps)
-    spectrum = fft(moved)
-    # one batch-sized array throughout: the product lands in whichever
-    # operand has the broadcast shape (spectrum first: complex multiply is
-    # not bitwise commutative), and scipy's inverse FFT overwrites it
-    product = np.multiply(spectrum, ramps,
-                          out=ramps if ramps.ndim >= spectrum.ndim else spectrum)
-    return np.moveaxis(ifft(product, overwrite_x=True), -1, axis)
+    # one batch-sized array throughout: the product lands in the ramps
+    # (spectrum first: complex multiply is not bitwise commutative), and
+    # scipy's inverse FFT overwrites it
+    return ifft(np.multiply(fft(values), ramps, out=ramps), overwrite_x=True)
 
 
 def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarray:
@@ -264,12 +266,11 @@ def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarra
     warning is issued when the input carries visible energy at the grid
     edges.  A scalar shift by an integer number of samples is an exact roll.
     """
-    values = np.asarray(values, dtype=complex)
-    if values.ndim != 1 or np.ndim(shifts) > 1:
-        raise ValueError("expected 1-D samples and a scalar or 1-D array of shifts")
+    # shift first, so that bad input raises before any warning
+    out = spectral_shift(values, step, shifts)
     _warn_hot_edges(values, "batch_fractional_shift",
                     "wrap-around will contaminate the result")
-    return spectral_shift(values, step, shifts)
+    return out
 
 
 def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,

@@ -255,11 +255,16 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     the discrete adjoint identity D(omega, b)^dagger = D(-omega, -b) exact,
     so real weights with the symmetry w(-omega, -b) = w(omega, b) produce
     Hermitian kernels to roundoff (the one-sided modulation fails this at
-    spectral-leakage level for frequencies off the FFT comb).  The sum
-    collapses to one chirp-z transform over omega onto the comb of pair
-    midpoints (t_i + t_j)/2 and one product with the stacked shift rows,
-    read off at (i + j, i - j mod n).  Linear in w; a point mass
-    2*pi*delta at the origin returns the identity kernel.
+    spectral-leakage level for frequencies off the FFT comb).  A wrapped
+    pair, |i - j| >= n/2, meets the circulant shift on a periodic image of
+    one node, so its midpoint is ambiguous by n*dt/2: it takes the mean of
+    the two images (t_i + t_j)/2 -+ n*dt/2, i.e. its phase is multiplied by
+    cos(omega*n*dt/2).  Both (i, j) and (j, i) get the same mean, so the
+    symmetry above still gives Hermitian kernels.  The sum collapses to one
+    chirp-z transform over omega onto the 3n - 1 half-step midpoints that
+    cover every image and one product with the stacked shift rows, read
+    off at (i + j, i - j mod n).  Linear in w; a point mass 2*pi*delta at
+    the origin returns the identity kernel.
     """
     w_values = np.asarray(w_values, dtype=complex)
     if w_values.shape != grid.shape:
@@ -269,17 +274,27 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     _warn_band_edge(w_values, "weight")
     n_t = time_grid.count
     bs = grid.b_axis.points
-    midpoints = (time_grid.start, 0.5 * time_grid.step, 2 * n_t - 1)
+    # row r holds the midpoint t_0 + (r - n_t//2)*dt/2, for pair sums
+    # i + j shifted by -n_t, 0 or +n_t
+    low = n_t // 2
+    midpoints = (time_grid.start - low * 0.5 * time_grid.step,
+                 0.5 * time_grid.step, 3 * n_t - 1)
     amplitudes = chirp_z(w_values, grid.omega_axis.comb, midpoints,
-                         sign=1, axis=0)                      # (2*n_t-1, n_b)
+                         sign=1, axis=0)                      # (3*n_t-1, n_b)
     amplitudes *= grid.cell_measure
     impulse = np.zeros(n_t)
     impulse[0] = 1.0
     shift_rows = spectral_shift(impulse, time_grid.step, bs)  # (n_b, n_t)
+    product = (amplitudes @ shift_rows).ravel()
     idx = np.arange(n_t)
-    sum_index = idx[:, None] + idx[None, :]
-    circ_index = (idx[:, None] - idx[None, :]) % n_t
-    matrix = (amplitudes @ shift_rows)[sum_index, circ_index]
+    lag = idx[:, None] - idx[None, :]
+    # flat position of (row i + j, column i - j mod n_t); an image n_t rows
+    # away is n_t*n_t positions away
+    entry = (low + idx[:, None] + idx[None, :]) * n_t + lag % n_t
+    matrix = product[entry]
+    wrapped = 2 * np.abs(lag) >= n_t
+    images = entry[wrapped]
+    matrix[wrapped] = 0.5 * (product[images - n_t * n_t] + product[images + n_t * n_t])
     return OperatorKernel(time_grid, matrix / time_grid.step)
 
 

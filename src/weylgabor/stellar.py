@@ -319,6 +319,8 @@ def stellar_experiment(zeros: Sequence[complex], params: StellarParams,
     """
     if symmetry_fold is not None and symmetry_fold < 2:
         raise ValueError("symmetry fold must be at least 2")
+    if not match_cutoff > 0:
+        raise ValueError("match cutoff must be positive")
     density = stellar_distribution(zeros, params.s, params.grid)
     w = density.distribution
     smoothed = portrait(w, params.probe_a, params.probe_r)

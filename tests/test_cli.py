@@ -568,6 +568,8 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
     ("stellar", {"n_grid": 33}, "origin is not on the lattice"),
     ("stellar", {"grid_min": 200.0, "grid_max": 210.0, "n_grid": 16},
      "origin is not on the lattice"),
+    ("stellar", {"match_cutoff": -1.0}, "'match_cutoff' must be positive"),
+    ("stellar", {"match_cutoff": 0.0}, "'match_cutoff' must be positive"),
 ])
 def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
                                                 parameters, message):

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylgabor.cylinder import (
     TruncationWarning,
@@ -297,6 +299,21 @@ def test_covariance_residual_small_for_resolved_shifts(omega0, b0):
     coeffs = gabor_transform(probe, s)
     bound = 1e-6 * np.abs(coeffs.values).max()
     assert covariance_residual(probe, s, omega0, b0) < bound
+
+
+_SHIFTS = st.floats(-3.5, 3.5, allow_nan=False)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "two_bump", "modulated"])
+@settings(max_examples=10)
+@given(omega0=_SHIFTS, b0=_SHIFTS)
+def test_covariance_holds_to_roundoff(name, omega0, b0):
+    # the reference is the transform on the moved grid, so the residual
+    # measures the covariance itself and not an interpolation error
+    s = make_test_signal(name)
+    probe = gaussian_probe()
+    peak = np.abs(gabor_transform(probe, s).values).max()
+    assert covariance_residual(probe, s, omega0, b0) < 1e-12 * peak
 
 
 def test_covariance_phase_sign_is_negative():

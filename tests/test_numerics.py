@@ -218,10 +218,15 @@ def test_shift_warns_on_hot_edges():
 
 
 def test_shift_rejects_matrices():
-    with pytest.raises(ValueError):
-        batch_fractional_shift(np.ones((4, 4)), 0.1, 0.05)
-    with pytest.raises(ValueError):
-        batch_fractional_shift(np.ones(4), 0.1, np.zeros((2, 2)))
+    # all-ones samples have hot edges: a warning issued before the shape
+    # check would turn into an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shift in (spectral_shift, batch_fractional_shift):
+            with pytest.raises(ValueError, match="1-D samples"):
+                shift(np.ones((4, 4)), 0.1, 0.05)
+            with pytest.raises(ValueError, match="1-D samples"):
+                shift(np.ones(4), 0.1, np.zeros((2, 2)))
 
 
 def test_batch_shift_matches_singles():
@@ -233,20 +238,6 @@ def test_batch_shift_matches_singles():
         np.testing.assert_allclose(rows[k],
                                    batch_fractional_shift(s, grid.step, b),
                                    rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("shift", [0.37, 5 * 0.0625])
-def test_spectral_shift_acts_along_one_axis(shift):
-    grid = Grid1D.regular(-8.0, 8.0, 256)
-    rng = np.random.default_rng(4)
-    block = _unit_gaussian(grid)[:, None] * rng.normal(size=(1, 5))
-    moved = spectral_shift(block, grid.step, shift, axis=0)
-    for j in range(5):
-        np.testing.assert_allclose(moved[:, j],
-                                   batch_fractional_shift(block[:, j], grid.step, shift),
-                                   rtol=0, atol=1e-14)
-    np.testing.assert_array_equal(spectral_shift(block.T, grid.step, shift, axis=1),
-                                  moved.T)
 
 
 # ---------------------------------------------------------------------------

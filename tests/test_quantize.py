@@ -259,10 +259,14 @@ def test_weyl_matches_direct_cell_sum():
     t = tgrid.points
     n = tgrid.count
     nu = 2.0 * np.pi * np.fft.fftfreq(n, d=tgrid.step)
-    circ = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    lag = np.arange(n)[:, None] - np.arange(n)[None, :]
+    circ = lag % n
+    wrapped = 2 * np.abs(lag) >= n
     slow = np.zeros((n, n), dtype=complex)
     for i, omega in enumerate(grid.omega_axis.points):
         pair = np.exp(0.5j * omega * (t[:, None] + t[None, :]))
+        # wrapped pairs: the mean over the two periodic images of the midpoint
+        pair[wrapped] *= np.cos(0.5 * omega * n * tgrid.step)
         for j, b in enumerate(grid.b_axis.points):
             if w[i, j] == 0:
                 continue
@@ -270,6 +274,20 @@ def test_weyl_matches_direct_cell_sum():
             slow += grid.cell_measure * w[i, j] * pair * row[circ]
     slow /= tgrid.step
     assert np.abs(fast - slow).max() < 1e-12 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("n_t", [127, 128])
+def test_weyl_ambiguity_weight_gives_the_projector(n_t):
+    # The ambiguity function of a Gaussian probe, exp(-b^2/(4a) - a*omega^2/4),
+    # sums to the pure projector |psi><psi|, wrapped corners included.
+    grid = PhaseSpaceGrid.square(-8.0, 8.0, 128)
+    omega, b = grid.meshes()
+    a = 1.3
+    w = np.exp(-b ** 2 / (4.0 * a) - a * omega ** 2 / 4.0)
+    op = weyl_operator_from_weight(w, grid, Grid1D.regular(-10.0, 10.0, n_t))
+    diag = density_diagnostics(op)
+    assert diag["min_eigenvalue"] >= -1e-5
+    assert abs(diag["purity"] - 1.0) < 1e-5
 
 
 def test_weyl_is_linear_in_the_weight():

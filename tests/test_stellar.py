@@ -318,6 +318,16 @@ def test_symmetry_fold_is_checked_before_any_work():
             stellar_experiment(pentagon_zeros(), params, symmetry_fold=1)
 
 
+@pytest.mark.parametrize("cutoff", [-1.0, 0.0, float("nan")])
+def test_match_cutoff_is_checked_before_any_work(cutoff):
+    # as above: a check made after the density would meet MassLeakageWarning
+    params = StellarParams(0.945, 2.0, 2.0, PhaseSpaceGrid.square(-4.0, 4.0, 64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="match cutoff"):
+            stellar_experiment(pentagon_zeros(), params, match_cutoff=cutoff)
+
+
 # ---------------------------------------------------------------------------
 # quantization of stellar densities
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import weylgabor.groups  # noqa: F401  (group_targets reads it from sys.modules)
 from weylgabor import cli, numerics
-from weylgabor.gabor import gaussian_probe
+from weylgabor.gabor import covariance_residual, gaussian_probe
 from weylgabor.numerics import Grid1D, PhaseSpaceGrid
 from weylgabor.quantize import gaussian_distribution, quantize_to_kernel
 
@@ -42,7 +42,8 @@ def test_group_targets_find_both_laws(tracing):
 def test_every_line_shift_reaches_the_traced_binding(monkeypatch):
     """The tracer swaps every weylgabor binding of batch_fractional_shift
     for a wrapper; counting through the same bindings shows that scalar
-    and array translates and the quantizer's probe shifts all pass one."""
+    and array translates, the quantizer's probe shifts and the covariance
+    residual's displacement and two transforms all pass one."""
     original = numerics.batch_fractional_shift
     calls = []
 
@@ -67,6 +68,8 @@ def test_every_line_shift_reaches_the_traced_binding(monkeypatch):
         warnings.simplefilter("ignore")
         quantize_to_kernel(w, probe)
     assert calls == [0, 1, 1]
+    covariance_residual(probe, probe, 0.5, 0.3, PhaseSpaceGrid.square(-4.0, 4.0, 16))
+    assert calls == [0, 1, 1, 0, 1, 1]
 
 
 def test_group_check_reaches_the_traced_group_bindings(tracing, tmp_path,
