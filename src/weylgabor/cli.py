@@ -149,6 +149,8 @@ class _Params:
         value = self._pop(key, default)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationFailure("parameter %r must be an integer" % key)
+        if abs(value) > sys.float_info.max:
+            raise ValidationFailure("parameter %r is out of range" % key)
         if minimum is not None and value < minimum:
             raise ValidationFailure("parameter %r must be >= %d" % (key, minimum))
         return value
@@ -164,6 +166,9 @@ class _Params:
         if not lo < hi:
             raise ValidationFailure(
                 "parameter %r must be below %r" % (lo_key, hi_key))
+        if not hi - lo <= sys.float_info.max:
+            raise ValidationFailure(
+                "%r to %r is wider than float range" % (lo_key, hi_key))
         return lo, hi
 
     def strval(self, key, default):
@@ -242,7 +247,6 @@ def _read_phase_grid_csv(path) -> Distribution:
                                        int(meta[k + 2])) for k in (0, 3)))
     except ValueError as exc:
         raise ValidationFailure("grid CSV parse error: %s" % exc)
-    _require_finite(np.array(meta, dtype=float), "grid")
     if values.shape != grid.shape:
         raise ValidationFailure(
             "grid CSV body %s does not match declared shape %s"
@@ -513,10 +517,10 @@ def _load_zeros(spec_name, zeros_path):
                                and not isinstance(z[k], bool) for k in ("re", "im"))
                        for z in data)):
         raise ValidationFailure("zeros JSON must be a non-empty list of {re, im}")
-    zeros = np.array([complex(z["re"], z["im"]) for z in data])
-    if not np.all(np.isfinite(zeros)):
+    # NaN and infinities fail the comparison, and so do ints beyond float range
+    if not all(abs(z[k]) <= sys.float_info.max for z in data for k in ("re", "im")):
         raise ValidationFailure("zeros JSON holds non-finite values")
-    return zeros
+    return np.array([complex(z["re"], z["im"]) for z in data])
 
 
 def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:

@@ -22,6 +22,7 @@ meant for numerical cross-checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -47,6 +48,7 @@ __all__ = [
     "symplectic_to_matrix",
     "Unitriangular4Element",
     "unitriangular4_compose",
+    "unitriangular4_identity",
     "unitriangular4_to_matrix",
     "subdiagonal_embed",
     "matrix_unit",
@@ -65,84 +67,72 @@ def _half(value):
     return value / 2
 
 
+@dataclass(frozen=True)
 class Ring:
-    """Coefficient ring for group coordinates. Subclasses set ``name`` and
-    whether the symmetric half-integer law applies."""
+    """Coefficient ring of group coordinates: ``modulus`` is None for the
+    reals, 0 for the integers and p for the integers mod p.  Only the reals
+    halve, so only they carry the symmetric half-integer law."""
 
-    name = "abstract"
-    symmetric_law = False
+    name: str
+    modulus: int | None = None
 
-    def coerce(self, value):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return "<ring %s>" % self.name
-
-
-class _RealRing(Ring):
-    name = "real"
-    symmetric_law = True
+    @property
+    def symmetric_law(self) -> bool:
+        return self.modulus is None
 
     def coerce(self, value):
-        if isinstance(value, bool):
-            raise TypeError("bool is not a ring coordinate")
-        if isinstance(value, (int, float, Fraction)):
+        """``value`` as a Python number of this ring; Z/p reduces it to its
+        representative in 0..p-1."""
+        if type(value) is float and self.modulus is None:
             return value
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.floating):
-            return float(value)
-        raise TypeError("real coordinates must be int, float, or Fraction; got %r" % (value,))
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            return int(value) % self.modulus if self.modulus else int(value)
+        if self.modulus is None and isinstance(value, (float, np.floating, Fraction)):
+            return value if isinstance(value, Fraction) else float(value)
+        kinds = "int, float, or Fraction" if self.modulus is None else "int"
+        raise TypeError("%s coordinates must be %s, got %r" % (self.name, kinds, value))
 
 
-class _IntegerRing(Ring):
-    name = "integer"
-
-    def coerce(self, value):
-        if isinstance(value, bool):
-            raise TypeError("bool is not a ring coordinate")
-        if isinstance(value, (int, np.integer)):
-            return int(value)
-        raise TypeError("integer coordinates must be int, got %r" % (value,))
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-class PrimeField(Ring):
+def PrimeField(p: int) -> Ring:
     """Integers mod p for an odd prime p, canonical representatives 0..p-1."""
-
-    def __init__(self, p: int):
-        p = int(p)
-        if not _is_prime(p) or p == 2:
-            raise ValueError("modulus must be an odd prime, got %d" % p)
-        self.p = p
-        self.name = "mod-%d" % p
-
-    def coerce(self, value):
-        if isinstance(value, bool):
-            raise TypeError("bool is not a ring coordinate")
-        if isinstance(value, (int, np.integer)):
-            return int(value) % self.p
-        raise TypeError("mod-p coordinates must be int, got %r" % (value,))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
+    p = int(p)
+    if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError("modulus must be an odd prime, got %d" % p)
+    return Ring("mod-%d" % p, p)
 
 
-REAL = _RealRing()
-INTEGER = _IntegerRing()
+REAL = Ring("real")
+INTEGER = Ring("integer", 0)
+
+
+# ---------------------------------------------------------------------------
+# the Heisenberg law: one cocycle, one embedding
+# ---------------------------------------------------------------------------
+
+def _skew(a1, b1, a2, b2):
+    """sum_i (a1_i b2_i - b1_i a2_i), summed index by index."""
+    return sum(x * v - y * u for x, y, u, v in zip(a1, b1, a2, b2))
+
+
+def _cocycle(a1, b1, a2, b2, symmetric: bool):
+    """Central term of (a1, b1) * (a2, b2) for n-tuples: half the skew form
+    for the symmetric law, a1 . b2 for the polarized one.  The two
+    presentations differ by the coordinate change c -> c + a . b / 2."""
+    if symmetric:
+        return _half(_skew(a1, b1, a2, b2))
+    return sum(x * v for x, v in zip(a1, b2))
+
+
+def _heisenberg_matrix(a, b, c, symmetric: bool) -> np.ndarray:
+    """Block matrix [[1, a^T, corner], [0, I_n, b], [0, 0, 1]] of size n+2,
+    with corner c + a . b / 2 for the symmetric law and c for the polarized
+    one; either way matrix(g1 * g2) == matrix(g1) @ matrix(g2)."""
+    n = len(a)
+    m = np.eye(n + 2)
+    m[0, 1:n + 1] = a
+    m[1:n + 1, n + 1] = b
+    m[0, n + 1] = c + _half(sum(x * y for x, y in zip(a, b))) if symmetric else c
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +145,7 @@ class WHElement:
 
     Over the reals the composition uses the symmetrized central cocycle
     (a b' - b a')/2; over the integers and prime fields it uses the
-    polarized cocycle a b', which keeps coordinates inside the ring.  The
-    two presentations differ by the coordinate change c -> c + a b / 2.
+    polarized cocycle a b', which keeps coordinates inside the ring.
     Coordinates pass through ``ring.coerce`` on construction, which is
     where a prime field reduces mod p.
     """
@@ -180,11 +169,8 @@ def wh_compose(g1: WHElement, g2: WHElement) -> WHElement:
     """Group product g1 * g2; the law depends on the ring (see WHElement)."""
     if g1.ring != g2.ring:
         raise ValueError("ring mismatch: %r vs %r" % (g1.ring, g2.ring))
-    if g1.ring.symmetric_law:
-        c = g1.c + g2.c + _half(g1.a * g2.b - g1.b * g2.a)
-    else:
-        c = g1.c + g2.c + g1.a * g2.b
-    return WHElement(c, g1.a + g2.a, g1.b + g2.b, ring=g1.ring)
+    c = _cocycle((g1.a,), (g1.b,), (g2.a,), (g2.b,), g1.ring.symmetric_law)
+    return WHElement(g1.c + g2.c + c, g1.a + g2.a, g1.b + g2.b, ring=g1.ring)
 
 
 def wh_inverse(g: WHElement) -> WHElement:
@@ -192,26 +178,11 @@ def wh_inverse(g: WHElement) -> WHElement:
     return WHElement(c, -g.a, -g.b, ring=g.ring)
 
 
-def _heisenberg_matrix(a, b, corner) -> np.ndarray:
-    """Block matrix [[1, a^T, corner], [0, I_n, b], [0, 0, 1]] of size n+2:
-    the embedding of the rank-one, polarized and symplectic laws."""
-    n = len(a)
-    m = np.eye(n + 2)
-    m[0, 1:n + 1] = [float(v) for v in a]
-    m[1:n + 1, n + 1] = [float(v) for v in b]
-    m[0, n + 1] = float(corner)
-    return m
-
-
 def wh_to_matrix(g: WHElement) -> np.ndarray:
-    """Unit upper-triangular 3x3 embedding over the reals.
-
-    The corner entry is c + a*b/2, which turns the symmetrized law into a
-    plain matrix product: matrix(g1 * g2) == matrix(g1) @ matrix(g2).
-    """
+    """Unit upper-triangular 3x3 embedding over the reals, corner c + a*b/2."""
     if not g.ring.symmetric_law:
         raise ValueError("matrix embedding is defined for real coordinates")
-    return _heisenberg_matrix((g.a,), (g.b,), g.c + _half(g.a * g.b))
+    return _heisenberg_matrix((g.a,), (g.b,), g.c, True)
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +221,16 @@ def polarized_compose(g1: PolarizedElement, g2: PolarizedElement) -> PolarizedEl
     """(a,b,c) * (a',b',c') = (a+a', b+b', c+c' + a.b')."""
     if g1.dim != g2.dim:
         raise ValueError("dimension mismatch: %d vs %d" % (g1.dim, g2.dim))
-    dot = sum(x * y for x, y in zip(g1.a, g2.b))
     return PolarizedElement(
         tuple(x + y for x, y in zip(g1.a, g2.a)),
         tuple(x + y for x, y in zip(g1.b, g2.b)),
-        g1.c + g2.c + dot,
+        g1.c + g2.c + _cocycle(g1.a, g1.b, g2.a, g2.b, False),
     )
 
 
 def polarized_to_matrix(g: PolarizedElement) -> np.ndarray:
     """Block matrix [[1, a^T, c], [0, I_n, b], [0, 0, 1]] of size n+2."""
-    return _heisenberg_matrix(g.a, g.b, g.c)
+    return _heisenberg_matrix(g.a, g.b, g.c, False)
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +264,22 @@ def symplectic_form(v1, v2) -> Any:
     if len(v1) != len(v2) or len(v1) % 2 != 0:
         raise ValueError("vectors must share the same even dimension")
     n = len(v1) // 2
-    return sum(v1[i] * v2[n + i] - v1[n + i] * v2[i] for i in range(n))
+    return _skew(v1[:n], v1[n:], v2[:n], v2[n:])
 
 
 def symplectic_compose(g1: SymplecticElement, g2: SymplecticElement) -> SymplecticElement:
     """(c,v) * (c',v') = (c + c' + omega(v,v')/2, v + v')."""
     if len(g1.v) != len(g2.v):
         raise ValueError("dimension mismatch: %d vs %d" % (len(g1.v), len(g2.v)))
-    c = g1.c + g2.c + _half(symplectic_form(g1.v, g2.v))
-    return SymplecticElement(c, tuple(x + y for x, y in zip(g1.v, g2.v)))
+    n = g1.half_dim
+    c = _cocycle(g1.v[:n], g1.v[n:], g2.v[:n], g2.v[n:], True)
+    return SymplecticElement(g1.c + g2.c + c, tuple(x + y for x, y in zip(g1.v, g2.v)))
 
 
 def symplectic_to_matrix(g: SymplecticElement) -> np.ndarray:
     """Block embedding [[1, a^T, c + a.b/2], [0, I_n, b], [0, 0, 1]]; the
     half-product corner makes the skew-form law a matrix product."""
-    a, b = g.v[:g.half_dim], g.v[g.half_dim:]
-    return _heisenberg_matrix(a, b, g.c + _half(sum(x * y for x, y in zip(a, b))))
+    return _heisenberg_matrix(g.v[:g.half_dim], g.v[g.half_dim:], g.c, True)
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +339,11 @@ def unitriangular4_to_matrix(g: Unitriangular4Element) -> np.ndarray:
     x1, x2, x3 = g.x
     y1, y2 = g.y
     return np.array([
-        [1.0, float(x1), float(y1 + _half(x1 * x2)),
-         float(g.z + _half(x1 * y2 + x3 * y1 + x1 * x2 * x3))],
-        [0.0, 1.0, float(x2), float(y2 + _half(x2 * x3))],
-        [0.0, 0.0, 1.0, float(x3)],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+        [1, x1, y1 + _half(x1 * x2), g.z + _half(x1 * y2 + x3 * y1 + x1 * x2 * x3)],
+        [0, 1, x2, y2 + _half(x2 * x3)],
+        [0, 0, 1, x3],
+        [0, 0, 0, 1],
+    ], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +375,6 @@ def matrix_unit(order: int, i: int, j: int) -> np.ndarray:
     return m
 
 
-def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
-
-
 def _supported_on(m: np.ndarray, slots) -> bool:
     """True when every nonzero entry of m sits on one of the (1-based)
     index pairs in slots."""
@@ -436,7 +401,8 @@ def nilpotency_filtration_check(order: int = 4) -> dict:
 
     def all_brackets_in(level_a, level_b, target_slots):
         return all(
-            _supported_on(_bracket(units[p], units[q]), target_slots)
+            _supported_on(units[p] @ units[q] - units[q] @ units[p],
+                          target_slots)
             for p in level_a for q in level_b
         )
 

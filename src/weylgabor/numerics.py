@@ -68,6 +68,8 @@ class Grid1D:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.step)):
+            raise ValueError("grid start and step must be finite")
         if self.step <= 0:
             raise ValueError("grid step must be positive")
         if self.count < 2:

@@ -337,6 +337,20 @@ def test_grid_csv_round_trips_exactly(tmp_path):
         assert rewritten.read_bytes() == (out / name).read_bytes()
 
 
+def test_quantize_rejects_nonfinite_grid_metadata(tmp_path, capsys):
+    csv_path = _write_density_csv(tmp_path / "w.csv")
+    lines = (tmp_path / "w.csv").read_text().splitlines()
+    meta = lines[1].split(",")
+    meta[1] = "nan"  # the omega step
+    lines[1] = ",".join(meta)
+    (tmp_path / "w.csv").write_text("\n".join(lines) + "\n")
+    cfg = _write_config(tmp_path / "cfg.json", "quantize", w_csv=csv_path)
+    out = tmp_path / "out"
+    assert cli.main(["quantize", "--config", cfg, "--out", str(out)]) == 2
+    assert "must be finite" in _stderr_error(capsys)
+    assert not out.exists()
+
+
 def test_quantize_rejects_negative_csv_density(tmp_path, capsys):
     csv_path = _write_density_csv(tmp_path / "w.csv", poison=-1e-3)
     cfg = _write_config(tmp_path / "cfg.json", "quantize", w_csv=csv_path)
@@ -401,7 +415,8 @@ def test_stellar_rejects_malformed_zeros(tmp_path, capsys):
     assert "zeros JSON" in _stderr_error(capsys)
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+@pytest.mark.parametrize("literal", [
+    "NaN", "Infinity", pytest.param("1" + "0" * 400, id="int-beyond-float")])
 def test_stellar_rejects_nonfinite_zeros(tmp_path, capsys, literal):
     zeros_path = tmp_path / "zeros.json"
     zeros_path.write_text('[{"re": 0.0, "im": 0.0}, {"re": %s, "im": 0.5}]'
@@ -570,6 +585,15 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
      "origin is not on the lattice"),
     ("stellar", {"match_cutoff": -1.0}, "'match_cutoff' must be positive"),
     ("stellar", {"match_cutoff": 0.0}, "'match_cutoff' must be positive"),
+    ("cylinder", {"m": 10 ** 400}, "'m' is out of range"),
+    ("gabor", {"n_time": 10 ** 400}, "'n_time' is out of range"),
+    ("group-check", {"trials": 10 ** 400}, "'trials' is out of range"),
+    ("gabor", {"time_start": -1.5e308, "time_stop": 1.5e308},
+     "'time_start' to 'time_stop' is wider than float range"),
+    ("quantize", {"tf_min": -1.5e308, "tf_max": 1.5e308},
+     "'tf_min' to 'tf_max' is wider than float range"),
+    ("stellar", {"grid_min": -1.5e308, "grid_max": 1.5e308},
+     "'grid_min' to 'grid_max' is wider than float range"),
 ])
 def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
                                                 parameters, message):

@@ -131,6 +131,39 @@ def test_prime_field_validation():
     assert WHElement(-1, 7, 0, ring=field) == WHElement(4, 2, 0, ring=field)
 
 
+def test_numpy_scalars_coerce_to_python_numbers():
+    for ring in (REAL, INTEGER, PrimeField(5)):
+        value = ring.coerce(np.int64(3))
+        assert type(value) is int and value == 3
+    value = REAL.coerce(np.float64(1.5))
+    assert type(value) is float and value == 1.5
+
+
+def test_integer_rings_reject_numpy_floats_and_reduce_numpy_ints():
+    for ring in (INTEGER, PrimeField(5)):
+        with pytest.raises(TypeError):
+            ring.coerce(np.float64(1.0))
+    assert PrimeField(5).coerce(np.int64(-1)) == 4
+
+
+def test_prime_fields_compare_by_modulus():
+    assert PrimeField(5) == PrimeField(5)
+    assert hash(PrimeField(5)) == hash(PrimeField(5))
+    assert PrimeField(5) != PrimeField(7)
+    with pytest.raises(ValueError):
+        wh_compose(WHElement(1, 2, 3, ring=PrimeField(5)),
+                   WHElement(1, 2, 3, ring=PrimeField(7)))
+
+
+@given(st.tuples(small_int, small_int, small_int),
+       st.tuples(small_int, small_int, small_int))
+def test_integer_law_is_the_rank_one_polarized_law(t1, t2):
+    w = wh_compose(WHElement(*t1, ring=INTEGER), WHElement(*t2, ring=INTEGER))
+    p = polarized_compose(PolarizedElement((t1[1],), (t1[2],), t1[0]),
+                          PolarizedElement((t2[1],), (t2[2],), t2[0]))
+    assert (w.c, (w.a,), (w.b,)) == (p.c, p.a, p.b)
+
+
 def test_mod5_group_order_closure_and_exponent():
     field = PrimeField(5)
     elements = {WHElement(c, a, b, ring=field)

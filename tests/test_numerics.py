@@ -51,6 +51,14 @@ def test_grid_validation():
         Grid1D.regular(1.0, 1.0, 4)
 
 
+@pytest.mark.parametrize("start,step", [(0.0, math.nan), (0.0, math.inf),
+                                        (math.nan, 1.0), (math.inf, 1.0),
+                                        (-math.inf, 1.0)])
+def test_grid_rejects_nonfinite_start_and_step(start, step):
+    with pytest.raises(ValueError, match="must be finite"):
+        Grid1D(start=start, step=step, count=4)
+
+
 def test_origin_index():
     assert Grid1D.regular(-4.0, 4.0, 16).origin_index() == 8
     off = Grid1D(start=0.25, step=1.0, count=4)
