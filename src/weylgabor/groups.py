@@ -70,11 +70,23 @@ def _half(value):
 @dataclass(frozen=True)
 class Ring:
     """Coefficient ring of group coordinates: ``modulus`` is None for the
-    reals, 0 for the integers and p for the integers mod p.  Only the reals
-    halve, so only they carry the symmetric half-integer law."""
+    reals, 0 for the integers and an odd prime p for the integers mod p.
+    Only the reals halve, so only they carry the symmetric half-integer law."""
 
-    name: str
     modulus: int | None = None
+
+    def __post_init__(self):
+        p = self.modulus
+        if p is None or p == 0:
+            return
+        if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise ValueError("modulus must be an odd prime, got %d" % p)
+
+    @property
+    def name(self) -> str:
+        if self.modulus is None:
+            return "real"
+        return "mod-%d" % self.modulus if self.modulus else "integer"
 
     @property
     def symmetric_law(self) -> bool:
@@ -96,13 +108,13 @@ class Ring:
 def PrimeField(p: int) -> Ring:
     """Integers mod p for an odd prime p, canonical representatives 0..p-1."""
     p = int(p)
-    if p < 3 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-        raise ValueError("modulus must be an odd prime, got %d" % p)
-    return Ring("mod-%d" % p, p)
+    if p == 0:
+        raise ValueError("modulus must be an odd prime, got 0")
+    return Ring(p)
 
 
-REAL = Ring("real")
-INTEGER = Ring("integer", 0)
+REAL = Ring()
+INTEGER = Ring(0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,28 +122,25 @@ INTEGER = Ring("integer", 0)
 # ---------------------------------------------------------------------------
 
 def _skew(a1, b1, a2, b2):
-    """sum_i (a1_i b2_i - b1_i a2_i), summed index by index."""
-    return sum(x * v - y * u for x, y, u, v in zip(a1, b1, a2, b2))
+    """a1 b2 - b1 a2: one index of the standard skew form, and half of it
+    the central cocycle of the symmetric law."""
+    return a1 * b2 - b1 * a2
 
 
-def _cocycle(a1, b1, a2, b2, symmetric: bool):
-    """Central term of (a1, b1) * (a2, b2) for n-tuples: half the skew form
-    for the symmetric law, a1 . b2 for the polarized one.  The two
-    presentations differ by the coordinate change c -> c + a . b / 2."""
-    if symmetric:
-        return _half(_skew(a1, b1, a2, b2))
-    return sum(x * v for x, v in zip(a1, b2))
+def _half_dot(a, b):
+    """a . b / 2: the corner shift c -> c + a . b / 2 that takes the
+    symmetric law to the polarized one."""
+    return _half(sum(x * y for x, y in zip(a, b)))
 
 
-def _heisenberg_matrix(a, b, c, symmetric: bool) -> np.ndarray:
-    """Block matrix [[1, a^T, corner], [0, I_n, b], [0, 0, 1]] of size n+2,
-    with corner c + a . b / 2 for the symmetric law and c for the polarized
-    one; either way matrix(g1 * g2) == matrix(g1) @ matrix(g2)."""
+def _heisenberg_matrix(a, b, corner) -> np.ndarray:
+    """Block matrix [[1, a^T, corner], [0, I_n, b], [0, 0, 1]] of size n+2:
+    the embedding of the rank-one, polarized and symplectic laws."""
     n = len(a)
     m = np.eye(n + 2)
     m[0, 1:n + 1] = a
     m[1:n + 1, n + 1] = b
-    m[0, n + 1] = c + _half(sum(x * y for x, y in zip(a, b))) if symmetric else c
+    m[0, n + 1] = corner
     return m
 
 
@@ -145,7 +154,8 @@ class WHElement:
 
     Over the reals the composition uses the symmetrized central cocycle
     (a b' - b a')/2; over the integers and prime fields it uses the
-    polarized cocycle a b', which keeps coordinates inside the ring.
+    polarized cocycle a b', which keeps coordinates inside the ring.  The
+    two presentations differ by the coordinate change c -> c + a b / 2.
     Coordinates pass through ``ring.coerce`` on construction, which is
     where a prime field reduces mod p.
     """
@@ -169,8 +179,11 @@ def wh_compose(g1: WHElement, g2: WHElement) -> WHElement:
     """Group product g1 * g2; the law depends on the ring (see WHElement)."""
     if g1.ring != g2.ring:
         raise ValueError("ring mismatch: %r vs %r" % (g1.ring, g2.ring))
-    c = _cocycle((g1.a,), (g1.b,), (g2.a,), (g2.b,), g1.ring.symmetric_law)
-    return WHElement(g1.c + g2.c + c, g1.a + g2.a, g1.b + g2.b, ring=g1.ring)
+    if g1.ring.symmetric_law:
+        c = g1.c + g2.c + _half(_skew(g1.a, g1.b, g2.a, g2.b))
+    else:
+        c = g1.c + g2.c + g1.a * g2.b
+    return WHElement(c, g1.a + g2.a, g1.b + g2.b, ring=g1.ring)
 
 
 def wh_inverse(g: WHElement) -> WHElement:
@@ -179,10 +192,14 @@ def wh_inverse(g: WHElement) -> WHElement:
 
 
 def wh_to_matrix(g: WHElement) -> np.ndarray:
-    """Unit upper-triangular 3x3 embedding over the reals, corner c + a*b/2."""
+    """Unit upper-triangular 3x3 embedding over the reals.
+
+    The corner entry is c + a*b/2, which turns the symmetrized law into a
+    plain matrix product: matrix(g1 * g2) == matrix(g1) @ matrix(g2).
+    """
     if not g.ring.symmetric_law:
         raise ValueError("matrix embedding is defined for real coordinates")
-    return _heisenberg_matrix((g.a,), (g.b,), g.c, True)
+    return _heisenberg_matrix((g.a,), (g.b,), g.c + _half_dot((g.a,), (g.b,)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +238,17 @@ def polarized_compose(g1: PolarizedElement, g2: PolarizedElement) -> PolarizedEl
     """(a,b,c) * (a',b',c') = (a+a', b+b', c+c' + a.b')."""
     if g1.dim != g2.dim:
         raise ValueError("dimension mismatch: %d vs %d" % (g1.dim, g2.dim))
+    dot = sum(x * y for x, y in zip(g1.a, g2.b))
     return PolarizedElement(
         tuple(x + y for x, y in zip(g1.a, g2.a)),
         tuple(x + y for x, y in zip(g1.b, g2.b)),
-        g1.c + g2.c + _cocycle(g1.a, g1.b, g2.a, g2.b, False),
+        g1.c + g2.c + dot,
     )
 
 
 def polarized_to_matrix(g: PolarizedElement) -> np.ndarray:
     """Block matrix [[1, a^T, c], [0, I_n, b], [0, 0, 1]] of size n+2."""
-    return _heisenberg_matrix(g.a, g.b, g.c, False)
+    return _heisenberg_matrix(g.a, g.b, g.c)
 
 
 # ---------------------------------------------------------------------------
@@ -264,22 +282,22 @@ def symplectic_form(v1, v2) -> Any:
     if len(v1) != len(v2) or len(v1) % 2 != 0:
         raise ValueError("vectors must share the same even dimension")
     n = len(v1) // 2
-    return _skew(v1[:n], v1[n:], v2[:n], v2[n:])
+    return sum(map(_skew, v1[:n], v1[n:], v2[:n], v2[n:]))
 
 
 def symplectic_compose(g1: SymplecticElement, g2: SymplecticElement) -> SymplecticElement:
     """(c,v) * (c',v') = (c + c' + omega(v,v')/2, v + v')."""
     if len(g1.v) != len(g2.v):
         raise ValueError("dimension mismatch: %d vs %d" % (len(g1.v), len(g2.v)))
-    n = g1.half_dim
-    c = _cocycle(g1.v[:n], g1.v[n:], g2.v[:n], g2.v[n:], True)
-    return SymplecticElement(g1.c + g2.c + c, tuple(x + y for x, y in zip(g1.v, g2.v)))
+    c = g1.c + g2.c + _half(symplectic_form(g1.v, g2.v))
+    return SymplecticElement(c, tuple(x + y for x, y in zip(g1.v, g2.v)))
 
 
 def symplectic_to_matrix(g: SymplecticElement) -> np.ndarray:
     """Block embedding [[1, a^T, c + a.b/2], [0, I_n, b], [0, 0, 1]]; the
     half-product corner makes the skew-form law a matrix product."""
-    return _heisenberg_matrix(g.v[:g.half_dim], g.v[g.half_dim:], g.c, True)
+    a, b = g.v[:g.half_dim], g.v[g.half_dim:]
+    return _heisenberg_matrix(a, b, g.c + _half_dot(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +393,10 @@ def matrix_unit(order: int, i: int, j: int) -> np.ndarray:
     return m
 
 
+def _bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
 def _supported_on(m: np.ndarray, slots) -> bool:
     """True when every nonzero entry of m sits on one of the (1-based)
     index pairs in slots."""
@@ -401,8 +423,7 @@ def nilpotency_filtration_check(order: int = 4) -> dict:
 
     def all_brackets_in(level_a, level_b, target_slots):
         return all(
-            _supported_on(units[p] @ units[q] - units[q] @ units[p],
-                          target_slots)
+            _supported_on(_bracket(units[p], units[q]), target_slots)
             for p in level_a for q in level_b
         )
 

@@ -13,6 +13,7 @@ from weylgabor.groups import (
     REAL,
     PolarizedElement,
     PrimeField,
+    Ring,
     SymplecticElement,
     Unitriangular4Element,
     WHElement,
@@ -153,6 +154,16 @@ def test_prime_fields_compare_by_modulus():
     with pytest.raises(ValueError):
         wh_compose(WHElement(1, 2, 3, ring=PrimeField(5)),
                    WHElement(1, 2, 3, ring=PrimeField(7)))
+
+
+def test_ring_is_its_modulus():
+    assert Ring() == REAL and Ring(0) == INTEGER and Ring(5) == PrimeField(5)
+    assert [r.name for r in (REAL, INTEGER, PrimeField(5))] == ["real", "integer", "mod-5"]
+    for modulus in (4, 2, 1, -5, -7):
+        with pytest.raises(ValueError):
+            Ring(modulus)
+    with pytest.raises(ValueError):
+        PrimeField(0)
 
 
 @given(st.tuples(small_int, small_int, small_int),
