@@ -149,7 +149,7 @@ class _Params:
         value = self._pop(key, default)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationFailure("parameter %r must be an integer" % key)
-        if abs(value) > sys.float_info.max:
+        if abs(value) > np.iinfo(np.int64).max:
             raise ValidationFailure("parameter %r is out of range" % key)
         if minimum is not None and value < minimum:
             raise ValidationFailure("parameter %r must be >= %d" % (key, minimum))

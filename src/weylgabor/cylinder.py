@@ -77,7 +77,8 @@ class CircularSignal(SampledSignal):
 
     def translated(self, theta) -> np.ndarray:
         """Samples of g -> phi(g - theta), one row per angle for an array;
-        a rotation, so there is no edge to check."""
+        a rotation, so there is no edge to check.  Angles on the signal's
+        own nodes are exact rolls, with no FFT."""
         return spectral_shift(self.values, self.grid.step, theta)
 
 

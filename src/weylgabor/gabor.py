@@ -23,7 +23,9 @@ The displacement, analysis and resynthesis here serve the circle as well:
 weylgabor.cylinder runs them on the integer frequency comb.  Both sums over
 a uniform frequency comb are chirp-z transforms (numerics.chirp_z), so the
 analysis costs O(n_b*(n_t + n_omega)*log) and no n_omega x n_t table of
-exponentials is ever built.
+exponentials is ever built.  The n_b window translates cost
+O(q*n_t*log(n_t) + n_b*n_t) when the b-step is p/q time steps (16/5 at the
+default grids): q FFT translates and exact rolls of them.
 """
 
 from __future__ import annotations
@@ -106,7 +108,9 @@ class SampledSignal:
     def translated(self, b) -> np.ndarray:
         """Samples of t -> s(t - b), band-limited; an array of shifts gives
         one translate per row.  Every module shifts a line signal through
-        here.  The shift wraps around the grid, so hot edges raise an
+        here.  Shifts that differ by whole time steps share one FFT
+        translate and are exact rolls of it (see numerics.spectral_shift).
+        The shift wraps around the grid, so hot edges raise an
         EdgeEnergyWarning."""
         return batch_fractional_shift(self.values, self.grid.step, b)
 

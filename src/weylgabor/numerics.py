@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import fft, fftfreq, ifft, irfftn, next_fast_len, rfftn
 from scipy.special import iv
 
@@ -227,34 +228,101 @@ def _warn_hot_edges(values: np.ndarray, what: str, effect: str) -> None:
         )
 
 
+# a shift within this many cells of a whole number of cells is an exact
+# roll, and fractions closer than this share one FFT translate
+_CELL_TOLERANCE = 1e-12
+
+
 def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     """Band-limited translate of 1-D samples: samples of t -> s(t - shift).
 
-    An FFT phase ramp, so the shift wraps periodically, which is exact for
-    periodic band-limited signals and needs decayed edges otherwise (no
-    check here).  A scalar shift by an integer number of samples is an
-    exact roll; a 1-D array of shifts returns one translate per entry,
-    stacked as rows.  Anything but 1-D samples and a scalar or 1-D array
-    of finite shifts raises a ValueError.  The result is always a fresh
-    array.
+    The translate wraps periodically, which is exact for periodic
+    band-limited signals and needs decayed edges otherwise (no check
+    here).  A 1-D array of shifts returns one translate per entry, stacked
+    as rows.
+
+    Each shift splits into whole cells and a fraction in [-1/2, 1/2], and
+    a whole-cell shift of the samples is an exact roll.  So one FFT phase
+    ramp translate serves every shift whose fraction lies within 1e-12
+    cells above the group's smallest fraction, and each row is a roll of
+    its group's translate, all gathered in one indexing step; fractions
+    within 1e-12 of 0 need no FFT at all.  A comb whose step is p/q cells
+    costs at most q FFT rows plus copying, O(q*n*log(n) + n_shifts*n), and
+    a comb of whole cells is n_shifts exact rolls.  When sharing would not
+    halve the FFT rows (an irrational comb, a single fractional shift),
+    each shift gets its own ramp, O(n_shifts*n*log(n)), and the inverse
+    FFT's batch is the result, with whole-cell rows overwritten by rolls.
+    Anything but 1-D samples and a scalar or 1-D array of finite shifts
+    raises a ValueError.  The result is always a fresh array.
     """
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or np.ndim(shift) > 1:
         raise ValueError("expected 1-D samples and a scalar or 1-D array of shifts")
     if not np.all(np.isfinite(shift)):
         raise ValueError("shift must be finite")
-    if np.ndim(shift) == 0:
-        cells = shift / step
-        nearest = round(cells)
-        if abs(cells - nearest) < 1e-12:
-            return np.roll(values, int(nearest))
+    shifts = np.atleast_1d(np.asarray(shift, dtype=float))
+    cells = shifts / step
+    whole = np.rint(cells)
+    group, fractions = _fraction_groups(cells - whole)
+    if 2 * fractions.size > shifts.size:
+        # rolling shared translates would cost more than it saves
+        out = _ramped(values, step, shifts)
+        still = group == 0
+        out[still] = _rolls(values[None], group[still], whole[still])
+    else:
+        bases = np.empty((fractions.size + 1, values.size), dtype=complex)
+        bases[0] = values
+        bases[1:] = _ramped(values, step, fractions * step)
+        out = _rolls(bases, group, whole)
+    return out if np.ndim(shift) else out[0]
+
+
+def _fraction_groups(fraction: np.ndarray):
+    """Group of each fraction of a cell, 0 for those within the tolerance
+    of 0, and the fractions of groups 1, 2, ...  Groups are formed on the
+    sorted fractions, and each holds those within the tolerance above its
+    smallest member, which is the group's fraction."""
+    moving = np.flatnonzero(np.abs(fraction) >= _CELL_TOLERANCE)
+    order = moving[np.argsort(fraction[moving])]
+    ordered = fraction[order]
+    starts = np.diff(ordered, prepend=-np.inf) > _CELL_TOLERANCE
+    heads = np.flatnonzero(starts)
+    rank = np.cumsum(starts)
+    if np.any(ordered - ordered[heads[rank - 1]] > _CELL_TOLERANCE):
+        # a run of close neighbours is wider than the tolerance: split it
+        # from the left, so no member is farther than that from its head
+        head, heads = 0, []
+        while head < ordered.size:
+            heads.append(head)
+            head = np.searchsorted(ordered, ordered[head] + _CELL_TOLERANCE,
+                                   side="right")
+        rank = np.searchsorted(heads, np.arange(ordered.size), side="right")
+    group = np.zeros(fraction.size, dtype=np.intp)
+    group[order] = rank
+    return group, ordered[heads]
+
+
+def _ramped(values: np.ndarray, step: float, shifts: np.ndarray) -> np.ndarray:
+    """One FFT phase-ramp translate per shift, stacked as rows."""
     nu = 2.0 * np.pi * fftfreq(values.size, d=step)
-    ramps = -1j * np.multiply.outer(shift, nu)
-    np.exp(ramps, out=ramps)
-    # one batch-sized array throughout: the product lands in the ramps
-    # (spectrum first: complex multiply is not bitwise commutative), and
-    # scipy's inverse FFT overwrites it
+    # one batch-sized array throughout: the phases land in the imaginary
+    # part, cos and sin turn them into the ramps in place (faster than the
+    # complex exp), the product lands in the ramps (spectrum first: complex
+    # multiply is not bitwise commutative), and scipy's inverse FFT
+    # overwrites it
+    ramps = np.empty((shifts.size, values.size), dtype=complex)
+    np.multiply.outer(shifts, -nu, out=ramps.imag)
+    np.cos(ramps.imag, out=ramps.real)
+    np.sin(ramps.imag, out=ramps.imag)
     return ifft(np.multiply(fft(values), ramps, out=ramps), overwrite_x=True)
+
+
+def _rolls(bases: np.ndarray, which: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """Row i is bases[which[i]] rolled by whole[i] cells: the window of the
+    doubled row that starts at -whole[i] mod n."""
+    n = bases.shape[1]
+    windows = sliding_window_view(np.concatenate([bases, bases], axis=1), n, axis=1)
+    return windows[which, np.mod(-whole, n).astype(np.intp)]
 
 
 def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarray:
@@ -262,11 +330,12 @@ def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarra
     grid, checked.
 
     A scalar shift gives one translate; a 1-D array of shifts gives one
-    translate per entry, stacked as rows, from one forward FFT and a single
-    batched inverse FFT (every window position of a windowed transform is
-    a shifted copy of the same probe).  The shift wraps periodically, so a
-    warning is issued when the input carries visible energy at the grid
-    edges.  A scalar shift by an integer number of samples is an exact roll.
+    translate per entry, stacked as rows (every window position of a
+    windowed transform is a shifted copy of the same probe).  The work is
+    ``spectral_shift``'s: one forward FFT, one inverse FFT row per distinct
+    fraction of a cell, and exact rolls for the whole cells.  The shift
+    wraps periodically, so a warning is issued when the input carries
+    visible energy at the grid edges.
     """
     # shift first, so that bad input raises before any warning
     out = spectral_shift(values, step, shifts)

@@ -594,6 +594,9 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
      "'tf_min' to 'tf_max' is wider than float range"),
     ("stellar", {"grid_min": -1.5e308, "grid_max": 1.5e308},
      "'grid_min' to 'grid_max' is wider than float range"),
+    ("group-check", {"trials": 10 ** 21}, "'trials' is out of range"),
+    ("stellar", {"n_grid": 10 ** 21}, "'n_grid' is out of range"),
+    ("gabor", {"n_time": 10 ** 21}, "'n_time' is out of range"),
 ])
 def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
                                                 parameters, message):

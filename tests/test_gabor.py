@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylgabor import numerics
 from weylgabor.cylinder import (
     TruncationWarning,
     cyl_gabor_transform,
@@ -373,6 +374,51 @@ def test_slow_decay_warning():
 
 
 # ---------------------------------------------------------------------------
+# FFT rows of the shift core
+# ---------------------------------------------------------------------------
+
+def _count_shift_rows(monkeypatch, length):
+    """List that receives the rows of each inverse FFT of ``length`` samples
+    the numerics make; chirp-z transforms run on longer padded buffers."""
+    rows = []
+    original = numerics.ifft
+
+    def counting(x, *args, **kwargs):
+        if np.shape(x)[-1] == length:
+            rows.append(np.size(x) // length)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "ifft", counting)
+    return rows
+
+
+def test_default_translates_transform_at_most_five_rows(monkeypatch):
+    # b-step / dt = 0.125 / 0.0390625 = 16/5
+    probe = gaussian_probe(default_time_grid())
+    rows = _count_shift_rows(monkeypatch, probe.grid.count)
+    shifts = default_tf_grid().b_axis.points
+    translates = probe.translated(shifts)
+    assert sum(rows) <= 5
+    np.testing.assert_allclose(translates[3], probe.translated(shifts[3]),
+                               rtol=0, atol=1e-13)
+
+
+def test_circle_transform_on_its_own_angles_transforms_no_rows(monkeypatch):
+    vm = von_mises(2.0)
+    rows = _count_shift_rows(monkeypatch, vm.grid.count)
+    cyl_gabor_transform(vm, vm, 8)
+    assert sum(rows) == 0
+
+
+def test_distinct_fractions_transform_one_row_per_shift(monkeypatch):
+    probe = gaussian_probe(default_time_grid())
+    rows = _count_shift_rows(monkeypatch, probe.grid.count)
+    shifts = -16.0 + np.sqrt(2.0) / 8.0 * np.arange(256)
+    probe.translated(shifts)
+    assert sum(rows) == shifts.size
+
+
+# ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
 
@@ -391,9 +437,18 @@ def _peak_bytes(call):
 
 
 def test_batched_translate_holds_one_batch_and_a_half():
-    # the ramps become the product and then the inverse FFT in place
+    # a step of 16/5 cells: four small FFT translates, rolled into the one
+    # output batch
     probe = gaussian_probe(Grid1D.regular(-20.0, 20.0, 2048))
     shifts = np.linspace(-16.0, 16.0, 512, endpoint=False)
+    assert _peak_bytes(lambda: probe.translated(shifts)) < 1.25 * _BATCH_BYTES
+
+
+def test_translate_of_distinct_fractions_holds_two_batches():
+    # every shift its own fraction: the ramps become the product and then
+    # the inverse FFT in place
+    probe = gaussian_probe(Grid1D.regular(-20.0, 20.0, 2048))
+    shifts = -16.0 + np.sqrt(2.0) / 16.0 * np.arange(512)
     assert _peak_bytes(lambda: probe.translated(shifts)) < 2.1 * _BATCH_BYTES
 
 

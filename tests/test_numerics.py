@@ -23,7 +23,7 @@ from weylgabor.numerics import (
     periodic_trapezoid,
     spectral_shift,
 )
-from weylgabor.numerics import _refine_design
+from weylgabor.numerics import _fraction_groups, _refine_design
 
 # frozen once from the ascending power series sum_k (x/2)^(2k) / (k!)^2
 I0_AT_2 = 2.279585302336067
@@ -246,6 +246,59 @@ def test_batch_shift_matches_singles():
         np.testing.assert_allclose(rows[k],
                                    batch_fractional_shift(s, grid.step, b),
                                    rtol=0, atol=1e-14)
+
+
+# a comb of shifts whose step is p/q cells shares q FFT translates; every
+# row must still be the translate of its own shift
+_COMB_SIZES = st.sampled_from((64, 128, 255))
+
+
+def _two_bumps(grid):
+    t = grid.points
+    return np.exp(-t ** 2 / 2.0 + 0.7j * t) + 0.4 * np.exp(-(t - 3.0) ** 2)
+
+
+def _assert_rows_are_single_shifts(s, step, shifts):
+    rows = spectral_shift(s, step, shifts)
+    singles = np.array([spectral_shift(s, step, b) for b in shifts])
+    np.testing.assert_allclose(rows, singles, rtol=0,
+                               atol=1e-13 * np.abs(s).max())
+
+
+@given(n=_COMB_SIZES, start=st.floats(-20.0, 20.0),
+       q=st.integers(1, 7), p=st.integers(-21, 21), count=st.integers(1, 24))
+def test_rational_comb_rows_match_single_shifts(n, start, q, p, count):
+    grid = Grid1D.regular(-20.0, 20.0, n)
+    shifts = start + np.arange(count) * (p / q) * grid.step
+    _assert_rows_are_single_shifts(_two_bumps(grid), grid.step, shifts)
+
+
+@given(n=_COMB_SIZES, start=st.floats(-20.0, 20.0), count=st.integers(2, 24))
+def test_comb_of_distinct_fractions_matches_single_shifts(n, start, count):
+    grid = Grid1D.regular(-20.0, 20.0, n)
+    shifts = start + np.arange(count) * math.sqrt(2.0) * grid.step
+    _assert_rows_are_single_shifts(_two_bumps(grid), grid.step, shifts)
+
+
+@given(n=_COMB_SIZES, first=st.integers(-600, 600), p=st.integers(-300, 300),
+       count=st.integers(1, 24))
+def test_whole_cell_comb_rows_are_exact_rolls(n, first, p, count):
+    grid = Grid1D.regular(-20.0, 20.0, n)
+    rng = np.random.default_rng(n)
+    s = rng.normal(size=n) + 1j * rng.normal(size=n)
+    cells = first + p * np.arange(count)
+    rows = spectral_shift(s, grid.step, cells * grid.step)
+    for row, k in zip(rows, cells):
+        np.testing.assert_array_equal(row, np.roll(s, k))
+
+
+def test_close_fractions_group_by_their_smallest_member():
+    # neighbours 0.6e-12 cells apart chain across 1.8e-12 cells, farther
+    # than the tolerance from the first; whole cells are group 0
+    fraction = 0.3 + 0.6e-12 * np.array([3.0, 0.0, 2.0, 1.0])
+    group, fractions = _fraction_groups(np.append(fraction, [0.0, 4e-13, -0.2]))
+    np.testing.assert_array_equal(group, [3, 2, 3, 2, 0, 0, 1])
+    np.testing.assert_array_equal(fractions, [-0.2, 0.3, 0.3 + 1.2e-12])
 
 
 # ---------------------------------------------------------------------------
