@@ -19,6 +19,7 @@ bytes of ``kernel.csv``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -245,83 +246,83 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     a whole-cell shift of the samples is an exact roll.  So one FFT phase
     ramp translate serves every shift whose fraction lies within 1e-12
     cells above the group's smallest fraction, and each row is a roll of
-    its group's translate, all gathered in one indexing step; fractions
-    within 1e-12 of 0 need no FFT at all.  A comb whose step is p/q cells
+    its group's translate, all gathered in one indexing step from the
+    translates held twice over; fractions within 1e-12 of 0 are rolls of
+    the samples themselves, with no FFT.  A comb whose step is p/q cells
     costs at most q FFT rows plus copying, O(q*n*log(n) + n_shifts*n), and
-    a comb of whole cells is n_shifts exact rolls.  When sharing would not
-    halve the FFT rows (an irrational comb, a single fractional shift),
-    each shift gets its own ramp, O(n_shifts*n*log(n)), and the inverse
-    FFT's batch is the result, with whole-cell rows overwritten by rolls.
-    Anything but 1-D samples and a scalar or 1-D array of finite shifts
-    raises a ValueError.  The result is always a fresh array.
+    a comb of whole cells, or a single whole-cell shift, no FFT at all.
+    Sharing is taken when the q + 1 doubled translates take at most half
+    the result (4*(q + 1) <= n_shifts), so beside the result it holds at
+    most half a batch.  Otherwise (an irrational comb, a single fractional
+    shift) each shift gets its own ramp, O(n_shifts*n*log(n)), and the
+    inverse FFT's batch is the result, with whole-cell rows overwritten by
+    rolls.  Anything but 1-D samples and a scalar or 1-D array of finite
+    shifts raises a ValueError.  The result is always a fresh array.
     """
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or np.ndim(shift) > 1:
         raise ValueError("expected 1-D samples and a scalar or 1-D array of shifts")
     if not np.all(np.isfinite(shift)):
         raise ValueError("shift must be finite")
+    n = values.size
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
     cells = shifts / step
     whole = np.rint(cells)
-    group, fractions = _fraction_groups(cells - whole)
-    if 2 * fractions.size > shifts.size:
-        # rolling shared translates would cost more than it saves
+    fraction = cells - whole
+    # share while the doubled translates fit in half the result
+    groups = _fraction_groups(fraction, shifts.size // 4 - 1)
+    if groups is None:
         out = _ramped(values, step, shifts)
-        still = group == 0
-        out[still] = _rolls(values[None], group[still], whole[still])
+        still = np.abs(fraction) < _CELL_TOLERANCE
+        if still.any():
+            out[still] = _rolls(np.tile(values, (1, 2)), 0, whole[still])
     else:
-        bases = np.empty((fractions.size + 1, values.size), dtype=complex)
-        bases[0] = values
-        bases[1:] = _ramped(values, step, fractions * step)
-        out = _rolls(bases, group, whole)
+        group, fractions = groups
+        doubled = np.empty((fractions.size + 1, 2 * n), dtype=complex)
+        doubled[0, :n] = values
+        if fractions.size:
+            doubled[1:, :n] = _ramped(values, step, fractions * step)
+        doubled[:, n:] = doubled[:, :n]
+        out = _rolls(doubled, group, whole)
     return out if np.ndim(shift) else out[0]
 
 
-def _fraction_groups(fraction: np.ndarray):
+def _fraction_groups(fraction: np.ndarray, most: int):
     """Group of each fraction of a cell, 0 for those within the tolerance
-    of 0, and the fractions of groups 1, 2, ...  Groups are formed on the
+    of 0, and the fractions of groups 1, 2, ...; None as soon as there
+    would be more than ``most`` groups besides 0.  Groups are formed on the
     sorted fractions, and each holds those within the tolerance above its
     smallest member, which is the group's fraction."""
     moving = np.flatnonzero(np.abs(fraction) >= _CELL_TOLERANCE)
     order = moving[np.argsort(fraction[moving])]
-    ordered = fraction[order]
-    starts = np.diff(ordered, prepend=-np.inf) > _CELL_TOLERANCE
-    heads = np.flatnonzero(starts)
-    rank = np.cumsum(starts)
-    if np.any(ordered - ordered[heads[rank - 1]] > _CELL_TOLERANCE):
-        # a run of close neighbours is wider than the tolerance: split it
-        # from the left, so no member is farther than that from its head
-        head, heads = 0, []
-        while head < ordered.size:
-            heads.append(head)
-            head = np.searchsorted(ordered, ordered[head] + _CELL_TOLERANCE,
-                                   side="right")
-        rank = np.searchsorted(heads, np.arange(ordered.size), side="right")
+    ordered = fraction[order].tolist()
+    head, heads = 0, []
+    while head < len(ordered):
+        if len(heads) >= most:
+            return None
+        heads.append(head)
+        head = bisect.bisect_right(ordered, ordered[head] + _CELL_TOLERANCE, head)
     group = np.zeros(fraction.size, dtype=np.intp)
-    group[order] = rank
-    return group, ordered[heads]
+    group[order] = np.searchsorted(heads, np.arange(len(ordered)), side="right")
+    return group, fraction[order[heads]]
 
 
 def _ramped(values: np.ndarray, step: float, shifts: np.ndarray) -> np.ndarray:
     """One FFT phase-ramp translate per shift, stacked as rows."""
     nu = 2.0 * np.pi * fftfreq(values.size, d=step)
-    # one batch-sized array throughout: the phases land in the imaginary
-    # part, cos and sin turn them into the ramps in place (faster than the
-    # complex exp), the product lands in the ramps (spectrum first: complex
-    # multiply is not bitwise commutative), and scipy's inverse FFT
-    # overwrites it
-    ramps = np.empty((shifts.size, values.size), dtype=complex)
-    np.multiply.outer(shifts, -nu, out=ramps.imag)
-    np.cos(ramps.imag, out=ramps.real)
-    np.sin(ramps.imag, out=ramps.imag)
+    ramps = -1j * np.multiply.outer(shifts, nu)
+    np.exp(ramps, out=ramps)
+    # one batch-sized array throughout: the product lands in the ramps
+    # (spectrum first: complex multiply is not bitwise commutative), and
+    # scipy's inverse FFT overwrites it
     return ifft(np.multiply(fft(values), ramps, out=ramps), overwrite_x=True)
 
 
-def _rolls(bases: np.ndarray, which: np.ndarray, whole: np.ndarray) -> np.ndarray:
-    """Row i is bases[which[i]] rolled by whole[i] cells: the window of the
-    doubled row that starts at -whole[i] mod n."""
-    n = bases.shape[1]
-    windows = sliding_window_view(np.concatenate([bases, bases], axis=1), n, axis=1)
+def _rolls(doubled: np.ndarray, which, whole: np.ndarray) -> np.ndarray:
+    """Row i is row which[i] of ``doubled`` (each translate twice over),
+    rolled by whole[i] cells: the window that starts at -whole[i] mod n."""
+    n = doubled.shape[1] // 2
+    windows = sliding_window_view(doubled, n, axis=1)
     return windows[which, np.mod(-whole, n).astype(np.intp)]
 
 

@@ -444,6 +444,19 @@ def test_batched_translate_holds_one_batch_and_a_half():
     assert _peak_bytes(lambda: probe.translated(shifts)) < 1.25 * _BATCH_BYTES
 
 
+@pytest.mark.parametrize("denominator, fft_rows", [(127, 127), (251, 512)])
+def test_translate_near_the_sharing_limit_holds_one_batch_and_a_half(
+        monkeypatch, denominator, fft_rows):
+    # a step of 165/denominator cells off the nodes gives that many
+    # fractions; 512 shifts share at most 127 translates, which take half
+    # a batch doubled beside the output, and 251 take the per-shift path
+    probe = gaussian_probe(Grid1D.regular(-20.0, 20.0, 2048))
+    shifts = -16.0 + 165.0 / denominator * probe.grid.step * np.arange(512)
+    rows = _count_shift_rows(monkeypatch, probe.grid.count)
+    assert _peak_bytes(lambda: probe.translated(shifts)) < 1.6 * _BATCH_BYTES
+    assert sum(rows) == fft_rows
+
+
 def test_translate_of_distinct_fractions_holds_two_batches():
     # every shift its own fraction: the ramps become the product and then
     # the inverse FFT in place

@@ -266,7 +266,7 @@ def _assert_rows_are_single_shifts(s, step, shifts):
 
 
 @given(n=_COMB_SIZES, start=st.floats(-20.0, 20.0),
-       q=st.integers(1, 7), p=st.integers(-21, 21), count=st.integers(1, 24))
+       q=st.integers(1, 7), p=st.integers(-21, 21), count=st.integers(1, 64))
 def test_rational_comb_rows_match_single_shifts(n, start, q, p, count):
     grid = Grid1D.regular(-20.0, 20.0, n)
     shifts = start + np.arange(count) * (p / q) * grid.step
@@ -296,9 +296,12 @@ def test_close_fractions_group_by_their_smallest_member():
     # neighbours 0.6e-12 cells apart chain across 1.8e-12 cells, farther
     # than the tolerance from the first; whole cells are group 0
     fraction = 0.3 + 0.6e-12 * np.array([3.0, 0.0, 2.0, 1.0])
-    group, fractions = _fraction_groups(np.append(fraction, [0.0, 4e-13, -0.2]))
+    fraction = np.append(fraction, [0.0, 4e-13, -0.2])
+    group, fractions = _fraction_groups(fraction, 3)
     np.testing.assert_array_equal(group, [3, 2, 3, 2, 0, 0, 1])
     np.testing.assert_array_equal(fractions, [-0.2, 0.3, 0.3 + 1.2e-12])
+    # more groups than allowed: no grouping
+    assert _fraction_groups(fraction, 2) is None
 
 
 # ---------------------------------------------------------------------------
