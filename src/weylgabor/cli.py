@@ -288,9 +288,9 @@ def _run_group_check(params: _Params, seed: int, outdir: Path) -> None:
     trials = params.intval("trials", 1000, minimum=1)
     params.finish()
     rng = np.random.default_rng(seed)
-    # (suite, coordinates per element, element from a row of coordinates in
-    # its own field order, law, matrix map).  Built per call, so the laws
-    # are read from the module's bindings when the run starts.
+    # (suite, coordinates per element, element from its coordinates in field
+    # order, law, matrix map), built per call so that the laws are read from
+    # the module's bindings at run time; a coordinate is a block of all trials.
     table = [("heisenberg_line_matrix", 3, lambda x: groups.WHElement(*x),
               groups.wh_compose, groups.wh_to_matrix)]
     table += [("polarized_rank%d_matrix" % n, 2 * n + 1,
@@ -304,13 +304,9 @@ def _run_group_check(params: _Params, seed: int, outdir: Path) -> None:
                   groups.unitriangular4_compose, groups.unitriangular4_to_matrix))
     suites = {}
     for name, k, element, compose, to_matrix in table:
-        law, left, right = [], [], []
-        for x1, x2 in rng.uniform(-3.0, 3.0, (trials, 2, k)).tolist():
-            g1, g2 = element(x1), element(x2)
-            law.append(to_matrix(compose(g1, g2)))
-            left.append(to_matrix(g1))
-            right.append(to_matrix(g2))
-        error = float(np.abs(np.array(law) - np.array(left) @ np.array(right)).max())
+        g1, g2 = map(element, rng.uniform(-3.0, 3.0, (trials, 2, k)).transpose(1, 2, 0))
+        law = to_matrix(compose(g1, g2))
+        error = float(np.abs(law - to_matrix(g1) @ to_matrix(g2)).max())
         suites[name] = {"max_error": error, "pass": bool(error < 1e-12)}
 
     field = groups.PrimeField(5)

@@ -17,7 +17,9 @@ Five flavors of the same nilpotent story:
 
 Group laws run in exact arithmetic when fed ints or Fractions (halving an
 odd int promotes that coordinate to Fraction); matrices are float arrays
-meant for numerical cross-checks.
+meant for numerical cross-checks.  Over the reals a coordinate may be a
+float64 array: the laws act elementwise and the matrix maps return stacks,
+one matrix per entry.  Integer and prime rings stay scalar and exact.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ class Ring:
 
     def coerce(self, value):
         """``value`` as a Python number of this ring; Z/p reduces it to its
-        representative in 0..p-1."""
-        if type(value) is float and self.modulus is None:
+        representative in 0..p-1.  The reals pass a float64 array, a block
+        of coordinates, through unchanged; any other array raises."""
+        if self.modulus is None and isinstance(value, np.ndarray) and value.dtype == np.float64:
             return value
         if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
             return int(value) % self.modulus if self.modulus else int(value)
@@ -133,15 +136,23 @@ def _half_dot(a, b):
     return _half(sum(x * y for x, y in zip(a, b)))
 
 
+def _unit_upper(size: int, entries: dict) -> np.ndarray:
+    """Unit upper-triangular size x size matrix with ``entries`` mapping 0-based
+    (row, column) slots to values; array values give a stack of matrices."""
+    m = np.tile(np.eye(size), np.broadcast_shapes(*map(np.shape, entries.values())) + (1, 1))
+    for (i, j), value in entries.items():
+        m[..., i, j] = value
+    return m
+
+
 def _heisenberg_matrix(a, b, corner) -> np.ndarray:
     """Block matrix [[1, a^T, corner], [0, I_n, b], [0, 0, 1]] of size n+2:
     the embedding of the rank-one, polarized and symplectic laws."""
     n = len(a)
-    m = np.eye(n + 2)
-    m[0, 1:n + 1] = a
-    m[1:n + 1, n + 1] = b
-    m[0, n + 1] = corner
-    return m
+    entries = {(0, n + 1): corner}
+    entries.update({(0, i): v for i, v in enumerate(a, 1)})
+    entries.update({(i, n + 1): v for i, v in enumerate(b, 1)})
+    return _unit_upper(n + 2, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +367,9 @@ def unitriangular4_to_matrix(g: Unitriangular4Element) -> np.ndarray:
     matrix(g1 * g2) == matrix(g1) @ matrix(g2)."""
     x1, x2, x3 = g.x
     y1, y2 = g.y
-    return np.array([
-        [1, x1, y1 + _half(x1 * x2), g.z + _half(x1 * y2 + x3 * y1 + x1 * x2 * x3)],
-        [0, 1, x2, y2 + _half(x2 * x3)],
-        [0, 0, 1, x3],
-        [0, 0, 0, 1],
-    ], dtype=float)
+    return _unit_upper(4, {(0, 1): x1, (1, 2): x2, (2, 3): x3,
+                           (0, 2): y1 + _half(x1 * x2), (1, 3): y2 + _half(x2 * x3),
+                           (0, 3): g.z + _half(x1 * y2 + x3 * y1 + x1 * x2 * x3)})
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +384,7 @@ def subdiagonal_embed(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a vector with at least one component")
-    n = x.size
-    m = np.eye(n + 1)
-    idx = np.arange(n)
-    m[idx, idx + 1] = x
-    return m
+    return _unit_upper(x.size + 1, {(i, i + 1): v for i, v in enumerate(x)})
 
 
 def matrix_unit(order: int, i: int, j: int) -> np.ndarray:

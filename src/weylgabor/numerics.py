@@ -242,19 +242,22 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     here).  A 1-D array of shifts returns one translate per entry, stacked
     as rows.
 
-    Each shift splits into whole cells and a fraction in [-1/2, 1/2], and
-    a whole-cell shift of the samples is an exact roll.  So one FFT phase
-    ramp translate serves every shift whose fraction lies within 1e-12
-    cells above the group's smallest fraction, and each row is a roll of
-    its group's translate, all gathered in one indexing step from the
-    translates held twice over; fractions within 1e-12 of 0 are rolls of
-    the samples themselves, with no FFT.  A comb whose step is p/q cells
-    costs at most q FFT rows plus copying, O(q*n*log(n) + n_shifts*n), and
-    a comb of whole cells, or a single whole-cell shift, no FFT at all.
-    Sharing is taken when the q + 1 doubled translates take at most half
-    the result (4*(q + 1) <= n_shifts), so beside the result it holds at
-    most half a batch.  Otherwise (an irrational comb, a single fractional
-    shift) each shift gets its own ramp, O(n_shifts*n*log(n)), and the
+    Each shift splits into whole cells and a fraction in [-1/2, 1/2), and
+    a whole-cell shift of the samples is an exact roll.  A fraction within
+    1e-12 below 1/2 is taken one cell on, just below -1/2, so that it joins
+    the fractions at -1/2.  So one FFT phase ramp translate serves every
+    shift whose fraction lies within 1e-12 cells above the group's smallest
+    fraction, and each row is a roll of its group's translate, all gathered
+    in one indexing step from the translates held twice over; fractions
+    within 1e-12 of 0 are rolls of the samples themselves, with no FFT.  A
+    comb whose step is p/q cells costs at most q FFT rows plus copying,
+    O(q*n*log(n) + n_shifts*n), and a comb of whole cells, or a single
+    whole-cell shift, no FFT at all.  Sharing is taken when the q + 1
+    doubled translates take at most half the result (4*(q + 1) <= n_shifts),
+    so beside the result it holds at most half a batch.  A single shift
+    always takes this path, so its phase ramp is that of its fraction and
+    its roundoff does not grow with the shift.  Otherwise (an irrational
+    comb) each shift gets its own ramp, O(n_shifts*n*log(n)), and the
     inverse FFT's batch is the result, with whole-cell rows overwritten by
     rolls.  Anything but 1-D samples and a scalar or 1-D array of finite
     shifts raises a ValueError.  The result is always a fresh array.
@@ -267,10 +270,11 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     n = values.size
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
     cells = shifts / step
-    whole = np.rint(cells)
+    whole = np.floor(cells + (0.5 + _CELL_TOLERANCE))
     fraction = cells - whole
-    # share while the doubled translates fit in half the result
-    groups = _fraction_groups(fraction, shifts.size // 4 - 1)
+    # share while the doubled translates fit in half the result, and
+    # always for a single shift
+    groups = _fraction_groups(fraction, shifts.size // 4 - 1 if shifts.size > 1 else 1)
     if groups is None:
         out = _ramped(values, step, shifts)
         still = np.abs(fraction) < _CELL_TOLERANCE

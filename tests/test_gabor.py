@@ -444,14 +444,18 @@ def test_batched_translate_holds_one_batch_and_a_half():
     assert _peak_bytes(lambda: probe.translated(shifts)) < 1.25 * _BATCH_BYTES
 
 
-@pytest.mark.parametrize("denominator, fft_rows", [(127, 127), (251, 512)])
+@pytest.mark.parametrize("start, denominator, fft_rows",
+                         [(-16.0, 127, 127), (-16.0, 251, 512), (-15.625, 128, 127)],
+                         ids=["127-127", "251-512", "128-127"])
 def test_translate_near_the_sharing_limit_holds_one_batch_and_a_half(
-        monkeypatch, denominator, fft_rows):
+        monkeypatch, start, denominator, fft_rows):
     # a step of 165/denominator cells off the nodes gives that many
     # fractions; 512 shifts share at most 127 translates, which take half
-    # a batch doubled beside the output, and 251 take the per-shift path
+    # a batch doubled beside the output, and 251 take the per-shift path.
+    # From a node (-15.625 is 800 cells) a step of 165/128 cells gives
+    # whole cells and 127 fractions, with +1/2 and -1/2 one translate.
     probe = gaussian_probe(Grid1D.regular(-20.0, 20.0, 2048))
-    shifts = -16.0 + 165.0 / denominator * probe.grid.step * np.arange(512)
+    shifts = start + 165.0 / denominator * probe.grid.step * np.arange(512)
     rows = _count_shift_rows(monkeypatch, probe.grid.count)
     assert _peak_bytes(lambda: probe.translated(shifts)) < 1.6 * _BATCH_BYTES
     assert sum(rows) == fft_rows

@@ -1,5 +1,6 @@
 """Group laws, matrix-product oracles, and the nilpotent filtration."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weylgabor.groups import (
     INTEGER,
@@ -355,6 +357,57 @@ def test_unitriangular4_shape_validation():
         Unitriangular4Element(0, (1,), (1, 2, 3))
     with pytest.raises(ValueError):
         Unitriangular4Element(0, (1, 2), (1, 2))
+
+
+# ---------------------------------------------------------------------------
+# coordinate blocks: one law call for many trials
+# ---------------------------------------------------------------------------
+
+# element from its coordinates in field order, law, matrix map, coordinates
+_REAL_LAWS = {
+    "rank_one": (lambda x: WHElement(*x), wh_compose, wh_to_matrix, 3),
+    "polarized_rank2": (lambda x: PolarizedElement(x[:2], x[2:4], x[4]),
+                        polarized_compose, polarized_to_matrix, 5),
+    "symplectic_dim4": (lambda x: SymplecticElement(x[0], x[1:]),
+                        symplectic_compose, symplectic_to_matrix, 5),
+    "unitriangular4": (lambda x: Unitriangular4Element(x[0], x[1:3], x[3:]),
+                       unitriangular4_compose, unitriangular4_to_matrix, 6),
+}
+
+
+def _coordinates(g):
+    """An element's coordinates in field order, vector fields spread."""
+    fields = [getattr(g, f.name) for f in dataclasses.fields(g) if f.name != "ring"]
+    return np.array([v for f in fields for v in (f if isinstance(f, tuple) else (f,))])
+
+
+@pytest.mark.parametrize("kind", sorted(_REAL_LAWS))
+@given(data=st.data())
+def test_block_law_and_matrix_equal_the_element_results_bit_for_bit(kind, data):
+    element, compose, to_matrix, k = _REAL_LAWS[kind]
+    trials = data.draw(st.integers(1, 64))
+    block = data.draw(arrays(np.float64, (trials, 2, k),
+                             elements=st.floats(-1e3, 1e3, width=64)))
+    g1, g2 = (element(x) for x in block.transpose(1, 2, 0))
+    law = compose(g1, g2)
+    singles = [compose(element(x1), element(x2)) for x1, x2 in block.tolist()]
+    np.testing.assert_array_equal(_coordinates(law).T,
+                                  [_coordinates(g) for g in singles])
+    np.testing.assert_array_equal(to_matrix(law), [to_matrix(g) for g in singles])
+    np.testing.assert_array_equal(to_matrix(g1),
+                                  [to_matrix(element(x)) for x in block[:, 0].tolist()])
+
+
+def test_only_the_reals_take_float64_blocks():
+    block = np.zeros(4)
+    assert REAL.coerce(block) is block
+    assert wh_to_matrix(WHElement(block, block, block)).shape == (4, 3, 3)
+    for ring in (INTEGER, PrimeField(5)):
+        with pytest.raises(TypeError):
+            WHElement(block, block, block, ring=ring)
+    for other in (np.zeros(4, dtype=np.float32), np.zeros(4, dtype=np.int64)):
+        with pytest.raises(TypeError):
+            REAL.coerce(other)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import iv
 
+from weylgabor import numerics
 from weylgabor.numerics import (
     EdgeEnergyWarning,
     Grid1D,
@@ -290,6 +292,44 @@ def test_whole_cell_comb_rows_are_exact_rolls(n, first, p, count):
     rows = spectral_shift(s, grid.step, cells * grid.step)
     for row, k in zip(rows, cells):
         np.testing.assert_array_equal(row, np.roll(s, k))
+
+
+def test_far_single_shift_keeps_the_roundoff_of_its_fraction():
+    # 2000.3 cells: the phase ramp is that of 0.3 cells and the 2000 whole
+    # cells are an exact roll, so the roundoff does not grow with the shift
+    grid = Grid1D.regular(-20.0, 20.0, 64)
+    cells = 2000.3
+
+    def harmonics(offset):
+        # sum_k exp(2 pi i k (t - offset) / 40), each phase reduced exactly
+        turns = [(Fraction(t) - offset) / 40 for t in grid.points]
+        return sum(np.exp(2j * np.pi * np.array([float(k * x % 1) for x in turns]))
+                   for k in (-31, -7, 3, 30))
+
+    s = harmonics(0)
+    exact = harmonics(Fraction(cells) * Fraction(grid.step))
+    out = spectral_shift(s, grid.step, cells * grid.step)
+    assert np.abs(out - exact).max() < 2e-14 * np.abs(s).max()
+
+
+def test_half_cells_and_the_top_of_the_cell_share_one_translate(monkeypatch):
+    # +1/2 is -1/2 a cell on, and so is a fraction just below +1/2: twelve
+    # shifts with the fractions 1/2 and 1/4 take two inverse-FFT rows
+    rows = []
+    original = numerics.ifft
+
+    def counting(x, *args, **kwargs):
+        rows.append(np.size(x) // 64)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "ifft", counting)
+    grid = Grid1D.regular(-16.0, 16.0, 64)
+    cells = np.array([0.5, 1.5, -0.5, -1.5, 2.5 - 4e-14, 3.5 + 4e-14,
+                      0.25, 1.25, -0.75, 3.0, 4.0, -2.0])
+    shifts = cells * grid.step
+    spectral_shift(_two_bumps(grid), grid.step, shifts)
+    assert rows == [2]
+    _assert_rows_are_single_shifts(_two_bumps(grid), grid.step, shifts)
 
 
 def test_close_fractions_group_by_their_smallest_member():

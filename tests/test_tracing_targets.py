@@ -100,7 +100,8 @@ def test_group_check_reaches_the_traced_group_bindings(tracing, tmp_path,
     cfg.write_text('{"parameters": {"trials": %d}}' % trials)
     assert cli.main(["group-check", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
-    # seven matrix suites: one law and three matrices per trial; the Z_5
-    # suite composes 18 x 12 pairs for closure and 125 inverses
-    assert calls == {"groups.compose": 7 * trials + 18 * 12 + 125,
-                     "groups.to_matrix": 3 * 7 * trials}
+    # seven matrix suites, each one law call and three matrix-map calls on
+    # a block of all trials, whatever their number; the Z_5 suite composes
+    # 18 x 12 pairs for closure and 125 inverses
+    assert calls == {"groups.compose": 7 + 18 * 12 + 125,
+                     "groups.to_matrix": 3 * 7}
