@@ -29,8 +29,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft
-from scipy.special import ive
+from numpy.fft import fft
 
 from .gabor import SampledSignal, _analyze, _synthesize, displace
 from .numerics import Grid1D, bessel_i, edge_mass_share, spectral_shift
@@ -165,6 +164,8 @@ def reproducing_kernel(lam: float, m: int, theta, mprime: int, thetaprime):
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    from scipy.special import ive  # on first use: scipy is slow to import
+
     theta = np.asarray(theta, dtype=float)
     thetaprime = np.asarray(thetaprime, dtype=float)
     x = 2.0 * lam * np.cos((theta - thetaprime) / 2.0)

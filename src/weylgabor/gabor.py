@@ -34,7 +34,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft
+from numpy.fft import fft
 
 from .numerics import (
     Grid1D,

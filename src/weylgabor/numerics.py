@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft, fftfreq, ifft, irfftn, next_fast_len, rfftn
-from scipy.special import iv
+from numpy.fft import fft, fftfreq, ifft, irfftn, rfftn
 
 __all__ = [
     "EdgeEnergyWarning",
@@ -173,6 +172,8 @@ def bessel_i(order: int, x: float) -> float:
     x = float(x)
     if x < 0.0:
         raise ValueError("x must be non-negative; use I_n(-x) = (-1)^n I_n(x)")
+    from scipy.special import iv  # on first use: scipy is slow to import
+
     return float(iv(n, x) if x > 1e-300 else (x / 2.0) ** n / math.factorial(n))
 
 
@@ -318,8 +319,8 @@ def _ramped(values: np.ndarray, step: float, shifts: np.ndarray) -> np.ndarray:
     np.exp(ramps, out=ramps)
     # one batch-sized array throughout: the product lands in the ramps
     # (spectrum first: complex multiply is not bitwise commutative), and
-    # scipy's inverse FFT overwrites it
-    return ifft(np.multiply(fft(values), ramps, out=ramps), overwrite_x=True)
+    # the inverse FFT writes its result back into them
+    return ifft(np.multiply(fft(values), ramps, out=ramps), out=ramps)
 
 
 def _rolls(doubled: np.ndarray, which, whole: np.ndarray) -> np.ndarray:
@@ -349,6 +350,25 @@ def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarra
     return out
 
 
+def _next_fast_len(target: int, real: bool = False) -> int:
+    """Smallest length >= target that pocketfft transforms fastest: one with
+    no prime factor above 11, or above 5 for a real transform (the lengths
+    scipy.fft.next_fast_len gives).  Each odd smooth part below the best
+    length so far is doubled up to the target."""
+    best = 1 << max(target - 1, 0).bit_length()
+    odd = [1]
+    for prime in (3, 5) if real else (3, 5, 7, 11):
+        for part in list(odd):
+            part *= prime
+            while part < best:
+                odd.append(part)
+                part *= prime
+    for part in odd:
+        doubled = part << max(-(-target // part) - 1, 0).bit_length()
+        best = min(best, doubled)
+    return best
+
+
 def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
             axis: int = -1) -> np.ndarray:
     """Fourier sums between two uniform combs, along ``axis``:
@@ -362,7 +382,7 @@ def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
     Bluestein's chirp-z transform: kj = (k^2 + j^2 - (k - j)^2)/2 splits
     the kernel into a pre-chirp on j, a post-chirp on k and a chirp in the
     lag k - j, so the sum is one FFT convolution of length
-    next_fast_len(n + n_f - 1), O((n + n_f) log(n + n_f)) per line instead
+    _next_fast_len(n + n_f - 1), O((n + n_f) log(n + n_f)) per line instead
     of the n*n_f of a dense table.  The indices j and k are counted from the
     middle of each comb, which keeps the linear phases small, and each
     quadratic phase is exponentiated from an exact product, so the three
@@ -385,18 +405,19 @@ def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
     rate = 0.5 * sign * df * dx
     j = np.arange(n) - mid_j
     k = np.arange(n_f) - mid_k
-    size = next_fast_len(n + n_f - 1)
+    size = _next_fast_len(n + n_f - 1)
     # buffer position r holds the lag k - j = r, or r - size past the comb
     lag = np.arange(size)
     lag[n_f:] -= size
     lag -= mid_k - mid_j
-    chirp = fft(_square_chirp(-rate, lag), overwrite_x=True)
+    chirp = _square_chirp(-rate, lag)
+    fft(chirp, out=chirp)
     work = np.zeros(moved.shape[:-1] + (size,), dtype=complex)
     pre = np.exp(1j * sign * f_mid * dx * j) * _square_chirp(rate, j)
     np.multiply(moved, pre, out=work[..., :n])
-    spectrum = fft(work, overwrite_x=True)
-    spectrum *= chirp
-    out = ifft(spectrum, overwrite_x=True)[..., :n_f]
+    fft(work, out=work)
+    work *= chirp
+    out = ifft(work, out=work)[..., :n_f]
     out *= np.exp(1j * sign * (f_mid * x_mid + df * x_mid * k)) * _square_chirp(rate, k)
     return np.moveaxis(out, -1, axis)
 
@@ -417,10 +438,15 @@ def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid) -> np.ndar
     """Phase-space convolution (f * g)(x) = sum f(x') g(x - x') dM on the grid,
     with the cell measure dM = d(omega) d(b) / (2*pi).
 
-    Uses a zero-padded FFT convolution, then restricts the full output back
-    to the input lattice.  Both axes must contain 0 on a lattice point so
-    the restriction is exact; both inputs should decay at the boundary
-    (checked, warning only), since mass pushed beyond the lattice is lost.
+    Uses a zero-padded FFT convolution and keeps the n x n window of the
+    full (2n - 1) x (2n - 1) result that starts at the origin index s of
+    each axis.  That window is free of wrap-around for any circular length
+    P >= max(2n - 1 - s, n + s), so each axis is padded only to the next
+    fast length of that bound: about 1.5n for a centred origin, the full
+    2n - 1 for an origin at either end.  Both axes must contain 0 on a
+    lattice point so the restriction is exact; both inputs should decay at
+    the boundary (checked, warning only), since mass pushed beyond the
+    lattice is lost.
     """
     f = np.asarray(f)
     g = np.asarray(g)
@@ -432,8 +458,11 @@ def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid) -> np.ndar
     s0 = grid.omega_axis.origin_index()
     s1 = grid.b_axis.origin_index()
     n0, n1 = grid.shape
-    fshape = [next_fast_len(2 * n - 1, real=True) for n in grid.shape]
-    full = irfftn(rfftn(f, fshape) * rfftn(g, fshape), fshape)
+    fshape = [_next_fast_len(max(2 * n - 1 - s, n + s), real=True)
+              for n, s in ((n0, s0), (n1, s1))]
+    spectrum = rfftn(f, fshape, axes=(0, 1))
+    spectrum *= rfftn(g, fshape, axes=(0, 1))
+    full = irfftn(spectrum, fshape, axes=(0, 1))
     return grid.cell_measure * full[s0:s0 + n0, s1:s1 + n1]
 
 

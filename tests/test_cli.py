@@ -698,6 +698,17 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # FFTs come from numpy.fft; scipy.special is imported on the first
+    # Bessel value
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weylgabor.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_import_runs_no_refine_design_svd():
     proc = subprocess.run(
         [sys.executable, "-c",

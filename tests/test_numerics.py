@@ -25,7 +25,7 @@ from weylgabor.numerics import (
     periodic_trapezoid,
     spectral_shift,
 )
-from weylgabor.numerics import _fraction_groups, _refine_design
+from weylgabor.numerics import _fraction_groups, _next_fast_len, _refine_design
 
 # frozen once from the ascending power series sum_k (x/2)^(2k) / (k!)^2
 I0_AT_2 = 2.279585302336067
@@ -374,6 +374,16 @@ def test_chirp_z_matches_the_dense_table(counts, sign, axis, seed, n, x0, dx, f0
     assert np.all(np.abs(fast - dense) <= 1e-12 * np.abs(values).sum(axis=0))
 
 
+def test_next_fast_len_matches_scipy():
+    # the package picks its FFT lengths without importing scipy.fft
+    from scipy.fft import next_fast_len
+
+    targets = range(1, 10001)
+    for real in (False, True):
+        assert ([_next_fast_len(t, real) for t in targets]
+                == [next_fast_len(t, real) for t in targets])
+
+
 def test_chirp_z_rejects_mismatched_input():
     values = np.ones((4, 6))
     with pytest.raises(ValueError, match="values hold 6 samples"):
@@ -452,6 +462,31 @@ def test_convolve_commutes():
     fg = grid_convolve(f, g, grid)
     gf = grid_convolve(g, f, grid)
     assert np.abs(fg - gf).max() < 1e-12
+
+
+_ORIGINS = {"first": lambda n: 0, "last": lambda n: n - 1,
+            "middle": lambda n: n // 2, "off-centre": lambda n: n // 4}
+
+
+@pytest.mark.parametrize("origin", sorted(_ORIGINS))
+@pytest.mark.parametrize("n", [7, 8])
+def test_convolve_matches_the_direct_double_sum(n, origin):
+    # the padding is trimmed to the window kept around the origin: an
+    # origin at either end needs the full 2n - 1, one in the middle 1.5n
+    axes = [Grid1D(-_ORIGINS[origin](count) * 0.25, 0.25, count) for count in (n, n + 3)]
+    grid = PhaseSpaceGrid(*axes)
+    rng = np.random.default_rng(n)
+    f, g = rng.random(grid.shape), rng.random(grid.shape)
+    (n0, n1), s0, s1 = grid.shape, axes[0].origin_index(), axes[1].origin_index()
+    full = np.zeros((2 * n0 - 1, 2 * n1 - 1))
+    for i in range(n0):
+        for j in range(n1):
+            full[i:i + n0, j:j + n1] += f[i, j] * g
+    direct = grid.cell_measure * full[s0:s0 + n0, s1:s1 + n1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EdgeEnergyWarning)
+        out = grid_convolve(f, g, grid)
+    assert np.abs(out - direct).max() < 1e-13 * direct.max()
 
 
 def test_convolve_warns_on_leaky_edges():
