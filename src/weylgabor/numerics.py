@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.fft import fft, fftfreq, ifft, irfftn, rfftn
 
 __all__ = [
@@ -246,22 +245,21 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     Each shift splits into whole cells and a fraction in [-1/2, 1/2), and
     a whole-cell shift of the samples is an exact roll.  A fraction within
     1e-12 below 1/2 is taken one cell on, just below -1/2, so that it joins
-    the fractions at -1/2.  So one FFT phase ramp translate serves every
-    shift whose fraction lies within 1e-12 cells above the group's smallest
-    fraction, and each row is a roll of its group's translate, all gathered
-    in one indexing step from the translates held twice over; fractions
-    within 1e-12 of 0 are rolls of the samples themselves, with no FFT.  A
-    comb whose step is p/q cells costs at most q FFT rows plus copying,
-    O(q*n*log(n) + n_shifts*n), and a comb of whole cells, or a single
-    whole-cell shift, no FFT at all.  Sharing is taken when the q + 1
-    doubled translates take at most half the result (4*(q + 1) <= n_shifts),
-    so beside the result it holds at most half a batch.  A single shift
-    always takes this path, so its phase ramp is that of its fraction and
-    its roundoff does not grow with the shift.  Otherwise (an irrational
-    comb) each shift gets its own ramp, O(n_shifts*n*log(n)), and the
-    inverse FFT's batch is the result, with whole-cell rows overwritten by
-    rolls.  Anything but 1-D samples and a scalar or 1-D array of finite
-    shifts raises a ValueError.  The result is always a fresh array.
+    the fractions at -1/2.  Every shift whose fraction lies within 1e-12
+    cells above a group's smallest fraction shares that fraction's FFT
+    phase ramp translate, and each row is copied out of its group's
+    translate, held twice over, as a roll by its whole cells; fractions
+    within 1e-12 of 0 are rolls of the samples themselves.  So the inverse
+    FFT runs one row per distinct fraction, and the forward FFT once if any
+    fraction needs it: a comb whose step is p/q cells costs at most q FFT
+    rows plus copying, O(q*n*log(n) + n_shifts*n), and a comb of whole
+    cells, or a single whole-cell shift, no FFT at all.  Beside the result
+    the work holds one translate twice over and its ramp.  A single shift
+    is its fraction's translate rolled, so its roundoff does not grow with
+    the shift, and a row whose fraction is its group's (every row, when
+    the fractions are distinct) is that single shift bit for bit.
+    Anything but 1-D samples and a scalar or 1-D array of finite shifts
+    raises a ValueError.  The result is always a fresh array.
     """
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or np.ndim(shift) > 1:
@@ -272,63 +270,43 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
     cells = shifts / step
     whole = np.floor(cells + (0.5 + _CELL_TOLERANCE))
-    fraction = cells - whole
-    # share while the doubled translates fit in half the result, and
-    # always for a single shift
-    groups = _fraction_groups(fraction, shifts.size // 4 - 1 if shifts.size > 1 else 1)
-    if groups is None:
-        out = _ramped(values, step, shifts)
-        still = np.abs(fraction) < _CELL_TOLERANCE
-        if still.any():
-            out[still] = _rolls(np.tile(values, (1, 2)), 0, whole[still])
-    else:
-        group, fractions = groups
-        doubled = np.empty((fractions.size + 1, 2 * n), dtype=complex)
-        doubled[0, :n] = values
-        if fractions.size:
-            doubled[1:, :n] = _ramped(values, step, fractions * step)
-        doubled[:, n:] = doubled[:, :n]
-        out = _rolls(doubled, group, whole)
+    starts = np.mod(-whole, n).astype(np.intp).tolist()
+    groups = _fraction_groups(cells - whole)
+    # the forward FFT only when some group moves
+    spectrum = fft(values) if len(groups) > 1 else None
+    nu = 2.0 * np.pi * fftfreq(n, d=step)
+    out = np.empty((shifts.size, n), dtype=complex)
+    doubled = np.empty(2 * n, dtype=complex)
+    for fraction, members in groups:
+        if fraction:
+            ramp = -1j * (fraction * step * nu)
+            np.exp(ramp, out=ramp)
+            # spectrum first: complex multiply is not bitwise commutative
+            ifft(np.multiply(spectrum, ramp, out=ramp), out=doubled[:n])
+        else:
+            doubled[:n] = values
+        doubled[n:] = doubled[:n]
+        # row i rolled by k cells is the window that starts at -k mod n
+        for i in members:
+            out[i] = doubled[starts[i]:starts[i] + n]
     return out if np.ndim(shift) else out[0]
 
 
-def _fraction_groups(fraction: np.ndarray, most: int):
-    """Group of each fraction of a cell, 0 for those within the tolerance
-    of 0, and the fractions of groups 1, 2, ...; None as soon as there
-    would be more than ``most`` groups besides 0.  Groups are formed on the
-    sorted fractions, and each holds those within the tolerance above its
-    smallest member, which is the group's fraction."""
-    moving = np.flatnonzero(np.abs(fraction) >= _CELL_TOLERANCE)
-    order = moving[np.argsort(fraction[moving])]
+def _fraction_groups(fraction: np.ndarray) -> list:
+    """(fraction, member indices) of each group of fractions of a cell: the
+    group of 0 first, of those within the tolerance of 0 (it may be empty),
+    then groups formed on the sorted fractions, each of those within the
+    tolerance above its smallest member, which is the group's fraction."""
+    moving = np.abs(fraction) >= _CELL_TOLERANCE
+    order = np.flatnonzero(moving)
+    order = order[np.argsort(fraction[order])].tolist()
     ordered = fraction[order].tolist()
-    head, heads = 0, []
+    groups, head = [(0.0, np.flatnonzero(~moving).tolist())], 0
     while head < len(ordered):
-        if len(heads) >= most:
-            return None
-        heads.append(head)
-        head = bisect.bisect_right(ordered, ordered[head] + _CELL_TOLERANCE, head)
-    group = np.zeros(fraction.size, dtype=np.intp)
-    group[order] = np.searchsorted(heads, np.arange(len(ordered)), side="right")
-    return group, fraction[order[heads]]
-
-
-def _ramped(values: np.ndarray, step: float, shifts: np.ndarray) -> np.ndarray:
-    """One FFT phase-ramp translate per shift, stacked as rows."""
-    nu = 2.0 * np.pi * fftfreq(values.size, d=step)
-    ramps = -1j * np.multiply.outer(shifts, nu)
-    np.exp(ramps, out=ramps)
-    # one batch-sized array throughout: the product lands in the ramps
-    # (spectrum first: complex multiply is not bitwise commutative), and
-    # the inverse FFT writes its result back into them
-    return ifft(np.multiply(fft(values), ramps, out=ramps), out=ramps)
-
-
-def _rolls(doubled: np.ndarray, which, whole: np.ndarray) -> np.ndarray:
-    """Row i is row which[i] of ``doubled`` (each translate twice over),
-    rolled by whole[i] cells: the window that starts at -whole[i] mod n."""
-    n = doubled.shape[1] // 2
-    windows = sliding_window_view(doubled, n, axis=1)
-    return windows[which, np.mod(-whole, n).astype(np.intp)]
+        end = bisect.bisect_right(ordered, ordered[head] + _CELL_TOLERANCE, head)
+        groups.append((ordered[head], order[head:end]))
+        head = end
+    return groups
 
 
 def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarray:

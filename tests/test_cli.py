@@ -13,8 +13,8 @@ import pytest
 from weylgabor import cli, csvtext, gabor, groups
 from weylgabor.numerics import Grid1D, PhaseSpaceGrid
 from weylgabor.gabor import gaussian_probe
-from weylgabor.quantize import (OperatorKernel, gaussian_distribution, portrait,
-                                quantize_to_kernel)
+from weylgabor.quantize import (BandCoverageWarning, OperatorKernel,
+                                gaussian_distribution, portrait, quantize_to_kernel)
 from weylgabor.stellar import pentagon_zeros, stellar_distribution
 
 EXPECTED_SUITES = {
@@ -270,7 +270,8 @@ def test_kernel_csv_bytes_are_the_four_column_format(tmp_path):
     tgrid = Grid1D.regular(-7.0, 7.0, 31)
     w = gaussian_distribution(PhaseSpaceGrid.square(-6.0, 6.0, 32),
                               center=(0.7, -0.4)).normalized()
-    entries = quantize_to_kernel(w, gaussian_probe(tgrid, 1.0)).entries
+    with pytest.warns(BandCoverageWarning):
+        entries = quantize_to_kernel(w, gaussian_probe(tgrid, 1.0)).entries
     t = tgrid.points
     expected = "# t_i,t_j,re,im\n" + "".join(
         "%.17g,%.17g,%.17g,%.17g\n" % (t[i], t[j], entries[i, j].real,

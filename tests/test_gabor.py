@@ -1,6 +1,7 @@
 """Windowed-Fourier analysis on the line: transform, reconstruction,
 displacement covariance, and dispersion diagnostics."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -444,29 +445,23 @@ def test_batched_translate_holds_one_batch_and_a_half():
     assert _peak_bytes(lambda: probe.translated(shifts)) < 1.25 * _BATCH_BYTES
 
 
-@pytest.mark.parametrize("start, denominator, fft_rows",
-                         [(-16.0, 127, 127), (-16.0, 251, 512), (-15.625, 128, 127)],
-                         ids=["127-127", "251-512", "128-127"])
-def test_translate_near_the_sharing_limit_holds_one_batch_and_a_half(
-        monkeypatch, start, denominator, fft_rows):
-    # a step of 165/denominator cells off the nodes gives that many
-    # fractions; 512 shifts share at most 127 translates, which take half
-    # a batch doubled beside the output, and 251 take the per-shift path.
-    # From a node (-15.625 is 800 cells) a step of 165/128 cells gives
-    # whole cells and 127 fractions, with +1/2 and -1/2 one translate.
+@pytest.mark.parametrize("start, cells, fft_rows",
+                         [(-16.0, 165.0 / 127, 127), (-16.0, 165.0 / 251, 251),
+                          (-15.625, 165.0 / 128, 127),
+                          (-16.0, 3.2 * math.sqrt(2.0), 512)],
+                         ids=["127-127", "251-251", "128-127", "distinct-512"])
+def test_comb_translate_makes_one_fft_row_per_fraction_in_one_batch(
+        monkeypatch, start, cells, fft_rows):
+    # a step of 165/q cells off the nodes gives q fractions, and one of
+    # sqrt(2)*3.2 cells a distinct fraction per shift.  From a node (-15.625
+    # is 800 cells) a step of 165/128 cells gives whole cells and 127
+    # fractions, with +1/2 and -1/2 one translate.  Beside the output
+    # batch the work holds one translate twice over.
     probe = gaussian_probe(Grid1D.regular(-20.0, 20.0, 2048))
-    shifts = start + 165.0 / denominator * probe.grid.step * np.arange(512)
+    shifts = start + cells * probe.grid.step * np.arange(512)
     rows = _count_shift_rows(monkeypatch, probe.grid.count)
-    assert _peak_bytes(lambda: probe.translated(shifts)) < 1.6 * _BATCH_BYTES
+    assert _peak_bytes(lambda: probe.translated(shifts)) < 1.25 * _BATCH_BYTES
     assert sum(rows) == fft_rows
-
-
-def test_translate_of_distinct_fractions_holds_two_batches():
-    # every shift its own fraction: the ramps become the product and then
-    # the inverse FFT in place
-    probe = gaussian_probe(Grid1D.regular(-20.0, 20.0, 2048))
-    shifts = -16.0 + np.sqrt(2.0) / 16.0 * np.arange(512)
-    assert _peak_bytes(lambda: probe.translated(shifts)) < 2.1 * _BATCH_BYTES
 
 
 def test_transform_peak_memory_stays_below_three_batches():
