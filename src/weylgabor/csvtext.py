@@ -2,9 +2,11 @@
 
 Every CSV artifact of the command line is a block of float64 values in
 which each line reads ``",".join("%.17g" % v for v in line) + "\\n"``.
-The writers here produce exactly those bytes with numpy, a few thousand
-values at a time, and stream each chunk to the file, so the whole text is
-never held in memory.
+The writers here produce exactly those bytes with numpy and stream them
+to the file one block at a time, so the whole text is never held in
+memory.  A block of ``write_rows`` holds a few thousand values; one of
+``write_pair_rows`` holds whole rows i of the pair block, as many as fit
+in that many values, and at least one.
 
 Digits.  For a finite |x| in [1e-280, 1e280] let k = floor(log10|x|),
 corrected by one either way so that q = |x|*10^(16-k) lies in
@@ -57,7 +59,7 @@ _WIDTH = len(_TEXT) + 1
 # layout classes of the exponent X: fixed X = -4..16, then e-notation
 # with two and with three exponent digits
 _N_LAYOUT = 23
-_CHUNK = 2048  # fields formatted and written per chunk
+_CHUNK = 2048  # fields per block; a pair block is at least one whole row
 
 
 class _Tables(NamedTuple):
@@ -226,12 +228,12 @@ def _fallback_text(value) -> np.ndarray:
     return np.frombuffer(b"%.17g" % value, dtype=np.uint8)
 
 
-def _lines(n_lines: int, n_fields: int):
-    """Reusable text and keep buffers for n_lines lines of n_fields
-    fields, with the separators in place."""
-    buf = np.empty((n_lines, n_fields, _WIDTH), dtype=np.uint8)
-    buf[:, :, -1] = ord(",")
-    buf[:, -1, -1] = ord("\n")
+def _lines(*shape):
+    """Reusable text and keep buffers for lines of shape[-1] fields, laid
+    out over shape, with the separators in place."""
+    buf = np.empty(shape + (_WIDTH,), dtype=np.uint8)
+    buf[..., -1] = ord(",")
+    buf[..., -1, -1] = ord("\n")
     return buf, np.empty(buf.shape, dtype=bool)
 
 
@@ -256,23 +258,25 @@ def write_rows(fh, values) -> None:
 def write_pair_rows(fh, axis, values) -> None:
     """Write one line per pair (i, j), i major, to the binary file fh:
     ``axis[i], axis[j], values[i, j, 0], ..., values[i, j, c - 1]``, all
-    as ``%.17g``, for an (n, n, c) float block.  The axis is formatted
-    once and its text gathered per line."""
+    as ``%.17g``, for an (n, n, c) float block.  A block of whole rows i
+    is formatted at a time, in a buffer laid out as (rows, n, 2 + c,
+    _WIDTH).  The axis is formatted once, its text laid into the t_j field
+    of every buffered row once, and per block only the t_i field is
+    broadcast along the row."""
     axis = np.asarray(axis, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     n, _, c = values.shape
-    flat = values.reshape(-1)
     axis_buf = np.empty((n, _WIDTH), dtype=np.uint8)
     axis_keep = np.empty((n, _WIDTH), dtype=bool)
     _format(axis, axis_buf, axis_keep)
-    step = max(1, _CHUNK // (2 + c))
-    buf, keep = _lines(min(step, n * n), 2 + c)
-    for start in range(0, n * n, step):
-        i, j = np.divmod(np.arange(start, min(start + step, n * n)), n)
-        m = len(i)
-        for field, index in ((0, i), (1, j)):
-            buf[:m, field, :-1] = axis_buf[index, :-1]
-            keep[:m, field] = axis_keep[index]
-        _format(flat[start * c:(start + m) * c].reshape(m, c),
-                buf[:m, 2:], keep[:m, 2:])
+    step = max(1, _CHUNK // (n * (2 + c)))
+    buf, keep = _lines(min(step, n), n, 2 + c)
+    buf[:, :, 1, :-1] = axis_buf[:, :-1]
+    keep[:, :, 1] = axis_keep
+    for start in range(0, n, step):
+        rows = values[start:start + step]
+        m = len(rows)
+        buf[:m, :, 0, :-1] = axis_buf[start:start + m, None, :-1]
+        keep[:m, :, 0] = axis_keep[start:start + m, None]
+        _format(rows, buf[:m, :, 2:], keep[:m, :, 2:])
         _emit(fh, buf[:m], keep[:m])

@@ -216,10 +216,15 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     w is real, so w_p(-xi) = conj w_p(xi) and the kernel is Hermitian: only
     the lags t' - t = L*dt for L = 0..n_t-1 are transformed (one dense
     transform over the omega-axis), and the L-th upper diagonal is one
-    product of w_p(L*dt, b) with the stacked probe overlaps
-    psi(t_i - b) conj(psi(t_i + L*dt - b)) over the b-nodes.  The lower
-    triangle is its conjugate.  Trace equals mass(w) exactly and the kernel
-    is positive semidefinite up to roundoff by construction.
+    product of the probe overlaps psi(t_i - b) conj(psi(t_i + L*dt - b))
+    with w_p(L*dt, b) over the b-nodes.  The translated probes are held
+    time-major, one contiguous (n_t, n_b) block and its conjugate, so the
+    overlaps of lag L are the product of two contiguous row ranges, formed
+    in one (n_t, n_b) buffer reused for every lag; with w_p that makes four
+    (n_t, n_b) blocks beside the kernel.  The lower triangle is the
+    conjugate of the upper, and the diagonal, |psi|^2 summed against real
+    weights, is set exactly real.  Trace equals mass(w) exactly and the
+    kernel is positive semidefinite up to roundoff by construction.
     """
     _require_unit_mass(w, "quantize_to_kernel")
     _require_unit_norm(psi_a)
@@ -229,17 +234,23 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     d_om = w.grid.omega_axis.step
     d_b = w.grid.b_axis.step
     lags = tgrid.step * np.arange(n_t)
-    fourier = np.exp(-1j * np.outer(lags, w.grid.omega_axis.points))
-    w_partial = (d_om / _SQRT_2PI) * (fourier @ w.values)   # (n_t, n_b)
-    shifted = psi_a.translated(w.grid.b_axis.points)        # (n_b, n_t)
+    omegas = w.grid.omega_axis.points
+    w_partial = np.exp(-1j * np.outer(lags, omegas)) @ w.values  # (n_t, n_b)
+    w_partial *= d_om / _SQRT_2PI
+    shifted = np.ascontiguousarray(
+        psi_a.translated(w.grid.b_axis.points).T)           # (n_t, n_b)
     conj_shifted = np.conj(shifted)
+    overlaps = np.empty_like(shifted)
     entries = np.empty((n_t, n_t), dtype=complex)
     flat = entries.reshape(-1)
     for lag in range(n_t):
         m = n_t - lag
-        diag = w_partial[lag] @ (shifted[:, :m] * conj_shifted[:, lag:])
+        product = overlaps[:m]
+        np.multiply(shifted[:m], conj_shifted[lag:], out=product)
+        diag = product @ w_partial[lag]
         flat[lag:m * (n_t + 1):n_t + 1] = diag     # entries[i, i + lag]
         flat[lag * n_t::n_t + 1] = np.conj(diag)   # entries[i + lag, i]
+    flat[::n_t + 1].imag = 0.0
     entries *= d_b / _SQRT_2PI
     return OperatorKernel(tgrid, entries)
 

@@ -116,3 +116,26 @@ def test_pair_rows_gather_the_axis_text():
                                                      *values[i, j])
                        for i in range(5) for j in range(5))
     assert fh.getvalue() == expected.encode()
+
+
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("rows_per_block", [3, 1])
+def test_pair_rows_across_block_edges(monkeypatch, c, rows_per_block):
+    # 7 rows in blocks of 3 end on a short block of 1; a chunk of 4 fields
+    # is narrower than one row, so each row is a block of its own
+    n = 7
+    monkeypatch.setattr(csvtext, "_CHUNK",
+                        3 * n * (2 + c) if rows_per_block == 3 else 4)
+    rng = np.random.default_rng(11 + c)
+    axis = np.linspace(-3.0, 3.0, n)
+    axis[[0, 3, -1]] = (5e-324, 1e15 + 0.25, -5e-324)
+    values = rng.standard_normal((n, n, c))
+    # fallback values where blocks of 3 rows, and of 1, begin and end
+    values[0, 0, 0] = values[2, -1, -1] = 5e-324
+    values[3, 0, 0] = values[-1, -1, -1] = 1e15 + 0.25
+    fh = io.BytesIO()
+    csvtext.write_pair_rows(fh, axis, values)
+    expected = "".join(",".join("%.17g" % v for v in (axis[i], axis[j],
+                                                       *values[i, j])) + "\n"
+                       for i in range(n) for j in range(n))
+    assert fh.getvalue() == expected.encode()
