@@ -8,7 +8,9 @@ one calling convention:
 The optional config is a single JSON document with at most the keys
 "command" (must match the subcommand when present), "seed" (integer, used
 by the randomized group suites), and "parameters" (a flat object of
-subcommand-specific settings; unknown keys are rejected).
+subcommand-specific settings).  A key the chosen input does not read,
+such as a with w='gaussian' or n_time with signal_csv, is refused with
+the input named, before any input file is opened.
 
 Every run writes its outputs plus a manifest.json into a temporary
 directory that is renamed to --out at the end, so a run either completes
@@ -110,14 +112,6 @@ def _load_config(path, command: str):
     return seed, params
 
 
-def _one_source(key: str, name, file_key: str, path, default):
-    """An input comes by name or from a file, never both; with neither,
-    ``default`` names it.  Returns the name to use (None for a file)."""
-    if name is not None and path is not None:
-        raise ValidationFailure("give only one of %r or %r" % (key, file_key))
-    return default if name is None and path is None else name
-
-
 def _probe(grid: Grid1D, width: float):
     """The Gaussian probe; a time grid too short or too coarse to hold it
     is bad input."""
@@ -134,11 +128,8 @@ class _Params:
     def __init__(self, raw: dict):
         self._raw = dict(raw)
 
-    def _pop(self, key, default):
-        return self._raw.pop(key, default)
-
     def floatval(self, key, default):
-        value = self._pop(key, default)
+        value = self._raw.pop(key, default)
         # json reads NaN and Infinity as floats; NaN fails the comparison
         if (isinstance(value, bool) or not isinstance(value, (int, float))
                 or not abs(value) <= sys.float_info.max):
@@ -146,7 +137,7 @@ class _Params:
         return float(value)
 
     def intval(self, key, default, minimum=None):
-        value = self._pop(key, default)
+        value = self._raw.pop(key, default)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValidationFailure("parameter %r must be an integer" % key)
         if abs(value) > np.iinfo(np.int64).max:
@@ -172,20 +163,31 @@ class _Params:
         return lo, hi
 
     def strval(self, key, default):
-        value = self._pop(key, default)
+        value = self._raw.pop(key, default)
         if value is not None and not isinstance(value, str):
             raise ValidationFailure("parameter %r must be a string" % key)
         return value
+
+    def source(self, key, file_key, default):
+        """An input comes by name (``key``) or from a file (``file_key``),
+        never both; with neither, ``default`` names it.  Returns the name
+        (None for a file) and the path."""
+        name, path = self.strval(key, None), self.strval(file_key, None)
+        if name is not None and path is not None:
+            raise ValidationFailure("give only one of %r or %r" % (key, file_key))
+        return (default if name is None and path is None else name), path
 
     def optional_int(self, key, minimum=None):
         if key not in self._raw:
             return None
         return self.intval(key, None, minimum=minimum)
 
-    def finish(self):
+    def finish(self, source=None):
+        """Refuse the keys nobody read, naming the input they came with."""
         if self._raw:
-            raise ValidationFailure(
-                "unknown parameter(s): %s" % ", ".join(sorted(self._raw)))
+            raise ValidationFailure("unknown parameter(s)%s: %s" % (
+                "" if source is None else " with " + source,
+                ", ".join(sorted(self._raw))))
 
 
 # ---------------------------------------------------------------------------
@@ -364,28 +366,25 @@ def _energy_report(signal, coeffs, recon) -> dict:
 
 
 def _run_gabor(params: _Params, seed: int, outdir: Path) -> None:
-    name = params.strval("signal", None)
-    csv_path = params.strval("signal_csv", None)
+    name, csv_path = params.source("signal", "signal_csv", "gaussian")
     probe_width = params.positive("probe_width", 1.0)
-    t_start, t_stop = params.span("time_start", -20.0, "time_stop", 20.0)
-    n_time = params.intval("n_time", 1024, minimum=2)
+    if name is not None:  # a CSV signal brings its own time grid
+        t_start, t_stop = params.span("time_start", -20.0, "time_stop", 20.0)
+        n_time = params.intval("n_time", 1024, minimum=2)
     tf_min, tf_max = params.span("tf_min", -16.0, "tf_max", 16.0)
     n_tf = params.intval("n_tf", 256, minimum=2)
-    params.finish()
-    name = _one_source("signal", name, "signal_csv", csv_path, "gaussian")
-    if csv_path is not None:
+    params.finish("signal_csv" if name is None else "signal=%r" % name)
+    label = "csv:%s" % Path(csv_path).name if name is None else name
+    if name is None:
         signal = _read_signal_csv(csv_path)
-        label = "csv:%s" % Path(csv_path).name
-        grid = signal.grid
     else:
         grid = Grid1D.regular(t_start, t_stop, n_time)
         try:
             signal = make_test_signal(name, grid)
         except ValueError as exc:
             raise ValidationFailure("signal %r: %s" % (name, exc))
-        label = name
     tf_grid = PhaseSpaceGrid.square(tf_min, tf_max, n_tf)
-    probe = _probe(grid, probe_width)
+    probe = _probe(signal.grid, probe_width)
     coeffs = gabor_transform(probe, signal, tf_grid)
     report = {"schema": SCHEMA, "signal": label, "probe_width": probe_width}
     report.update(_energy_report(signal, coeffs,
@@ -412,6 +411,8 @@ def _run_cylinder(params: _Params, seed: int, outdir: Path) -> None:
     params.finish()
     if not 0.0 < lam <= 50.0:
         raise ValidationFailure("lam must lie in (0, 50]")
+    if abs(m - mprime) > 64:  # the Bessel order of the kernel
+        raise ValidationFailure("|m - mprime| must be at most 64")
     if m_max is not None and 2 * m_max + 1 > n_gamma:
         raise ValidationFailure("m_max must satisfy 2*m_max + 1 <= n_gamma")
 
@@ -444,50 +445,49 @@ def _run_cylinder(params: _Params, seed: int, outdir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
-    kind = params.strval("w", None)
-    w_csv = params.strval("w_csv", None)
-    sigma_omega = params.positive("sigma_omega", 1.0)
-    sigma_b = params.positive("sigma_b", 1.0)
-    center_omega = params.floatval("center_omega", 0.0)
-    center_b = params.floatval("center_b", 0.0)
-    a = params.positive("a", 1.0)
-    r = params.positive("r", 1.0)
-    tf_min, tf_max = params.span("tf_min", -16.0, "tf_max", 16.0)
-    n_tf = params.intval("n_tf", 256, minimum=2)
+    kind, w_csv = params.source("w", "w_csv", "gaussian")
+    if kind == "gaussian":
+        sigma_omega = params.positive("sigma_omega", 1.0)
+        sigma_b = params.positive("sigma_b", 1.0)
+        center_omega = params.floatval("center_omega", 0.0)
+        center_b = params.floatval("center_b", 0.0)
+    elif kind == "overlap":
+        a = params.positive("a", 1.0)
+        r = params.positive("r", 1.0)
+    elif kind is not None:
+        raise ValidationFailure("w must be 'gaussian' or 'overlap'")
+    if kind is not None:  # a CSV density brings its own grid
+        tf_min, tf_max = params.span("tf_min", -16.0, "tf_max", 16.0)
+        n_tf = params.intval("n_tf", 256, minimum=2)
     probe_width = params.positive("probe_width", 1.0)
     t_start, t_stop = params.span("time_start", -20.0, "time_stop", 20.0)
     n_time = params.intval("n_time", 256, minimum=2)
-    params.finish()
-    kind = _one_source("w", kind, "w_csv", w_csv, "gaussian")
-    if w_csv is not None:
+    params.finish("w_csv" if kind is None else "w=%r" % kind)
+    label = "csv:%s" % Path(w_csv).name if kind is None else kind
+    if kind is None:
         w = _read_phase_grid_csv(w_csv)
         if abs(w.mass - 1.0) > 1e-6:
             raise ValidationFailure(
                 "w grid has mass %.9g; normalize it before quantizing" % w.mass)
-        label = "csv:%s" % Path(w_csv).name
     else:
         grid = PhaseSpaceGrid.square(tf_min, tf_max, n_tf)
         if kind == "gaussian":
             w = gaussian_distribution(grid, sigma_omega, sigma_b,
                                       center=(center_omega, center_b))
-        elif kind == "overlap":
-            w = overlap_kernel(a, r, grid)
         else:
-            raise ValidationFailure("w must be 'gaussian' or 'overlap'")
+            w = overlap_kernel(a, r, grid)
         if not w.mass > 0:
             raise ValidationFailure("w has no mass on the grid")
         w = w.normalized()
-        label = kind
     time_grid = Grid1D.regular(t_start, t_stop, n_time)
     kernel = quantize_to_kernel(w, _probe(time_grid, probe_width))
-    diag = density_diagnostics(kernel)
     # rows t_i,t_j,re,im: the (n, n, 2) float view of the complex entries
     entries = np.ascontiguousarray(kernel.entries)
     _write_csv(outdir / "kernel.csv", ("t_i,t_j,re,im",),
                csvtext.write_pair_rows, time_grid.points,
                entries.view(np.float64).reshape(n_time, n_time, 2))
     report = {"schema": SCHEMA, "w": label, "probe_width": probe_width}
-    report.update(diag)
+    report.update(density_diagnostics(kernel))
     _write_json(outdir / "diagnostics.json", report)
 
 
@@ -520,8 +520,7 @@ def _load_zeros(spec_name, zeros_path):
 
 
 def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
-    name = params.strval("zeros", None)
-    zeros_path = params.strval("zeros_json", None)
+    name, zeros_path = params.source("zeros", "zeros_json", "pentagon")
     s = params.floatval("s", 0.945)
     probe_a = params.positive("a", 2.0)
     probe_r = params.positive("r", 2.0)
@@ -535,7 +534,6 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
         raise ValidationFailure("s must lie in (0, 1)")
     if not 0.0 < rel_threshold <= 1.0:
         raise ValidationFailure("rel_threshold must lie in (0, 1]")
-    name = _one_source("zeros", name, "zeros_json", zeros_path, "pentagon")
     zeros = _load_zeros(name, zeros_path)
     if fold is None and name == "pentagon":
         fold = 5

@@ -159,17 +159,17 @@ def reproducing_kernel(lam: float, m: int, theta, mprime: int, thetaprime):
     sign (-1)^(m-m'), exactly like the displacement phase.  Coincident
     arguments give exactly 1.  theta and thetaprime broadcast against each
     other (an outer grid from a column and a row); scalar angles return a
-    complex.  The Bessel ratio uses the exponentially scaled ive, so large
-    lambda cannot overflow.
+    complex.  Both Bessel values come from bessel_i, a negative argument
+    folded by parity as sign(x)^n * I_n(|x|), so |m - m'| <= 64; lambda
+    lies in (0, 50], as for von_mises, where I0(2*lambda) < 1.1e42.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    from scipy.special import ive  # on first use: scipy is slow to import
-
+    if not 0.0 < lam <= 50.0:
+        raise ValueError("lambda must lie in (0, 50], got %r" % lam)
     theta = np.asarray(theta, dtype=float)
     thetaprime = np.asarray(thetaprime, dtype=float)
     x = 2.0 * lam * np.cos((theta - thetaprime) / 2.0)
-    radial = ive(abs(m - mprime), x) / ive(0, 2.0 * lam) * np.exp(np.abs(x) - 2.0 * lam)
+    n = abs(m - mprime)
+    radial = np.sign(x) ** n * bessel_i(n, np.abs(x)) / bessel_i(0, 2.0 * lam)
     kernel = np.exp(1j * (mprime * theta - m * thetaprime) / 2.0) * radial
     return complex(kernel) if kernel.ndim == 0 else kernel
 

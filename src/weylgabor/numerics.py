@@ -160,20 +160,24 @@ def _integer_order(order, cap: int) -> int:
     return n
 
 
-def bessel_i(order: int, x: float) -> float:
+def bessel_i(order: int, x):
     """I_order(x) for integer order in [0, 64] and x >= 0, from scipy's
-    ``iv`` (Amos's algorithm).  Below x = 1e-300, where ``iv`` returns
-    NaN or a spurious 0, the leading term (x/2)^n / n! is exact.
-    Negative arguments are rejected; callers can fold them out with
-    I_n(-x) = (-1)^n I_n(x).
+    ``iv`` (Amos's algorithm): the package's one Bessel function.  A
+    scalar x gives a float, an array x an array of the scalar values.
+    At or below x = 1e-300, where ``iv`` returns NaN or a spurious 0, the
+    leading term (x/2)^n / n! is exact.  Negative arguments are
+    rejected; callers can fold them out with I_n(-x) = (-1)^n I_n(x).
     """
     n = _integer_order(order, _BESSEL_ORDER_CAP)
-    x = float(x)
-    if x < 0.0:
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
         raise ValueError("x must be non-negative; use I_n(-x) = (-1)^n I_n(x)")
     from scipy.special import iv  # on first use: scipy is slow to import
 
-    return float(iv(n, x) if x > 1e-300 else (x / 2.0) ** n / math.factorial(n))
+    big = x > 1e-300
+    lead = (np.where(big, 0.0, x) / 2.0) ** n / math.factorial(n)
+    values = np.where(big, iv(n, x), lead)
+    return float(values) if values.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------

@@ -348,11 +348,9 @@ def stellar_experiment(zeros: Sequence[complex], params: StellarParams,
 
 
 def quantize_stellar(zeros: Sequence[complex], params: StellarParams,
-                     time_grid: Grid1D | None = None):
-    """Quantize the stellar density with a Gaussian probe of width probe_a;
-    returns the operator kernel and its density diagnostics."""
-    if time_grid is None:
-        time_grid = Grid1D.regular(-20.0, 20.0, 512)
+                     time_grid: Grid1D):
+    """Quantize the stellar density with a Gaussian probe of width probe_a
+    on ``time_grid``; returns the operator kernel and its diagnostics."""
     density = stellar_distribution(zeros, params.s, params.grid)
     probe = gaussian_probe(time_grid, params.probe_a)
     kernel = quantize_to_kernel(density.distribution, probe)

@@ -500,6 +500,29 @@ def test_unknown_parameter(tmp_path, capsys):
     assert "unknown parameter" in _stderr_error(capsys)
 
 
+@pytest.mark.parametrize("command,parameters,key,source", [
+    ("quantize", {"a": 2.0}, "a", "w='gaussian'"),
+    ("quantize", {"w": "overlap", "sigma_b": 2.0}, "sigma_b", "w='overlap'"),
+    ("quantize", {"w_csv": "w.csv", "n_tf": 64}, "n_tf", "w_csv"),
+    # the refused key is reported before the missing file is opened
+    ("quantize", {"w_csv": "missing.csv", "n_tf": 64}, "n_tf", "w_csv"),
+    ("gabor", {"signal_csv": "signal.csv", "n_time": 64}, "n_time", "signal_csv"),
+])
+def test_keys_the_input_does_not_read_are_refused(tmp_path, capsys, command,
+                                                  parameters, key, source):
+    _write_density_csv(tmp_path / "w.csv")
+    (tmp_path / "signal.csv").write_text(
+        "".join("%d,%.17g,0\n" % (t, np.exp(-t * t / 8.0)) for t in range(-8, 8)))
+    parameters = {k: str(tmp_path / v) if k.endswith("_csv") else v
+                  for k, v in parameters.items()}
+    cfg = _write_config(tmp_path / "cfg.json", command, **parameters)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert _stderr_error(capsys) == "unknown parameter(s) with %s: %s" % (source, key)
+    assert not out.exists()
+    assert not list(tmp_path.glob(".weylgabor-*"))
+
+
 def test_out_of_range_shape_parameter(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", "stellar", s=1.2, n_grid=64)
     rc = cli.main(["stellar", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -598,6 +621,7 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
     ("group-check", {"trials": 10 ** 21}, "'trials' is out of range"),
     ("stellar", {"n_grid": 10 ** 21}, "'n_grid' is out of range"),
     ("gabor", {"n_time": 10 ** 21}, "'n_time' is out of range"),
+    ("cylinder", {"m": 40, "mprime": -25}, "|m - mprime| must be at most 64"),
 ])
 def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
                                                 parameters, message):
@@ -690,24 +714,19 @@ def test_few_values_take_the_python_fallback(tmp_path, monkeypatch):
 # module entry point
 # ---------------------------------------------------------------------------
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, weylgabor.cli; print('scipy.signal' in sys.modules)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
 def test_cli_import_leaves_scipy_unloaded():
-    # FFTs come from numpy.fft; scipy.special is imported on the first
-    # Bessel value
+    # FFTs come from numpy.fft, and scipy.special is imported on the first
+    # Bessel value, so importing the CLI and then every other module of
+    # the package loads no scipy module at all (scipy.signal included)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, weylgabor.cli; print('scipy' in sys.modules)"],
+         "import importlib, pkgutil, sys, weylgabor.cli\n"
+         "for m in pkgutil.iter_modules(weylgabor.__path__):\n"
+         "    importlib.import_module('weylgabor.' + m.name)\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_runs_no_refine_design_svd():

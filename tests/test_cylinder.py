@@ -245,7 +245,7 @@ def test_kernel_grid_matches_scipy_bessel(lam):
         expected = np.exp(1j * (mp * t - m * tp) / 2.0) * radial
         assert grid.shape == (41, 41)
         assert (x < 0).any()
-        assert np.abs(grid - expected).max() < 1e-13
+        assert np.array_equal(grid, expected)
     assert isinstance(reproducing_kernel(lam, 1, 0.3, 0, 2.0), complex)
 
 
@@ -277,6 +277,13 @@ def test_kernel_full_turn_sign():
 def test_kernel_rejects_nonpositive_concentration():
     with pytest.raises(ValueError):
         reproducing_kernel(0.0, 1, 0.0, 0, 0.0)
+
+
+def test_kernel_rejects_concentration_beyond_von_mises_range():
+    # lambda <= 50 bounds I0(2*lambda) by 1.1e42, as for von_mises
+    reproducing_kernel(50.0, 1, 0.0, 0, 0.0)
+    with pytest.raises(ValueError):
+        reproducing_kernel(50.5, 1, 0.0, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,20 @@ def test_bessel_domain_errors():
         bessel_i(0, -1.0)
 
 
+@pytest.mark.parametrize("order", [0, 1, 4, 20, 64])
+def test_bessel_on_an_array_is_the_scalar_calls(order):
+    # the first row holds the leading-term entries, the second iv's
+    x = np.array([[0.0, 5e-324, 1e-310, 1e-301],
+                  [0.3, 2.0, 35.0, 600.0]])
+    values = bessel_i(order, x)
+    assert isinstance(values, np.ndarray) and values.shape == x.shape
+    assert np.array_equal(values, [[bessel_i(order, v) for v in row]
+                                   for row in x.tolist()])
+    assert isinstance(bessel_i(order, 2.0), float)
+    with pytest.raises(ValueError):
+        bessel_i(order, np.array([1.0, -1e-300, 2.0]))
+
+
 # ---------------------------------------------------------------------------
 # periodic quadrature
 # ---------------------------------------------------------------------------
