@@ -175,7 +175,7 @@ def bessel_i(order: int, x):
     from scipy.special import iv  # on first use: scipy is slow to import
 
     big = x > 1e-300
-    lead = (np.where(big, 0.0, x) / 2.0) ** n / math.factorial(n)
+    lead = (np.where(big, 0.0, x) / 2.0) ** n / math.factorial(n)  # big x would overflow
     values = np.where(big, iv(n, x), lead)
     return float(values) if values.ndim == 0 else values
 
