@@ -714,10 +714,19 @@ def test_few_values_take_the_python_fallback(tmp_path, monkeypatch):
 # module entry point
 # ---------------------------------------------------------------------------
 
+def test_cli_import_leaves_scipy_signal_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weylgabor.cli; print('scipy.signal' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # FFTs come from numpy.fft, and scipy.special is imported on the first
     # Bessel value, so importing the CLI and then every other module of
-    # the package loads no scipy module at all (scipy.signal included)
+    # the package loads no scipy module at all
     proc = subprocess.run(
         [sys.executable, "-c",
          "import importlib, pkgutil, sys, weylgabor.cli\n"
