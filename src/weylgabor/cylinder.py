@@ -32,7 +32,7 @@ import numpy as np
 from numpy.fft import fft
 
 from .gabor import SampledSignal, _analyze, _synthesize, displace
-from .numerics import Grid1D, bessel_i, edge_mass_share, spectral_shift
+from .numerics import Grid1D, _require_finite, bessel_i, edge_mass_share, spectral_shift
 
 __all__ = [
     "TruncationWarning",
@@ -122,7 +122,9 @@ def displacement_matrix_element(m: int, theta: float, n: int, nprime: int) -> co
     """<e_n| displace(m, theta) |e_n'> on the Fourier basis e_n = e^{ing}/sqrt(2pi).
 
     The selection rule is n - m == n'; on the diagonal this forces m == 0.
+    A non-finite theta raises a ValueError.
     """
+    _require_finite(theta, "theta")
     if n - m != nprime:
         return 0j
     return complex(np.exp(1j * (m / 2.0 - n) * theta))
@@ -133,8 +135,10 @@ def truncated_trace(m: int, theta: float, n_cut: int) -> complex:
 
     Exactly 0 for m != 0 by the selection rule; for m == 0 the sum is the
     Dirichlet kernel sin((n_cut + 1/2) theta) / sin(theta / 2), which
-    concentrates at theta = 0 as n_cut grows.
+    concentrates at theta = 0 as n_cut grows.  A non-finite theta raises
+    a ValueError.
     """
+    _require_finite(theta, "theta")
     if n_cut < 1:
         raise ValueError("n_cut must be >= 1")
     if m != 0:
@@ -159,14 +163,18 @@ def reproducing_kernel(lam: float, m: int, theta, mprime: int, thetaprime):
     sign (-1)^(m-m'), exactly like the displacement phase.  Coincident
     arguments give exactly 1.  theta and thetaprime broadcast against each
     other (an outer grid from a column and a row); scalar angles return a
-    complex.  Both Bessel values come from bessel_i, a negative argument
-    folded by parity as sign(x)^n * I_n(|x|), so |m - m'| <= 64; lambda
-    lies in (0, 50], as for von_mises, where I0(2*lambda) < 1.1e42.
+    complex, and a non-finite angle raises a ValueError naming it.  Both
+    Bessel values come from bessel_i, a negative argument folded by
+    parity as sign(x)^n * I_n(|x|), so |m - m'| <= 64; on a grid x depends
+    only on theta - theta', and bessel_i evaluates each distinct |x| once.
+    lambda lies in (0, 50], as for von_mises, where I0(2*lambda) < 1.1e42.
     """
     if not 0.0 < lam <= 50.0:
         raise ValueError("lambda must lie in (0, 50], got %r" % lam)
     theta = np.asarray(theta, dtype=float)
     thetaprime = np.asarray(thetaprime, dtype=float)
+    _require_finite(theta, "theta")
+    _require_finite(thetaprime, "thetaprime")
     x = 2.0 * lam * np.cos((theta - thetaprime) / 2.0)
     n = abs(m - mprime)
     radial = np.sign(x) ** n * bessel_i(n, np.abs(x)) / bessel_i(0, 2.0 * lam)

@@ -39,6 +39,7 @@ from numpy.fft import fft
 from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
+    _require_finite,
     batch_fractional_shift,
     chirp_z,
     edge_peak_ratio,
@@ -86,8 +87,7 @@ class SampledSignal:
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (self.grid.count,):
             raise ValueError("values must be a vector matching the grid")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("signal values must be finite")
+        _require_finite(values, "signal values")
         object.__setattr__(self, "values", values)
 
     @property
@@ -151,8 +151,8 @@ def gaussian_probe(grid: Grid1D | None = None, width: float = 1.0) -> SampledSig
     variance is width/2).  A grid too short or too coarse to hold the
     Gaussian fails the unit-norm check.
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
+    if not 0.0 < width < np.inf:
+        raise ValueError("width must be positive and finite, got %r" % width)
     grid = grid or default_time_grid()
     t = grid.points
     values = (np.pi * width) ** -0.25 * np.exp(-(t ** 2) / (2.0 * width))
@@ -197,7 +197,10 @@ def displace(omega: float, b: float, s: SampledSignal) -> SampledSignal:
     multiplies by exp(1j*(omega*b' - omega'*b)/2).  The result has the
     type of ``s``, whose ``translated`` supplies s(t - b): on the circle
     (integer omega, angle b) this is the cylinder's displacement.
+    A non-finite omega or b raises a ValueError naming it.
     """
+    _require_finite(omega, "omega")
+    _require_finite(b, "b")
     phase = np.exp(1j * omega * (s.grid.points - 0.5 * b))
     return type(s)(s.grid, phase * s.translated(b))
 

@@ -49,6 +49,12 @@ class EdgeEnergyWarning(UserWarning):
     spectral shift or to be truncated by a convolution."""
 
 
+def _require_finite(value, name: str) -> None:
+    """A ValueError naming ``name`` unless every entry of ``value`` is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError("%s must be finite" % name)
+
+
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
@@ -161,22 +167,29 @@ def _integer_order(order, cap: int) -> int:
 
 
 def bessel_i(order: int, x):
-    """I_order(x) for integer order in [0, 64] and x >= 0, from scipy's
-    ``iv`` (Amos's algorithm): the package's one Bessel function.  A
-    scalar x gives a float, an array x an array of the scalar values.
+    """I_order(x) for integer order in [0, 64] and finite x >= 0, from
+    scipy's ``iv`` (Amos's algorithm): the package's one Bessel function.
+    A scalar x gives a float, an array x an array of the scalar values.
     At or below x = 1e-300, where ``iv`` returns NaN or a spurious 0, the
-    leading term (x/2)^n / n! is exact.  Negative arguments are
-    rejected; callers can fold them out with I_n(-x) = (-1)^n I_n(x).
+    leading term (x/2)^n / n! is exact.  Each distinct argument is
+    evaluated once and gathered back, so N arguments cost an O(N log N)
+    sort plus one ``iv`` call per distinct value; -0.0 counts as 0.0.
+    NaN, infinite and negative arguments are rejected; callers can fold
+    negative ones out with I_n(-x) = (-1)^n I_n(x).
     """
     n = _integer_order(order, _BESSEL_ORDER_CAP)
     x = np.asarray(x, dtype=float)
+    _require_finite(x, "x")
     if (x < 0.0).any():
         raise ValueError("x must be non-negative; use I_n(-x) = (-1)^n I_n(x)")
     from scipy.special import iv  # on first use: scipy is slow to import
 
-    big = x > 1e-300
-    lead = (np.where(big, 0.0, x) / 2.0) ** n / math.factorial(n)  # big x would overflow
-    values = np.where(big, iv(n, x), lead)
+    distinct, inverse = np.unique(x, return_inverse=True)
+    distinct += 0.0  # np.unique keeps whichever of -0.0 and 0.0 sorts first
+    big = distinct > 1e-300
+    lead = (np.where(big, 0.0, distinct) / 2.0) ** n / math.factorial(n)  # big x would overflow
+    # the inverse's shape varies across numpy versions: reshape to x's
+    values = np.where(big, iv(n, distinct), lead)[inverse].reshape(x.shape)
     return float(values) if values.ndim == 0 else values
 
 
@@ -268,8 +281,7 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or np.ndim(shift) > 1:
         raise ValueError("expected 1-D samples and a scalar or 1-D array of shifts")
-    if not np.all(np.isfinite(shift)):
-        raise ValueError("shift must be finite")
+    _require_finite(shift, "shift")
     n = values.size
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
     cells = shifts / step

@@ -34,6 +34,7 @@ from .gabor import SampledSignal, _require_unit_norm
 from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
+    _require_finite,
     chirp_z,
     edge_peak_ratio,
     grid_convolve,
@@ -77,8 +78,7 @@ class Distribution:
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
             raise ValueError("values must match the grid shape")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("distribution values must be finite")
+        _require_finite(values, "distribution values")
         peak = np.abs(values).max()
         if peak > 0 and values.min() < -1e-9 * peak:
             raise ValueError("distribution values must be non-negative")
@@ -280,8 +280,7 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     w_values = np.asarray(w_values, dtype=complex)
     if w_values.shape != grid.shape:
         raise ValueError("weight must match the grid shape")
-    if not np.all(np.isfinite(w_values)):
-        raise ValueError("weight must be finite")
+    _require_finite(w_values, "weight")
     _warn_band_edge(w_values, "weight")
     n_t = time_grid.count
     bs = grid.b_axis.points

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: configs, artifacts, manifests, exit codes."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import iv
 
 from weylgabor import cli, csvtext, gabor, groups
 from weylgabor.numerics import Grid1D, PhaseSpaceGrid
@@ -207,6 +209,27 @@ def test_cylinder_run(tmp_path):
         lines = (out / ("kernel_%s.csv" % suffix)).read_text().splitlines()
         assert lines[0] == "# " + cli.GENERIC_GRID_HEADER
         assert len(lines) == 2 + 33
+
+
+def test_cylinder_kernel_csv_bytes_are_the_bessel_oracle(tmp_path):
+    lam, m, mprime, n_theta = 2.0, 1, 0, 65
+    cfg = _write_config(tmp_path / "cfg.json", "cylinder", lam=lam, m=m,
+                        mprime=mprime, n_theta=n_theta, n_gamma=128)
+    out = tmp_path / "out"
+    assert cli.main(["cylinder", "--config", cfg, "--out", str(out)]) == 0
+    axis = Grid1D.regular(-2.0 * np.pi, 2.0 * np.pi, n_theta)
+    t, tp = axis.points[:, None], axis.points[None, :]
+    x = 2.0 * lam * np.cos((t - tp) / 2.0)
+    nu = abs(m - mprime)
+    radial = np.sign(x) ** nu * iv(nu, np.abs(x)) / iv(0, 2.0 * lam)
+    kernel = np.exp(1j * (mprime * t - m * tp) / 2.0) * radial
+    meta = ",".join(["%.17g,%.17g,%d" % (axis.start, axis.step, n_theta)] * 2)
+    head = ("# %s\n# %s\n" % (cli.GENERIC_GRID_HEADER, meta)).encode()
+    for suffix, block in (("real", kernel.real), ("imag", kernel.imag),
+                          ("modulus", np.abs(kernel))):
+        body = io.BytesIO()
+        csvtext.write_rows(body, block)
+        assert (out / ("kernel_%s.csv" % suffix)).read_bytes() == head + body.getvalue()
 
 
 def test_cylinder_run_with_one_frequency(tmp_path):

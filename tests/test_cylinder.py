@@ -249,6 +249,45 @@ def test_kernel_grid_matches_scipy_bessel(lam):
     assert isinstance(reproducing_kernel(lam, 1, 0.3, 0, 2.0), complex)
 
 
+@pytest.mark.parametrize("n_theta", [41, 257])
+def test_kernel_grid_hands_iv_each_distinct_argument_once(monkeypatch, n_theta):
+    # bessel_i imports iv on each call, so it sees the counting wrapper;
+    # the n_theta^2 arguments hold fewer than 3*n_theta distinct values
+    import scipy.special
+
+    sizes = []
+    scipy_iv = scipy.special.iv
+
+    def counting_iv(order, x):
+        sizes.append(np.size(x))
+        return scipy_iv(order, x)
+
+    monkeypatch.setattr(scipy.special, "iv", counting_iv)
+    axis = Grid1D.regular(-TWO_PI, TWO_PI, n_theta).points
+    for lam in (0.5, 2.0, 40.0):
+        sizes.clear()
+        reproducing_kernel(lam, 1, axis[:, None], 0, axis[None, :])
+        assert len(sizes) == 2  # the grid's I_1 and the normalizing I_0
+        assert sum(sizes) < 4 * n_theta
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name,call", [
+    ("theta", lambda bad: reproducing_kernel(2.0, 1, bad, 0, 0.3)),
+    ("theta", lambda bad: reproducing_kernel(2.0, 1, np.array([[0.1], [bad]]),
+                                             0, np.zeros((1, 3)))),
+    ("thetaprime", lambda bad: reproducing_kernel(2.0, 1, 0.3, 0, np.array([0.5, bad]))),
+    ("theta", lambda bad: truncated_trace(0, bad, 5)),
+    ("theta", lambda bad: truncated_trace(3, bad, 5)),
+    ("theta", lambda bad: displacement_matrix_element(2, bad, 3, 1)),
+    ("theta", lambda bad: displacement_matrix_element(2, bad, 3, 2)),
+], ids=["kernel-scalar", "kernel-column", "kernel-row", "trace", "trace-off-zero-mode",
+        "element", "element-off-selection-rule"])
+def test_cylinder_functions_name_their_nonfinite_angles(name, call, bad):
+    with pytest.raises(ValueError, match="^%s must be finite$" % name):
+        call(bad)
+
+
 def test_kernel_modulus_is_bessel_ratio():
     lam, m, t, mp, tp = 2.0, 4, 0.9, 1, 2.2
     k = reproducing_kernel(lam, m, t, mp, tp)

@@ -133,6 +133,17 @@ def test_translated_rejects_nonfinite_shifts(window, shift):
         signal.translated(shift)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_displace_and_probe_name_their_nonfinite_arguments(bad):
+    probe = gaussian_probe()
+    with pytest.raises(ValueError, match="omega must be finite"):
+        displace(bad, 0.0, probe)
+    with pytest.raises(ValueError, match="b must be finite"):
+        displace(1.0, bad, probe)
+    with pytest.raises(ValueError, match="width must be positive and finite"):
+        gaussian_probe(default_time_grid(), bad)
+
+
 # ---------------------------------------------------------------------------
 # displacement operator
 # ---------------------------------------------------------------------------

@@ -142,16 +142,36 @@ def test_bessel_domain_errors():
 
 @pytest.mark.parametrize("order", [0, 1, 4, 20, 64])
 def test_bessel_on_an_array_is_the_scalar_calls(order):
-    # the first row holds the leading-term entries, the second iv's
+    # the first row holds the leading-term entries, the second iv's; the
+    # rest repeat entries of both kinds at scattered positions
     x = np.array([[0.0, 5e-324, 1e-310, 1e-301],
-                  [0.3, 2.0, 35.0, 600.0]])
-    values = bessel_i(order, x)
-    assert isinstance(values, np.ndarray) and values.shape == x.shape
-    assert np.array_equal(values, [[bessel_i(order, v) for v in row]
-                                   for row in x.tolist()])
+                  [0.3, 2.0, 35.0, 600.0],
+                  [2.0, 0.0, 5e-324, 0.3],
+                  [5e-324, 600.0, 0.0, 2.0]])
+    cube = np.stack([x, x[::-1, ::-1], x.T])
+    for arg in (x, cube):
+        values = bessel_i(order, arg)
+        assert isinstance(values, np.ndarray) and values.shape == arg.shape
+        scalars = [bessel_i(order, v) for v in arg.ravel().tolist()]
+        assert np.array_equal(values, np.reshape(scalars, arg.shape))
     assert isinstance(bessel_i(order, 2.0), float)
     with pytest.raises(ValueError):
         bessel_i(order, np.array([1.0, -1e-300, 2.0]))
+
+
+def test_bessel_at_a_signed_zero_is_positive_zero():
+    # np.unique keeps whichever equal zero sorts first; every zero gives +0.0
+    for x in (-0.0, np.array([-0.0, 0.0]), np.array([0.0, -0.0, 1.0])):
+        assert not np.signbit(bessel_i(1, x)).any()
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, np.array([0.5, np.nan, 0.0])],
+                         ids=["nan", "inf", "-inf", "nan-in-array"])
+@pytest.mark.parametrize("order", [0, 2])
+def test_bessel_rejects_nonfinite_arguments(order, x):
+    # NaN fails the negativity check and would take the leading term
+    with pytest.raises(ValueError, match="x must be finite"):
+        bessel_i(order, x)
 
 
 # ---------------------------------------------------------------------------
