@@ -117,17 +117,23 @@ class OperatorKernel:
 
 def gaussian_distribution(grid: PhaseSpaceGrid, sigma_omega: float = 1.0,
                           sigma_b: float = 1.0, center=(0.0, 0.0)) -> Distribution:
-    """Unit-mass Gaussian density with the given axis standard deviations."""
+    """Unit-mass Gaussian density exp(-(omega-omega0)^2/(2*sigma_omega^2))
+    * exp(-(b-b0)^2/(2*sigma_b^2)) / (sigma_omega*sigma_b) about ``center`` =
+    (omega0, b0): the outer product of its two axis Gaussians."""
+    _require_finite(sigma_omega, "sigma_omega")
+    _require_finite(sigma_b, "sigma_b")
+    _require_finite(center, "center")
     if sigma_omega <= 0 or sigma_b <= 0:
         raise ValueError("standard deviations must be positive")
-    omega, b = grid.meshes()
-    values = np.exp(-(omega - center[0]) ** 2 / (2.0 * sigma_omega ** 2)
-                    - (b - center[1]) ** 2 / (2.0 * sigma_b ** 2))
-    return Distribution(grid, values / (sigma_omega * sigma_b))
+    along_omega = np.exp(-(grid.omega_axis.points - center[0]) ** 2 / (2.0 * sigma_omega ** 2))
+    along_b = np.exp(-(grid.b_axis.points - center[1]) ** 2 / (2.0 * sigma_b ** 2))
+    return Distribution(grid, np.outer(along_omega, along_b) / (sigma_omega * sigma_b))
 
 
 def point_mass_distribution(grid: PhaseSpaceGrid, omega0: float, b0: float) -> Distribution:
     """Unit mass concentrated on the single grid cell nearest (omega0, b0)."""
+    _require_finite(omega0, "omega0")
+    _require_finite(b0, "b0")
     values = np.zeros(grid.shape)
     i = int(round((omega0 - grid.omega_axis.start) / grid.omega_axis.step))
     j = int(round((b0 - grid.b_axis.start) / grid.b_axis.step))
@@ -145,26 +151,28 @@ def overlap_kernel(a: float, r: float, grid: PhaseSpaceGrid) -> Distribution:
     """Closed-form overlap density of two Gaussian probes of widths a and r:
 
         P(omega, b) = 2*sqrt(r*a)/(r+a)
-                      * exp(-(r*a/(r+a)) * omega^2) * exp(-b^2/(r+a)).
+                      * exp(-(r*a/(r+a)) * omega^2) * exp(-b^2/(r+a)),
 
-    Unit mass under d(omega) d(b)/(2*pi).  The prefactor is pinned by the
-    overlap_kernel_quadrature oracle and by the unit-mass requirement; note
-    the phase-space widths obey sigma_omega * sigma_b = (r+a)/(2*sqrt(r*a)),
-    which is >= 1 for every width pair (equality at a = r).
+    the centred gaussian_distribution with sigma_omega^2 = (r+a)/(2*r*a) and
+    sigma_b^2 = (r+a)/2.  Unit mass under d(omega) d(b)/(2*pi).  The
+    prefactor is pinned by the overlap_kernel_quadrature oracle and by the
+    unit-mass requirement; the width product (r+a)/(2*sqrt(r*a)) is >= 1
+    for every width pair (equality at a = r).
     """
+    _require_finite(a, "a")
+    _require_finite(r, "r")
     if a <= 0 or r <= 0:
         raise ValueError("probe widths must be positive")
-    omega, b = grid.meshes()
-    prefactor = 2.0 * np.sqrt(r * a) / (r + a)
-    values = prefactor * np.exp(-(r * a / (r + a)) * omega ** 2
-                                - b ** 2 / (r + a))
-    return Distribution(grid, values)
+    return gaussian_distribution(grid, np.sqrt((r + a) / (2.0 * r * a)),
+                                 np.sqrt((r + a) / 2.0))
 
 
 def overlap_kernel_quadrature(psi_a: SampledSignal, psi_r: SampledSignal,
                               omega: float, b: float) -> float:
     """Direct quadrature |integral exp(-1j*omega*tau) conj(psi_r(tau))
     psi_a(tau + b) d tau|^2; the ground truth behind overlap_kernel."""
+    _require_finite(omega, "omega")
+    _require_finite(b, "b")
     if psi_a.grid != psi_r.grid:
         raise ValueError("probes must share a grid")
     tau = psi_a.grid.points
@@ -175,7 +183,9 @@ def overlap_kernel_quadrature(psi_a: SampledSignal, psi_r: SampledSignal,
 
 
 def portrait(w: Distribution, a: float, r: float) -> Distribution:
-    """Smoothed (lower-symbol) density: the convolution w * overlap_kernel.
+    """Smoothed (lower-symbol) density: the convolution w * overlap_kernel,
+    a Gaussian blur with sigma_omega^2 = (r+a)/(2*r*a) and
+    sigma_b^2 = (r+a)/2.
 
     Mass is conserved exactly when both factors are contained in the grid;
     a wide overlap kernel or an edge-heavy w pushes mass off-grid (the

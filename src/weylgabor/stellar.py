@@ -36,6 +36,7 @@ from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
     _integer_order,
+    _require_finite,
     edge_mass_share,
     find_local_minima,
 )
@@ -91,6 +92,8 @@ class StellarParams:
 
     def __post_init__(self):
         _envelope_rates(self.s)
+        _require_finite(self.probe_a, "probe_a")
+        _require_finite(self.probe_r, "probe_r")
         if self.probe_a <= 0 or self.probe_r <= 0:
             raise ValueError("probe widths must be positive")
 
@@ -145,6 +148,10 @@ def anisotropic_stellar_weight(zeros: Sequence[complex], rate_b: float,
     transposes the density between the b and omega axes exactly, because
     |prod (1j*conj(z) - z_i)| = |prod (z - 1j*conj(z_i))|.
     """
+    _require_finite(rate_b, "rate_b")
+    _require_finite(rate_omega, "rate_omega")
+    zeros = np.asarray(zeros, dtype=complex)
+    _require_finite(zeros, "zeros")
     if rate_b <= 0 or rate_omega <= 0:
         raise ValueError("envelope rates must be positive")
     z = np.asarray(z, dtype=complex)
@@ -172,8 +179,7 @@ def stellar_distribution(zeros: Sequence[complex], s: float,
     (the reference pentagon run is itself in this regime, since its
     polynomial growth peaks well outside any grid that resolves the zeros).
     """
-    omega_mesh, b_mesh = grid.meshes()
-    values = stellar_weight(zeros, s, b_mesh + 1j * omega_mesh)
+    values = stellar_weight(zeros, s, grid.b_axis.points + 1j * grid.omega_axis.points[:, None])
     raw_total = float(grid.integrate(values))
     if raw_total <= 0:
         raise ValueError("density has no mass on the grid")

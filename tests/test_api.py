@@ -1,11 +1,16 @@
 """Each library module exports, in ``__all__``, every public function and
-class it defines."""
+class it defines, and the quantize and stellar boundaries name the argument
+that carries a non-finite value."""
 
 import inspect
 
+import numpy as np
 import pytest
 
 from weylgabor import cylinder, gabor, groups, numerics, quantize, stellar
+
+GRID = numerics.PhaseSpaceGrid.square(-4.0, 4.0, 32)
+PROBE = gabor.gaussian_probe(numerics.Grid1D.regular(-8.0, 8.0, 64))
 
 
 @pytest.mark.parametrize("module", [numerics, groups, gabor, cylinder,
@@ -17,3 +22,31 @@ def test_all_lists_every_public_definition(module):
                and (inspect.isfunction(value) or inspect.isclass(value))
                and value.__module__ == module.__name__}
     assert defined <= set(module.__all__)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name,call", [
+    ("sigma_omega", lambda bad: quantize.gaussian_distribution(GRID, bad, 1.0)),
+    ("sigma_b", lambda bad: quantize.gaussian_distribution(GRID, 1.0, bad)),
+    ("center", lambda bad: quantize.gaussian_distribution(GRID, 1.0, 1.0, (bad, 0.0))),
+    ("center", lambda bad: quantize.gaussian_distribution(GRID, 1.0, 1.0, (0.0, bad))),
+    ("omega0", lambda bad: quantize.point_mass_distribution(GRID, bad, 0.0)),
+    ("b0", lambda bad: quantize.point_mass_distribution(GRID, 0.0, bad)),
+    ("a", lambda bad: quantize.overlap_kernel(bad, 1.0, GRID)),
+    ("r", lambda bad: quantize.overlap_kernel(1.0, bad, GRID)),
+    ("omega", lambda bad: quantize.overlap_kernel_quadrature(PROBE, PROBE, bad, 0.0)),
+    ("b", lambda bad: quantize.overlap_kernel_quadrature(PROBE, PROBE, 0.0, bad)),
+    ("rate_b", lambda bad: stellar.anisotropic_stellar_weight([0j], bad, 1.0, 0.1j)),
+    ("rate_omega", lambda bad: stellar.anisotropic_stellar_weight([0j], 1.0, bad, 0.1j)),
+    ("zeros", lambda bad: stellar.anisotropic_stellar_weight([0j, complex(bad, 0.0)],
+                                                             1.0, 1.0, 0.1j)),
+    ("zeros", lambda bad: stellar.stellar_distribution([complex(0.0, bad)], 0.5, GRID)),
+    ("probe_a", lambda bad: stellar.StellarParams(0.5, bad, 1.0, GRID)),
+    ("probe_r", lambda bad: stellar.StellarParams(0.5, 1.0, bad, GRID)),
+], ids=["gaussian-sigma_omega", "gaussian-sigma_b", "gaussian-center_omega",
+        "gaussian-center_b", "point-omega0", "point-b0", "overlap-a", "overlap-r",
+        "quadrature-omega", "quadrature-b", "weight-rate_b", "weight-rate_omega",
+        "weight-zero-real", "distribution-zero-imag", "params-probe_a", "params-probe_r"])
+def test_quantize_and_stellar_boundaries_name_their_nonfinite_arguments(name, call, bad):
+    with pytest.raises(ValueError, match="^%s must be finite$" % name):
+        call(bad)

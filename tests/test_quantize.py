@@ -100,6 +100,16 @@ def test_overlap_equal_widths_is_standard_gaussian():
                                rtol=1e-14)
 
 
+@pytest.mark.parametrize("a,r", [(5.0, 0.2), (2.0, 2.0), (5.0, 10.0)])
+def test_overlap_is_its_closed_form_on_the_whole_grid(a, r):
+    # the exponent reaches -213 in the corners, where its last-bit rounding
+    # moves exp by ~4e-14 relative: the tails are held to 1e-14 of the peak
+    k = overlap_kernel(a, r, TF_GRID)
+    omega, b = TF_GRID.meshes()
+    target = _overlap_formula(a, r, omega, b)
+    np.testing.assert_allclose(k.values, target, rtol=1e-14, atol=1e-14 * target.max())
+
+
 @pytest.mark.parametrize("a,r", [(1.0, 1.0), (5.0, 0.2), (2.0, 2.0), (5.0, 10.0)])
 def test_overlap_unit_mass(a, r):
     grid = PhaseSpaceGrid.square(-16.0, 16.0, 256)
@@ -162,6 +172,25 @@ def test_portrait_adds_gaussian_variances():
               / np.sqrt(var_omega * var_b))
     assert np.abs(p.values - target).max() < 1e-12 * target.max()
     assert abs(p.mass - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("a,r", [(1.0, 1.0), (1.3, 0.7), (2.0, 2.0)])
+def test_lower_symbol_of_the_quantized_density_is_its_portrait(a, r):
+    # <phi|rho_w|phi> for rho_w quantized with the width-a probe and phi the
+    # width-r probe displaced to (omega, b) is portrait(w, a, r) there
+    grid = PhaseSpaceGrid.square(-10.0, 10.0, 120)
+    time_grid = Grid1D.regular(-12.0, 12.0, 256)
+    w = gaussian_distribution(grid, 0.9, 1.1, center=(0.6, -0.4))
+    kernel = quantize_to_kernel(w, gaussian_probe(time_grid, a))
+    probe = gaussian_probe(time_grid, r)
+    nodes = np.arange(36, 85, 4)  # |omega|, |b| <= 4
+    states = np.array([displace(omega, b, probe).values
+                       for omega in grid.omega_axis.points[nodes]
+                       for b in grid.b_axis.points[nodes]])
+    symbol = time_grid.step ** 2 * np.sum(states.conj() * (states @ kernel.entries.T), axis=1)
+    smoothed = portrait(w, a, r).values
+    gap = np.abs(symbol - smoothed[np.ix_(nodes, nodes)].ravel()).max()
+    assert gap < 1e-10 * smoothed.max()
 
 
 def test_portrait_requires_unit_mass():
