@@ -538,7 +538,7 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
     if fold is None and name == "pentagon":
         fold = 5
     grid = PhaseSpaceGrid.square(grid_min, grid_max, n_grid)
-    try:  # the portrait convolution centres its kernel on the origin
+    try:  # the portrait smoothing centres its Gaussians on the origin
         grid.omega_axis.origin_index()  # the b axis too: the grid is square
     except ValueError as exc:
         raise ValidationFailure("stellar grid: %s" % exc)

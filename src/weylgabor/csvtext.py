@@ -4,9 +4,12 @@ Every CSV artifact of the command line is a block of float64 values in
 which each line reads ``",".join("%.17g" % v for v in line) + "\\n"``.
 The writers here produce exactly those bytes with numpy and stream them
 to the file one block at a time, so the whole text is never held in
-memory.  A block of ``write_rows`` holds a few thousand values; one of
-``write_pair_rows`` holds whole rows i of the pair block, as many as fit
-in that many values, and at least one.
+memory.  A block of ``write_rows`` holds the whole rows that fit in
+4096 values, and at least one row; one of ``write_pair_rows`` holds whole
+rows i of the pair block, as many as fit in 4096 values, and at least
+one.  A block of 4096 values needs about 1 MiB of buffers; fewer values
+per block cost more per-block overhead, and more raise the writers'
+peak memory in step.
 
 Digits.  For a finite |x| in [1e-280, 1e280] let k = floor(log10|x|),
 corrected by one either way so that q = |x|*10^(16-k) lies in
@@ -59,7 +62,7 @@ _WIDTH = len(_TEXT) + 1
 # layout classes of the exponent X: fixed X = -4..16, then e-notation
 # with two and with three exponent digits
 _N_LAYOUT = 23
-_CHUNK = 2048  # fields per block; a pair block is at least one whole row
+_CHUNK = 4096  # fields per block; a pair block is at least one whole row
 
 
 class _Tables(NamedTuple):

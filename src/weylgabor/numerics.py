@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fft, fftfreq, ifft, irfftn, rfftn
+from numpy.fft import fft, fftfreq, ifft, irfft, irfftn, rfft, rfftn
 
 __all__ = [
     "EdgeEnergyWarning",
@@ -235,9 +235,9 @@ def edge_mass_share(values: np.ndarray, axes: tuple | None = None) -> float:
     return float(values[border].sum() / total)
 
 
-def _warn_hot_edges(values: np.ndarray, what: str, effect: str) -> None:
-    """Warn when the edge samples exceed 1e-8 of the peak."""
-    ratio = edge_peak_ratio(values)
+def _warn_hot_edges(ratio: float, what: str, effect: str) -> None:
+    """Warn when the edge samples exceed 1e-8 of the peak: ``ratio`` is
+    their ``edge_peak_ratio``."""
     if ratio > 1e-8:
         warnings.warn(
             "%s: edge samples reach %.2e of the peak; %s" % (what, ratio, effect),
@@ -339,7 +339,7 @@ def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarra
     """
     # shift first, so that bad input raises before any warning
     out = spectral_shift(values, step, shifts)
-    _warn_hot_edges(values, "batch_fractional_shift",
+    _warn_hot_edges(edge_peak_ratio(values), "batch_fractional_shift",
                     "wrap-around will contaminate the result")
     return out
 
@@ -428,9 +428,21 @@ def _square_chirp(rate: float, m: np.ndarray) -> np.ndarray:
     return np.exp(1j * (lead * square)) * np.exp(1j * ((rate - lead) * square))
 
 
+def _wrap_free_window(axis: Grid1D) -> tuple:
+    """(s, P): the origin index s of ``axis``, where the window of a full
+    linear convolution of two n-sample lines starts, and the circular
+    length P that leaves that window free of wrap-around, the next fast
+    real length of max(2n - 1 - s, n + s)."""
+    s = axis.origin_index()
+    n = axis.count
+    return s, _next_fast_len(max(2 * n - 1 - s, n + s), real=True)
+
+
 def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
     """Phase-space convolution (f * g)(x) = sum f(x') g(x - x') dM on the grid,
-    with the cell measure dM = d(omega) d(b) / (2*pi).
+    with the cell measure dM = d(omega) d(b) / (2*pi): the generic 2-D
+    convolution, and the oracle of ``quantize.portrait``, which convolves
+    with a separable kernel one axis at a time.
 
     Uses a zero-padded FFT convolution and keeps the n x n window of the
     full (2n - 1) x (2n - 1) result that starts at the origin index s of
@@ -447,17 +459,37 @@ def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid) -> np.ndar
     if f.shape != grid.shape or g.shape != grid.shape:
         raise ValueError("inputs must live on the given grid")
     for values, which in ((f, "first"), (g, "second")):
-        _warn_hot_edges(values, "grid_convolve (%s input)" % which,
+        _warn_hot_edges(edge_peak_ratio(values), "grid_convolve (%s input)" % which,
                         "mass beyond the lattice is truncated")
-    s0 = grid.omega_axis.origin_index()
-    s1 = grid.b_axis.origin_index()
+    (s0, p0), (s1, p1) = _wrap_free_window(grid.omega_axis), _wrap_free_window(grid.b_axis)
     n0, n1 = grid.shape
-    fshape = [_next_fast_len(max(2 * n - 1 - s, n + s), real=True)
-              for n, s in ((n0, s0), (n1, s1))]
-    spectrum = rfftn(f, fshape, axes=(0, 1))
-    spectrum *= rfftn(g, fshape, axes=(0, 1))
-    full = irfftn(spectrum, fshape, axes=(0, 1))
+    spectrum = rfftn(f, (p0, p1), axes=(0, 1))
+    spectrum *= rfftn(g, (p0, p1), axes=(0, 1))
+    full = irfftn(spectrum, (p0, p1), axes=(0, 1))
     return grid.cell_measure * full[s0:s0 + n0, s1:s1 + n1]
+
+
+def _separable_convolve(f: np.ndarray, along_omega: np.ndarray,
+                        along_b: np.ndarray, grid: PhaseSpaceGrid) -> np.ndarray:
+    """``grid_convolve(f, np.outer(along_omega, along_b), grid)`` without its
+    checks, one axis at a time: a real FFT convolution of every line along
+    omega with ``along_omega``, then of every line along b with
+    ``along_b``, each padded to its axis's wrap-free length and cut to the
+    window at its origin index.  The cell measure scales the small
+    spectrum of ``along_omega``.  Beside ``f`` the work holds at most two
+    padded blocks, about 3 n^2 floats for a centred origin; the result is
+    a view into the last of them.
+    """
+    (s0, p0), (s1, p1) = _wrap_free_window(grid.omega_axis), _wrap_free_window(grid.b_axis)
+    n0, n1 = grid.shape
+    spectrum = rfft(f, p0, axis=0)
+    spectrum *= (grid.cell_measure * rfft(along_omega, p0))[:, None]
+    lines = irfft(spectrum, p0, axis=0)[s0:s0 + n0]
+    del spectrum  # each padded block is freed as soon as it is read
+    spectrum = rfft(lines, p1, axis=1)
+    del lines
+    spectrum *= rfft(along_b, p1)
+    return irfft(spectrum, p1, axis=1)[:, s1:s1 + n1]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ semidefinite up to float roundoff, for every non-negative w.
 
 The reverse direction is the smoothed portrait: the expectation values of
 rho_w against displaced projectors of a second probe form the convolution
-of w with the two-probe overlap density P(omega, b) = overlap_kernel(a, r).
+of w with the two-probe overlap density P(omega, b) = overlap_kernel(a, r),
+a product of one Gaussian in omega and one in b, so the portrait smooths
+one axis at a time.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
     _require_finite,
+    _separable_convolve,
+    _warn_hot_edges,
     chirp_z,
     edge_peak_ratio,
-    grid_convolve,
     spectral_shift,
 )
 
@@ -125,9 +128,14 @@ def gaussian_distribution(grid: PhaseSpaceGrid, sigma_omega: float = 1.0,
     _require_finite(center, "center")
     if sigma_omega <= 0 or sigma_b <= 0:
         raise ValueError("standard deviations must be positive")
-    along_omega = np.exp(-(grid.omega_axis.points - center[0]) ** 2 / (2.0 * sigma_omega ** 2))
-    along_b = np.exp(-(grid.b_axis.points - center[1]) ** 2 / (2.0 * sigma_b ** 2))
+    along_omega = _axis_gaussian(grid.omega_axis, center[0], sigma_omega)
+    along_b = _axis_gaussian(grid.b_axis, center[1], sigma_b)
     return Distribution(grid, np.outer(along_omega, along_b) / (sigma_omega * sigma_b))
+
+
+def _axis_gaussian(axis: Grid1D, center: float, sigma: float) -> np.ndarray:
+    """exp(-(x - center)^2/(2*sigma^2)) at the points x of ``axis``."""
+    return np.exp(-(axis.points - center) ** 2 / (2.0 * sigma ** 2))
 
 
 def point_mass_distribution(grid: PhaseSpaceGrid, omega0: float, b0: float) -> Distribution:
@@ -147,6 +155,23 @@ def point_mass_distribution(grid: PhaseSpaceGrid, omega0: float, b0: float) -> D
 # two-probe overlap density
 # ---------------------------------------------------------------------------
 
+def _overlap_widths(a: float, r: float) -> tuple:
+    """(sigma_omega, sigma_b) of the overlap density of probes of widths a
+    and r: the roots of sigma_omega^2 = (r+a)/(2*r*a) = 0.5/a + 0.5/r and
+    sigma_b^2 = (r+a)/2 = 0.5*a + 0.5*r, summed in that form so that no
+    product or sum of the widths overflows.  Only a width below about
+    2.8e-309 makes 0.5/a overflow, and it is refused."""
+    _require_finite(a, "a")
+    _require_finite(r, "r")
+    if a <= 0 or r <= 0:
+        raise ValueError("probe widths must be positive")
+    a, r = float(a), float(r)  # an overflow in float arithmetic is inf, not a warning
+    var_omega = 0.5 / a + 0.5 / r
+    if var_omega == float("inf"):
+        raise ValueError("probe widths are too small: 0.5/a + 0.5/r overflows")
+    return np.sqrt(var_omega), np.sqrt(0.5 * a + 0.5 * r)
+
+
 def overlap_kernel(a: float, r: float, grid: PhaseSpaceGrid) -> Distribution:
     """Closed-form overlap density of two Gaussian probes of widths a and r:
 
@@ -159,12 +184,7 @@ def overlap_kernel(a: float, r: float, grid: PhaseSpaceGrid) -> Distribution:
     unit-mass requirement; the width product (r+a)/(2*sqrt(r*a)) is >= 1
     for every width pair (equality at a = r).
     """
-    _require_finite(a, "a")
-    _require_finite(r, "r")
-    if a <= 0 or r <= 0:
-        raise ValueError("probe widths must be positive")
-    return gaussian_distribution(grid, np.sqrt((r + a) / (2.0 * r * a)),
-                                 np.sqrt((r + a) / 2.0))
+    return gaussian_distribution(grid, *_overlap_widths(a, r))
 
 
 def overlap_kernel_quadrature(psi_a: SampledSignal, psi_r: SampledSignal,
@@ -185,16 +205,30 @@ def overlap_kernel_quadrature(psi_a: SampledSignal, psi_r: SampledSignal,
 def portrait(w: Distribution, a: float, r: float) -> Distribution:
     """Smoothed (lower-symbol) density: the convolution w * overlap_kernel,
     a Gaussian blur with sigma_omega^2 = (r+a)/(2*r*a) and
-    sigma_b^2 = (r+a)/2.
+    sigma_b^2 = (r+a)/2, clipped at 0 against FFT roundoff.
+
+    The overlap density is the outer product of one Gaussian along each
+    axis, so the blur runs one axis at a time: a real FFT convolution of
+    every omega-line, then of every b-line, each padded to its axis's
+    wrap-free length, as grid_convolve pads both (its oracle).  No n^2
+    kernel is built, and beside w and the result the work holds about
+    3 n^2 floats.  Both axes must hold 0 on a lattice point.
 
     Mass is conserved exactly when both factors are contained in the grid;
-    a wide overlap kernel or an edge-heavy w pushes mass off-grid (the
-    convolution warns about hot edges).
+    a wide overlap kernel or an edge-heavy w pushes mass off-grid, and
+    either one warns about hot edges (EdgeEnergyWarning).
     """
     _require_unit_mass(w, "portrait")
-    kernel = overlap_kernel(a, r, w.grid)
-    smoothed = grid_convolve(w.values, kernel.values, w.grid)
-    return Distribution(w.grid, np.maximum(smoothed, 0.0))
+    sigma_omega, sigma_b = _overlap_widths(a, r)
+    along_omega = _axis_gaussian(w.grid.omega_axis, 0.0, sigma_omega)
+    along_b = _axis_gaussian(w.grid.b_axis, 0.0, sigma_b) / (sigma_omega * sigma_b)
+    smoothed = np.maximum(_separable_convolve(w.values, along_omega, along_b, w.grid), 0.0)
+    # the edge ratio of an outer product is the larger of its factors'
+    kernel_edge = max(edge_peak_ratio(along_omega), edge_peak_ratio(along_b))
+    for ratio, which in ((edge_peak_ratio(w.values), "density"),
+                         (kernel_edge, "overlap kernel")):
+        _warn_hot_edges(ratio, "portrait (%s)" % which, "mass beyond the lattice is truncated")
+    return Distribution(w.grid, smoothed)
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,9 @@ def _hermite_rows(n: int, z):
 def hermite_poly(n: int, z) -> np.ndarray:
     """Physicists' Hermite polynomial H_n at a complex argument."""
     n = _integer_order(n, _HERMITE_CAP)
-    for h in _hermite_rows(n, np.asarray(z, dtype=complex)):
+    z = np.asarray(z, dtype=complex)
+    _require_finite(z, "z")
+    for h in _hermite_rows(n, z):
         pass
     return h
 
@@ -155,6 +157,7 @@ def anisotropic_stellar_weight(zeros: Sequence[complex], rate_b: float,
     if rate_b <= 0 or rate_omega <= 0:
         raise ValueError("envelope rates must be positive")
     z = np.asarray(z, dtype=complex)
+    _require_finite(z, "z")
     poly = np.ones_like(z)
     for zero in zeros:
         poly = poly * (z - zero)

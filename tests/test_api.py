@@ -41,12 +41,17 @@ def test_all_lists_every_public_definition(module):
     ("zeros", lambda bad: stellar.anisotropic_stellar_weight([0j, complex(bad, 0.0)],
                                                              1.0, 1.0, 0.1j)),
     ("zeros", lambda bad: stellar.stellar_distribution([complex(0.0, bad)], 0.5, GRID)),
+    ("z", lambda bad: stellar.anisotropic_stellar_weight([0j], 1.0, 1.0,
+                                                         [0.1j, complex(bad, 0.0)])),
+    ("z", lambda bad: stellar.stellar_weight([0j], 0.5, complex(0.0, bad))),
+    ("z", lambda bad: stellar.hermite_poly(3, np.array([0.5, complex(bad, 1.0)]))),
     ("probe_a", lambda bad: stellar.StellarParams(0.5, bad, 1.0, GRID)),
     ("probe_r", lambda bad: stellar.StellarParams(0.5, 1.0, bad, GRID)),
 ], ids=["gaussian-sigma_omega", "gaussian-sigma_b", "gaussian-center_omega",
         "gaussian-center_b", "point-omega0", "point-b0", "overlap-a", "overlap-r",
         "quadrature-omega", "quadrature-b", "weight-rate_b", "weight-rate_omega",
-        "weight-zero-real", "distribution-zero-imag", "params-probe_a", "params-probe_r"])
+        "weight-zero-real", "distribution-zero-imag", "weight-z-real",
+        "stellar-weight-z-imag", "hermite-z", "params-probe_a", "params-probe_r"])
 def test_quantize_and_stellar_boundaries_name_their_nonfinite_arguments(name, call, bad):
     with pytest.raises(ValueError, match="^%s must be finite$" % name):
         call(bad)

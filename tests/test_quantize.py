@@ -1,6 +1,7 @@
 """Quantization of phase-space densities: overlap kernels, smoothed
 portraits, projector smearing, and the operator-valued weight sum."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylgabor import numerics, quantize
 from weylgabor.gabor import SampledSignal, displace, gaussian_probe
 from weylgabor.numerics import (
     EdgeEnergyWarning,
     Grid1D,
     PhaseSpaceGrid,
     batch_fractional_shift,
+    grid_convolve,
 )
 from weylgabor.quantize import (
     _SQRT_2PI,
@@ -149,6 +152,32 @@ def test_overlap_rejects_bad_widths():
         overlap_kernel(0.0, 1.0, TF_GRID)
     with pytest.raises(ValueError):
         overlap_kernel(1.0, -2.0, TF_GRID)
+    w = gaussian_distribution(TF_GRID).normalized()
+    for call in (lambda: overlap_kernel(1e-310, 1.0, TF_GRID),
+                 lambda: portrait(w, 1.0, 1e-310)):
+        with pytest.raises(ValueError, match="^probe widths are too small"):
+            call()
+
+
+@pytest.mark.parametrize("a,r,line", [(1e300, 1e300, "omega"),
+                                      (1e-300, 1e-300, "b"),
+                                      (1e300, 1e-300, None)])
+def test_overlap_of_extreme_widths_is_its_finite_limit(a, r, line):
+    # r*a and 2*r*a overflow or underflow here, but 0.5/a + 0.5/r and
+    # 0.5*a + 0.5*r do not: when one factor is far narrower than a cell,
+    # its origin line keeps the unit-mass prefactor 2*sqrt(r*a)/(r+a) = 1;
+    # widths 1e300 and 1e-300 make both factors wide, at the prefactor 2e-300
+    values = overlap_kernel(a, r, TF_GRID).values
+    assert np.isfinite(values).all()
+    s = TF_GRID.omega_axis.origin_index()
+    expected = np.zeros(TF_GRID.shape)
+    if line == "omega":
+        expected[s, :] = 1.0
+    elif line == "b":
+        expected[:, s] = 1.0
+    else:
+        expected[:] = 2e-300
+    np.testing.assert_allclose(values, expected, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +220,81 @@ def test_lower_symbol_of_the_quantized_density_is_its_portrait(a, r):
     smoothed = portrait(w, a, r).values
     gap = np.abs(symbol - smoothed[np.ix_(nodes, nodes)].ravel()).max()
     assert gap < 1e-10 * smoothed.max()
+
+
+_ORACLE_CASES = {
+    "centred-square": (PhaseSpaceGrid.square(-8.0, 8.0, 96), (2.0, 2.0)),
+    "non-square": (PhaseSpaceGrid(Grid1D.regular(-6.0, 6.0, 60),
+                                  Grid1D.regular(-9.0, 7.0, 80)), (2.0, 2.0)),
+    # the origin at index 0 and at n - 1: the wrap-free length is 2n - 1
+    "origin-first": (PhaseSpaceGrid(Grid1D(0.0, 0.25, 40),
+                                    Grid1D(-9.75, 0.25, 40)), (1.0, 1.0)),
+    "origin-last": (PhaseSpaceGrid(Grid1D(-7.0, 0.25, 29),
+                                   Grid1D(0.0, 0.3, 33)), (1.0, 1.0)),
+    "unequal-widths": (PhaseSpaceGrid.square(-8.0, 8.0, 96), (1.3, 0.7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_portrait_is_grid_convolve_with_the_overlap_kernel(case):
+    grid, (a, r) = _ORACLE_CASES[case]
+    w = gaussian_distribution(grid, 1.1, 1.4, center=(0.4, -0.3)).normalized()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EdgeEnergyWarning)
+        smoothed = portrait(w, a, r).values
+        oracle = grid_convolve(w.values, overlap_kernel(a, r, grid).values, grid)
+    assert np.abs(smoothed - np.maximum(oracle, 0.0)).max() < 1e-13 * oracle.max()
+
+
+def _edge_ratios(caught) -> list:
+    assert all(issubclass(c.category, EdgeEnergyWarning) for c in caught)
+    return [re.search(r"reach (\S+) of the peak", str(c.message)).group(1)
+            for c in caught]
+
+
+@pytest.mark.parametrize("a,r", [(1.0, 1.0), (40.0, 40.0)])
+def test_portrait_warns_about_hot_edges_as_its_oracle(a, r):
+    # a density cut off at the grid edge; at widths 40 the overlap kernel
+    # is hot along b as well
+    grid = PhaseSpaceGrid.square(-8.0, 8.0, 64)
+    w = gaussian_distribution(grid, 3.0, 3.0).normalized()
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        portrait(w, a, r)
+    with warnings.catch_warnings(record=True) as want:
+        warnings.simplefilter("always")
+        grid_convolve(w.values, overlap_kernel(a, r, grid).values, grid)
+    assert len(got) == len(want) == (2 if a > 1.0 else 1)
+    assert _edge_ratios(got) == _edge_ratios(want)
+    assert [str(c.message).split(":")[0] for c in got] == [
+        "portrait (density)", "portrait (overlap kernel)"][:len(got)]
+
+
+def test_portrait_builds_no_kernel_grid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the portrait builds no n^2 kernel")
+
+    w = gaussian_distribution(TF_GRID, center=(0.5, -1.0)).normalized()
+    expected = quantize.portrait(w, 1.0, 1.0).values
+    monkeypatch.setattr(numerics, "grid_convolve", refuse)
+    monkeypatch.setattr(quantize, "grid_convolve", refuse, raising=False)
+    monkeypatch.setattr(quantize, "overlap_kernel", refuse)
+    np.testing.assert_array_equal(quantize.portrait(w, 1.0, 1.0).values, expected)
+
+
+def test_portrait_holds_under_four_grids_beside_its_input():
+    # two padded blocks of about 1.5 n^2 floats at a time, then the result:
+    # the 2-D FFT with the n^2 kernel took 7.8 grids
+    n = 512
+    w = gaussian_distribution(PhaseSpaceGrid.square(-10.0, 10.0, n)).normalized()
+    portrait(w, 2.0, 2.0)
+    tracemalloc.start()
+    try:
+        portrait(w, 2.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * n * n * 8
 
 
 def test_portrait_requires_unit_mass():
