@@ -201,10 +201,15 @@ def _format(values, buf, keep) -> None:
     digits[~exact] = 0
     exponent[~exact] = 0
     fallback |= ~exact & (ax != 0)
-    high, low = np.divmod(digits, 10 ** 8)
-    high, q2 = np.divmod(high, 10 ** 4)
-    d0, q1 = np.divmod(high, 10 ** 4)
-    q3, q4 = np.divmod(low, 10 ** 4)
+    # floor division by a scalar takes numpy's fast path, np.divmod does not
+    high = digits // 10 ** 8
+    low = digits - high * 10 ** 8
+    top = high // 10 ** 4
+    q2 = high - top * 10 ** 4
+    d0 = top // 10 ** 4
+    q1 = top - d0 * 10 ** 4
+    q3 = low // 10 ** 4
+    q4 = low - q3 * 10 ** 4
     words = np.empty((len(values), 5), dtype=np.uint32)
     for col, quad in enumerate((d0, q1, q2, q3, q4)):
         words[:, col] = tab.quads[quad]

@@ -84,6 +84,8 @@ class Grid1D:
     @classmethod
     def regular(cls, lo: float, hi: float, n: int) -> "Grid1D":
         """Grid of ``n`` cells covering [lo, hi)."""
+        _require_finite(lo, "lo")
+        _require_finite(hi, "hi")
         if not hi > lo:
             raise ValueError("need hi > lo")
         return cls(start=float(lo), step=(float(hi) - float(lo)) / int(n), count=int(n))
@@ -384,6 +386,8 @@ def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
     The result is a view into the one zero-padded work buffer; the FFTs and
     the post-chirp run in place.
     """
+    _require_finite(nodes, "nodes")
+    _require_finite(comb, "comb")
     x0, dx, n = nodes
     f0, df, n_f = comb
     moved = np.moveaxis(np.asarray(values, dtype=complex), axis, -1)

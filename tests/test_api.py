@@ -1,6 +1,6 @@
 """Each library module exports, in ``__all__``, every public function and
-class it defines, and the quantize and stellar boundaries name the argument
-that carries a non-finite value."""
+class it defines, and the library boundaries name the argument that
+carries a non-finite value."""
 
 import inspect
 
@@ -47,11 +47,19 @@ def test_all_lists_every_public_definition(module):
     ("z", lambda bad: stellar.hermite_poly(3, np.array([0.5, complex(bad, 1.0)]))),
     ("probe_a", lambda bad: stellar.StellarParams(0.5, bad, 1.0, GRID)),
     ("probe_r", lambda bad: stellar.StellarParams(0.5, 1.0, bad, GRID)),
+    ("lo", lambda bad: numerics.Grid1D.regular(bad, 1.0, 8)),
+    ("hi", lambda bad: numerics.Grid1D.regular(-1.0, bad, 8)),
+    ("nodes", lambda bad: numerics.chirp_z(np.ones(8), (bad, 0.1, 8), (0.0, 1.0, 4))),
+    ("nodes", lambda bad: numerics.chirp_z(np.ones(8), (0.0, bad, 8), (0.0, 1.0, 4))),
+    ("comb", lambda bad: numerics.chirp_z(np.ones(8), (0.0, 0.1, 8), (bad, 1.0, 4))),
+    ("comb", lambda bad: numerics.chirp_z(np.ones(8), (0.0, 0.1, 8), (0.0, bad, 4))),
 ], ids=["gaussian-sigma_omega", "gaussian-sigma_b", "gaussian-center_omega",
         "gaussian-center_b", "point-omega0", "point-b0", "overlap-a", "overlap-r",
         "quadrature-omega", "quadrature-b", "weight-rate_b", "weight-rate_omega",
         "weight-zero-real", "distribution-zero-imag", "weight-z-real",
-        "stellar-weight-z-imag", "hermite-z", "params-probe_a", "params-probe_r"])
-def test_quantize_and_stellar_boundaries_name_their_nonfinite_arguments(name, call, bad):
+        "stellar-weight-z-imag", "hermite-z", "params-probe_a", "params-probe_r",
+        "regular-lo", "regular-hi", "chirp_z-x0", "chirp_z-dx", "chirp_z-f0",
+        "chirp_z-df"])
+def test_library_boundaries_name_their_nonfinite_arguments(name, call, bad):
     with pytest.raises(ValueError, match="^%s must be finite$" % name):
         call(bad)
