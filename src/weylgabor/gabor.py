@@ -25,7 +25,12 @@ a uniform frequency comb are chirp-z transforms (numerics.chirp_z), so the
 analysis costs O(n_b*(n_t + n_omega)*log) and no n_omega x n_t table of
 exponentials is ever built.  The n_b window translates cost
 O(q*n_t*log(n_t) + n_b*n_t) when the b-step is p/q time steps (16/5 at the
-default grids): q FFT translates and exact rolls of them.
+default grids): q FFT translates and exact rolls of them, made in one call
+per transform.  Beside its input and result each direction holds the
+(n_b, n_t) batch of translates and work of a few hundred KiB: the chirp-z
+transform runs in cache-sized tiles of lines, the analysis writes its
+(n_omega, n_b) coefficients straight into the result, and the resynthesis
+sums its modes times windows one tile of b-columns at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import numpy as np
 from numpy.fft import fft
 
 from .numerics import (
+    _TILE_BYTES,
     Grid1D,
     PhaseSpaceGrid,
     _require_finite,
@@ -221,22 +227,29 @@ def _analyze(window: SampledSignal, s: SampledSignal, comb: tuple,
     windowed = window.translated(shifts)            # fresh (n_b, n_t): window it in place
     np.conjugate(windowed, out=windowed)
     windowed *= s.grid.step * s.values
-    coeffs = chirp_z(windowed, s.grid.comb, comb, sign=-1)
-    del windowed
-    # a compact [omega, b] copy, so the transform's buffer is freed
-    return np.ascontiguousarray(coeffs.T)
+    # along t of the [t, b] view, so the result is a compact [omega, b] array
+    return chirp_z(windowed.T, s.grid.comb, comb, sign=-1, axis=0)
 
 
 def _synthesize(window: SampledSignal, comb: tuple, shifts: np.ndarray,
                 values: np.ndarray, measure: float) -> np.ndarray:
     """measure * sum_{omega, b} values[omega, b] exp(1j*omega*t) window(t - b),
-    for ``values`` on the uniform frequency comb ``comb`` = (start, step, count)."""
+    for ``values`` on the uniform frequency comb ``comb`` = (start, step, count).
+
+    The b-columns run in tiles of _TILE_BYTES of modes: each tile's chirp-z
+    modes are multiplied by their windows and summed into the result, so
+    no (n_b, n_t) block of modes is held beside the windows."""
     _require_unit_norm(window)
-    # windows first, so the shift's temporaries and the transform's buffer
-    # never coexist
     windows = window.translated(shifts)                                  # (n_b, n_t)
-    modes = chirp_z(values, comb, window.grid.comb, sign=1, axis=0)     # (n_t, n_b)
-    return measure * np.einsum("tb,bt->t", modes, windows)
+    tile = max(1, _TILE_BYTES // windows[0].nbytes)
+    out = np.zeros(window.grid.count, dtype=complex)
+    for start in range(0, len(windows), tile):
+        modes = chirp_z(values[:, start:start + tile].T, comb, window.grid.comb,
+                        sign=1)                                          # (tile, n_t)
+        modes *= windows[start:start + tile]
+        out += modes.sum(axis=0)
+    out *= measure
+    return out
 
 
 def gabor_transform(probe: SampledSignal, s: SampledSignal,

@@ -203,10 +203,12 @@ def periodic_trapezoid(values: np.ndarray, step: float | None = None):
     """Quadrature over one full period sampled uniformly with no duplicated
     endpoint: step * sum(values).  With ``step`` omitted the grid is assumed
     to cover [0, 2*pi).  Spectrally accurate for smooth periodic integrands.
+    A non-finite step raises a ValueError naming it.
     """
     values = np.asarray(values)
     if step is None:
         step = 2.0 * np.pi / values.shape[-1]
+    _require_finite(step, "step")
     return step * values.sum(axis=-1)
 
 
@@ -277,12 +279,16 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     is its fraction's translate rolled, so its roundoff does not grow with
     the shift, and a row whose fraction is its group's (every row, when
     the fractions are distinct) is that single shift bit for bit.
-    Anything but 1-D samples and a scalar or 1-D array of finite shifts
-    raises a ValueError.  The result is always a fresh array.
+    Anything but 1-D samples, a finite positive step and a scalar or 1-D
+    array of finite shifts raises a ValueError.  The result is always a
+    fresh array.
     """
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or np.ndim(shift) > 1:
         raise ValueError("expected 1-D samples and a scalar or 1-D array of shifts")
+    _require_finite(step, "step")
+    if not step > 0:
+        raise ValueError("step must be positive")
     _require_finite(shift, "shift")
     n = values.size
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
@@ -365,6 +371,11 @@ def _next_fast_len(target: int, real: bool = False) -> int:
     return best
 
 
+# bytes of zero-padded lines per chirp-z tile, and of modes per tile of the
+# Gabor resynthesis: a tile and its products stay in cache
+_TILE_BYTES = 512 * 1024
+
+
 def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
             axis: int = -1) -> np.ndarray:
     """Fourier sums between two uniform combs, along ``axis``:
@@ -383,14 +394,17 @@ def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
     middle of each comb, which keeps the linear phases small, and each
     quadratic phase is exponentiated from an exact product, so the three
     cancel as k*j would and leave roundoff at the level of a dense table.
-    The result is a view into the one zero-padded work buffer; the FFTs and
-    the post-chirp run in place.
+    The three chirps are built once per (nodes, comb, sign) and kept for
+    later calls.  The lines run in tiles of about _TILE_BYTES of
+    zero-padded work, each line computed as it would be alone, and each
+    tile's sums are written into the result: a fresh C-ordered array of
+    the input's shape with n_f samples along ``axis``.
     """
     _require_finite(nodes, "nodes")
     _require_finite(comb, "comb")
-    x0, dx, n = nodes
-    f0, df, n_f = comb
-    moved = np.moveaxis(np.asarray(values, dtype=complex), axis, -1)
+    n, n_f = nodes[2], comb[2]
+    values = np.asarray(values, dtype=complex)
+    moved = np.moveaxis(values, axis, -1)
     if moved.shape[-1] != n:
         raise ValueError("values hold %d samples along the axis, the nodes %d"
                          % (moved.shape[-1], n))
@@ -398,26 +412,52 @@ def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
         raise ValueError("the comb needs at least one frequency")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    pre, chirp, post = _chirp_plan(tuple(nodes), tuple(comb), sign)
+    shape = list(values.shape)
+    shape[axis] = n_f
+    result = np.empty(shape, dtype=complex)
+    out = np.moveaxis(result, axis, -1)
+    if moved.ndim == 1:
+        moved, out = moved[None], out[None]
+    # tiles run along the first axis; each entry of it holds `lines` lines
+    lines = math.prod(moved.shape[1:-1])
+    rows = max(1, _TILE_BYTES // max(1, lines * chirp.nbytes))
+    work = np.empty((min(rows, len(moved)),) + moved.shape[1:-1] + chirp.shape,
+                    dtype=complex)
+    for start in range(0, len(moved), rows):
+        tile = work[:len(moved) - start]
+        np.multiply(moved[start:start + rows], pre, out=tile[..., :n])
+        tile[..., n:] = 0.0
+        fft(tile, out=tile)
+        tile *= chirp
+        ifft(tile, out=tile)
+        np.multiply(tile[..., :n_f], post, out=out[start:start + rows])
+    return result
+
+
+@functools.lru_cache(maxsize=16)
+def _chirp_plan(nodes: tuple, comb: tuple, sign: int) -> tuple:
+    """(pre-chirp, chirp spectrum, post-chirp) of ``chirp_z``, read-only;
+    the spectrum's length is the FFT length."""
+    x0, dx, n = nodes
+    f0, df, n_f = comb
     mid_j, mid_k = n // 2, n_f // 2
     x_mid, f_mid = x0 + mid_j * dx, f0 + mid_k * df
     rate = 0.5 * sign * df * dx
     j = np.arange(n) - mid_j
     k = np.arange(n_f) - mid_k
     size = _next_fast_len(n + n_f - 1)
-    # buffer position r holds the lag k - j = r, or r - size past the comb
+    # FFT position r holds the lag k - j = r, or r - size past the comb
     lag = np.arange(size)
     lag[n_f:] -= size
     lag -= mid_k - mid_j
     chirp = _square_chirp(-rate, lag)
     fft(chirp, out=chirp)
-    work = np.zeros(moved.shape[:-1] + (size,), dtype=complex)
     pre = np.exp(1j * sign * f_mid * dx * j) * _square_chirp(rate, j)
-    np.multiply(moved, pre, out=work[..., :n])
-    fft(work, out=work)
-    work *= chirp
-    out = ifft(work, out=work)[..., :n_f]
-    out *= np.exp(1j * sign * (f_mid * x_mid + df * x_mid * k)) * _square_chirp(rate, k)
-    return np.moveaxis(out, -1, axis)
+    post = np.exp(1j * sign * (f_mid * x_mid + df * x_mid * k)) * _square_chirp(rate, k)
+    for part in (pre, chirp, post):
+        part.setflags(write=False)
+    return pre, chirp, post
 
 
 def _square_chirp(rate: float, m: np.ndarray) -> np.ndarray:

@@ -122,12 +122,21 @@ def gaussian_distribution(grid: PhaseSpaceGrid, sigma_omega: float = 1.0,
                           sigma_b: float = 1.0, center=(0.0, 0.0)) -> Distribution:
     """Unit-mass Gaussian density exp(-(omega-omega0)^2/(2*sigma_omega^2))
     * exp(-(b-b0)^2/(2*sigma_b^2)) / (sigma_omega*sigma_b) about ``center`` =
-    (omega0, b0): the outer product of its two axis Gaussians."""
+    (omega0, b0): the outer product of its two axis Gaussians.  A width
+    whose 2*sigma^2 underflows to 0, or a pair whose product is below the
+    smallest normal float, where the peak 1/(sigma_omega*sigma_b) can
+    overflow, raises a ValueError naming it."""
     _require_finite(sigma_omega, "sigma_omega")
     _require_finite(sigma_b, "sigma_b")
     _require_finite(center, "center")
     if sigma_omega <= 0 or sigma_b <= 0:
         raise ValueError("standard deviations must be positive")
+    for sigma, name in ((sigma_omega, "sigma_omega"), (sigma_b, "sigma_b")):
+        # only a width below 1 is squared here: a wide one may overflow
+        if sigma < 1.0 and 2.0 * sigma ** 2 == 0.0:
+            raise ValueError("%s is too small: 2*%s**2 underflows to 0" % (name, name))
+    if sigma_omega < np.finfo(float).tiny / sigma_b:
+        raise ValueError("sigma_omega * sigma_b is too small: the peak density overflows")
     along_omega = _axis_gaussian(grid.omega_axis, center[0], sigma_omega)
     along_b = _axis_gaussian(grid.b_axis, center[1], sigma_b)
     return Distribution(grid, np.outer(along_omega, along_b) / (sigma_omega * sigma_b))
@@ -394,15 +403,23 @@ def density_diagnostics(kernel: OperatorKernel) -> dict:
     operator represented by the kernel.
 
     The eigenvalues are those of the step-weighted symmetrized matrix
-    (the operator's matrix in the discrete L2 inner product).
+    (the operator's matrix in the discrete L2 inner product).  k^dagger is
+    formed once, for the Hermiticity defect and, scaled by the real step,
+    as the adjoint of the matrix; the symmetrized matrix is summed in the
+    matrix's own buffer.
     """
     k = kernel.entries
     dt = kernel.quad_weight
+    adjoint = k.conj().T
+    defect = float(np.abs(k - adjoint).max())
     matrix = dt * k
-    sym = 0.5 * (matrix + matrix.conj().T)
+    trace = float(np.real(np.trace(matrix)))
+    adjoint *= dt
+    matrix += adjoint
+    matrix *= 0.5
     return {
-        "trace": float(np.real(np.trace(matrix))),
-        "hermiticity_defect": float(np.abs(k - k.conj().T).max()),
-        "min_eigenvalue": float(np.linalg.eigvalsh(sym).min()),
+        "trace": trace,
+        "hermiticity_defect": defect,
+        "min_eigenvalue": float(np.linalg.eigvalsh(matrix).min()),
         "purity": float(dt ** 2 * np.sum(np.abs(k) ** 2)),
     }

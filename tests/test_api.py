@@ -53,13 +53,16 @@ def test_all_lists_every_public_definition(module):
     ("nodes", lambda bad: numerics.chirp_z(np.ones(8), (0.0, bad, 8), (0.0, 1.0, 4))),
     ("comb", lambda bad: numerics.chirp_z(np.ones(8), (0.0, 0.1, 8), (bad, 1.0, 4))),
     ("comb", lambda bad: numerics.chirp_z(np.ones(8), (0.0, 0.1, 8), (0.0, bad, 4))),
+    ("step", lambda bad: numerics.spectral_shift(np.ones(8), bad, 0.5)),
+    ("step", lambda bad: numerics.batch_fractional_shift(np.ones(8), bad, 0.5)),
+    ("step", lambda bad: numerics.periodic_trapezoid(np.ones(8), bad)),
 ], ids=["gaussian-sigma_omega", "gaussian-sigma_b", "gaussian-center_omega",
         "gaussian-center_b", "point-omega0", "point-b0", "overlap-a", "overlap-r",
         "quadrature-omega", "quadrature-b", "weight-rate_b", "weight-rate_omega",
         "weight-zero-real", "distribution-zero-imag", "weight-z-real",
         "stellar-weight-z-imag", "hermite-z", "params-probe_a", "params-probe_r",
         "regular-lo", "regular-hi", "chirp_z-x0", "chirp_z-dx", "chirp_z-f0",
-        "chirp_z-df"])
+        "chirp_z-df", "shift-step", "batch-shift-step", "trapezoid-step"])
 def test_library_boundaries_name_their_nonfinite_arguments(name, call, bad):
     with pytest.raises(ValueError, match="^%s must be finite$" % name):
         call(bad)

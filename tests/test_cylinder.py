@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import iv
 
+from weylgabor import gabor
 from weylgabor.cylinder import (
     CircularSignal,
     CylCoefficients,
@@ -485,6 +486,28 @@ def test_one_frequency_comb_matches_fft_gather_and_direct_sums(n_gamma):
     windows = spectral_shift(psi.values, psi.grid.step, phi.grid.points)
     direct = phi.grid.step / TWO_PI * (coeffs.values[0] @ windows)
     assert np.abs(recon.values - direct).max() < 1e-12
+
+
+def _dense_reconstruct(psi, coeffs):
+    """Reference form of the circle resynthesis: the dense double sum of
+    S(m, theta) exp(1j*m*(g - theta/2)) psi(g - theta) d(theta)/(2*pi)."""
+    thetas = coeffs.theta_axis.points
+    windows = spectral_shift(psi.values, psi.grid.step, thetas)
+    descaled = coeffs.values * np.exp(-1j * np.outer(coeffs.m_values, thetas) / 2.0)
+    modes = np.exp(1j * np.outer(psi.grid.points, coeffs.m_values))
+    return (coeffs.theta_axis.step / TWO_PI
+            * np.einsum("gk,kg->g", modes @ descaled, windows))
+
+
+@pytest.mark.parametrize("columns", [1, 5])
+def test_resynthesis_over_theta_tiles_matches_the_dense_sum(monkeypatch, columns):
+    # 64 angle columns in tiles of 5 leave a short last tile
+    psi = von_mises(2.0, 64)
+    phi = displace(2, 0.7, psi)
+    coeffs = cyl_gabor_transform(psi, phi, adaptive_m_cutoff(psi, phi))
+    monkeypatch.setattr(gabor, "_TILE_BYTES", columns * psi.values.nbytes)
+    recon = cyl_reconstruct(psi, coeffs)
+    assert np.abs(recon.values - _dense_reconstruct(psi, coeffs)).max() < 1e-12
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([15, 33]), st.floats(0.0, 5.0))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylgabor import numerics
+from weylgabor import gabor, numerics
 from weylgabor.cylinder import (
     TruncationWarning,
     cyl_gabor_transform,
@@ -21,6 +21,7 @@ from weylgabor.gabor import (
     SampledSignal,
     SlowDecayWarning,
     SupportCoverageWarning,
+    TFCoefficients,
     covariance_residual,
     default_tf_grid,
     default_time_grid,
@@ -288,6 +289,45 @@ def test_transform_and_resynthesis_match_dense_tables(n_t, n_tf, half):
     assert np.abs(recon.values - _dense_reconstruct(probe, coeffs)).max() < 1e-13
 
 
+@pytest.mark.parametrize("columns,tiles", [(1, [1] * 40), (7, [7] * 5 + [5])])
+def test_resynthesis_over_b_tiles_matches_the_dense_sum(monkeypatch, columns, tiles):
+    # 40 b-columns in tiles of 7 leave a short last tile
+    tgrid = Grid1D.regular(-12.0, 12.0, 96)
+    probe = gaussian_probe(tgrid)
+    grid = PhaseSpaceGrid.square(-5.0, 5.0, 40)
+    coeffs = gabor_transform(probe, make_test_signal("two_bump", tgrid), grid)
+    monkeypatch.setattr(gabor, "_TILE_BYTES", columns * probe.values.nbytes)
+    made, original = [], gabor.chirp_z
+
+    def counted(values, *args, **kwargs):
+        made.append(len(values))
+        return original(values, *args, **kwargs)
+
+    monkeypatch.setattr(gabor, "chirp_z", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportCoverageWarning)
+        recon = gabor_reconstruct(probe, coeffs)
+    assert made == tiles
+    assert np.abs(recon.values - _dense_reconstruct(probe, coeffs)).max() < 1e-13
+
+
+def test_hot_window_warns_once_per_transform_call(monkeypatch):
+    # one translate call per transform and per resynthesis, however small
+    # the tiles
+    monkeypatch.setattr(numerics, "_TILE_BYTES", 1)
+    monkeypatch.setattr(gabor, "_TILE_BYTES", 1)
+    tgrid = Grid1D.regular(-6.0, 6.0, 64)
+    hot = SampledSignal(tgrid, np.exp(-tgrid.points ** 2 / 50.0)).normalized()
+    s = make_test_signal("gaussian", tgrid)
+    grid = PhaseSpaceGrid.square(-4.0, 4.0, 12)
+    for call in (lambda: gabor_transform(hot, s, grid),
+                 lambda: gabor_reconstruct(hot, TFCoefficients(grid, np.ones(grid.shape)))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [w.category for w in caught].count(EdgeEnergyWarning) == 1
+
+
 def test_coverage_warning_on_narrow_grid():
     s = make_test_signal("two_bump")
     probe = gaussian_probe()
@@ -475,10 +515,23 @@ def test_comb_translate_makes_one_fft_row_per_fraction_in_one_batch(
     assert sum(rows) == fft_rows
 
 
-def test_transform_peak_memory_stays_below_three_batches():
-    # the windowed batch and one zero-padded chirp-z buffer, no Fourier table
+def _large_transform_inputs():
     tgrid = Grid1D.regular(-20.0, 20.0, 2048)
     probe = gaussian_probe(tgrid)
     s = make_test_signal("chirp_tones", tgrid)
-    grid = PhaseSpaceGrid.square(-16.0, 16.0, 512)
-    assert _peak_bytes(lambda: gabor_transform(probe, s, grid)) < 2.75 * _BATCH_BYTES
+    return probe, s, PhaseSpaceGrid.square(-16.0, 16.0, 512)
+
+
+def test_transform_peak_memory_stays_below_one_and_a_half_batches():
+    # the windowed batch, the (512, 512) result (a quarter batch) and one
+    # chirp-z tile; no zero-padded buffer of all lines, no Fourier table
+    probe, s, grid = _large_transform_inputs()
+    assert _peak_bytes(lambda: gabor_transform(probe, s, grid)) < 1.5 * _BATCH_BYTES
+
+
+def test_reconstruct_peak_memory_stays_below_one_and_a_half_batches():
+    # the window batch, one tile of modes and one chirp-z tile; no
+    # (n_t, n_b) block of modes
+    probe, s, grid = _large_transform_inputs()
+    coeffs = gabor_transform(probe, s, grid)
+    assert _peak_bytes(lambda: gabor_reconstruct(probe, coeffs)) < 1.5 * _BATCH_BYTES

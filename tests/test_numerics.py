@@ -273,6 +273,15 @@ def test_shift_rejects_matrices():
                 shift(np.ones(4), 0.1, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("step", [0.0, -0.1])
+def test_shift_rejects_a_step_that_is_not_positive(step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shift in (spectral_shift, batch_fractional_shift):
+            with pytest.raises(ValueError, match="^step must be positive$"):
+                shift(np.ones(8), step, 0.5)
+
+
 def test_batch_shift_matches_singles():
     grid = Grid1D.regular(-20.0, 20.0, 256)
     s = _unit_gaussian(grid) * np.exp(0.3j * grid.points)
@@ -415,6 +424,44 @@ def test_chirp_z_matches_the_dense_table(counts, sign, axis, seed, n, x0, dx, f0
     assert fast.shape == (dense.shape if axis == 0 else dense.T.shape)
     fast = fast if axis == 0 else fast.T
     assert np.all(np.abs(fast - dense) <= 1e-12 * np.abs(values).sum(axis=0))
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_chirp_z_tiles_equal_per_line_calls(monkeypatch, sign, axis):
+    # 11 lines in tiles of 4: the last tile is short.  Each line must equal
+    # its own 1-D call bit for bit, and the dense table to roundoff.
+    n, n_f, lines = 24, 10, 11
+    nodes, comb = (-1.5, 0.125, n), (-3.0, 0.7, n_f)
+    fft_bytes = 16 * numerics._next_fast_len(n + n_f - 1)
+    monkeypatch.setattr(numerics, "_TILE_BYTES", 4 * fft_bytes + fft_bytes // 2)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(lines, n)) + 1j * rng.normal(size=(lines, n))
+    tiled = chirp_z(values if axis == 1 else values.T, nodes, comb, sign, axis=axis)
+    assert tiled.flags.c_contiguous
+    tiled = tiled if axis == 1 else tiled.T
+    for row, line in zip(tiled, values):
+        assert np.array_equal(row, chirp_z(line, nodes, comb, sign))
+    x = nodes[0] + nodes[1] * np.arange(n)
+    f = comb[0] + comb[1] * np.arange(n_f)
+    dense = values @ np.exp(sign * 1j * np.outer(f, x)).T
+    assert np.all(np.abs(tiled - dense).T <= 1e-12 * np.abs(values).sum(axis=1))
+
+
+def test_chirp_z_tiles_a_middle_axis(monkeypatch):
+    # along axis 1 of a (5, n, 3) block each tile holds whole entries of
+    # axis 0, three lines each
+    n, n_f = 16, 7
+    nodes, comb = (0.0, 0.25, n), (-1.0, 0.5, n_f)
+    monkeypatch.setattr(numerics, "_TILE_BYTES",
+                        2 * 3 * 16 * numerics._next_fast_len(n + n_f - 1))
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(5, n, 3)) + 1j * rng.normal(size=(5, n, 3))
+    tiled = chirp_z(values, nodes, comb, axis=1)
+    assert tiled.shape == (5, n_f, 3) and tiled.flags.c_contiguous
+    for i in range(5):
+        for j in range(3):
+            assert np.array_equal(tiled[i, :, j], chirp_z(values[i, :, j], nodes, comb))
 
 
 def test_next_fast_len_matches_scipy():

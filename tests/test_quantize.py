@@ -310,6 +310,34 @@ def test_portrait_requires_unit_mass():
 # projector smearing
 # ---------------------------------------------------------------------------
 
+def test_density_diagnostics_equal_the_plain_formulas():
+    # k^dagger formed once gives the same four numbers, bit for bit, as the
+    # formulas written out, on a kernel that is not Hermitian
+    rng = np.random.default_rng(9)
+    k = rng.normal(size=(48, 48)) + 1j * rng.normal(size=(48, 48))
+    grid = Grid1D.regular(-3.0, 3.0, 48)
+    dt = grid.step
+    matrix = dt * k
+    assert density_diagnostics(OperatorKernel(grid, k)) == {
+        "trace": float(np.real(np.trace(matrix))),
+        "hermiticity_defect": float(np.abs(k - k.conj().T).max()),
+        "min_eigenvalue": float(np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T)).min()),
+        "purity": float(dt ** 2 * np.sum(np.abs(k) ** 2)),
+    }
+
+
+@pytest.mark.parametrize("sigmas,name", [
+    ((1e-200, 1.0), "sigma_omega is too small"),
+    ((1.0, 1e-200), "sigma_b is too small"),
+    ((1e-155, 1e-155), r"sigma_omega \* sigma_b is too small"),
+], ids=["omega", "b", "product"])
+def test_gaussian_distribution_names_a_width_too_small_to_square(sigmas, name):
+    # the suite turns warnings into errors: no divide-by-zero or overflow
+    # warning may come first
+    with pytest.raises(ValueError, match="^" + name):
+        gaussian_distribution(TF_GRID, *sigmas)
+
+
 def test_quantized_density_diagnostics():
     w = overlap_kernel(1.0, 1.0, TF_GRID).normalized()
     kernel = quantize_to_kernel(w, gaussian_probe(TIME_GRID, 1.0))
