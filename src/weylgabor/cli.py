@@ -55,6 +55,7 @@ from . import cylinder as cyl
 from . import groups
 from .gabor import (
     SampledSignal,
+    _require_unit_norm,
     gabor_reconstruct,
     gabor_transform,
     gaussian_probe,
@@ -150,6 +151,8 @@ class _Params:
         value = self.floatval(key, default)
         if not value > 0:
             raise ValidationFailure("parameter %r must be positive" % key)
+        if not 1.0 / value <= sys.float_info.max:  # rates and widths take 1/value
+            raise ValidationFailure("parameter %r is too small: 1/%s overflows" % (key, key))
         return value
 
     def span(self, lo_key, lo, hi_key, hi):
@@ -417,6 +420,11 @@ def _run_cylinder(params: _Params, seed: int, outdir: Path) -> None:
         raise ValidationFailure("m_max must satisfy 2*m_max + 1 <= n_gamma")
 
     probe = cyl.von_mises(lam, n_gamma)
+    try:
+        _require_unit_norm(probe)
+    except ValueError as exc:
+        raise ValidationFailure("parameter 'n_gamma' %d is too small for the "
+                                "window at lam %r: %s" % (n_gamma, lam, exc))
     signal = cyl.displace(shift_m, shift_theta, probe)
     if m_max is None:
         m_max = cyl.adaptive_m_cutoff(probe, signal)
@@ -449,6 +457,13 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
     if kind == "gaussian":
         sigma_omega = params.positive("sigma_omega", 1.0)
         sigma_b = params.positive("sigma_b", 1.0)
+        for key, sigma in (("sigma_omega", sigma_omega), ("sigma_b", sigma_b)):
+            if not 0.0 < 2.0 * sigma * sigma <= sys.float_info.max:
+                raise ValidationFailure("parameter %r is out of range: 2*%s**2 %s" % (
+                    key, key, "underflows to 0" if sigma < 1.0 else "overflows"))
+        if sigma_omega * sigma_b < sys.float_info.min:
+            raise ValidationFailure("'sigma_omega' * 'sigma_b' is too small: "
+                                    "the peak density overflows")
         center_omega = params.floatval("center_omega", 0.0)
         center_b = params.floatval("center_b", 0.0)
     elif kind == "overlap":
@@ -532,6 +547,8 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
     params.finish()
     if not 0.0 < s < 1.0:
         raise ValidationFailure("s must lie in (0, 1)")
+    if not 1.0 / s <= sys.float_info.max:  # the envelope rate is 1/s - 1
+        raise ValidationFailure("parameter 's' is too small: 1/s overflows")
     if not 0.0 < rel_threshold <= 1.0:
         raise ValidationFailure("rel_threshold must lie in (0, 1]")
     zeros = _load_zeros(name, zeros_path)

@@ -27,10 +27,8 @@ exponentials is ever built.  The n_b window translates cost
 O(q*n_t*log(n_t) + n_b*n_t) when the b-step is p/q time steps (16/5 at the
 default grids): q FFT translates and exact rolls of them, made in one call
 per transform.  Beside its input and result each direction holds the
-(n_b, n_t) batch of translates and work of a few hundred KiB: the chirp-z
-transform runs in cache-sized tiles of lines, the analysis writes its
-(n_omega, n_b) coefficients straight into the result, and the resynthesis
-sums its modes times windows one tile of b-columns at a time.
+(n_b, n_t) batch of translates and tiles of work within the one budget,
+numerics._TILE_BYTES.
 """
 
 from __future__ import annotations
@@ -41,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import fft
 
+from . import numerics
 from .numerics import (
-    _TILE_BYTES,
     Grid1D,
     PhaseSpaceGrid,
     _require_finite,
@@ -236,12 +234,12 @@ def _synthesize(window: SampledSignal, comb: tuple, shifts: np.ndarray,
     """measure * sum_{omega, b} values[omega, b] exp(1j*omega*t) window(t - b),
     for ``values`` on the uniform frequency comb ``comb`` = (start, step, count).
 
-    The b-columns run in tiles of _TILE_BYTES of modes: each tile's chirp-z
-    modes are multiplied by their windows and summed into the result, so
-    no (n_b, n_t) block of modes is held beside the windows."""
+    The b-columns run in tiles of numerics._TILE_BYTES of modes: each
+    tile's chirp-z modes are multiplied by their windows and summed into
+    the result, so no (n_b, n_t) block of modes is held beside the windows."""
     _require_unit_norm(window)
     windows = window.translated(shifts)                                  # (n_b, n_t)
-    tile = max(1, _TILE_BYTES // windows[0].nbytes)
+    tile = max(1, numerics._TILE_BYTES // windows[0].nbytes)
     out = np.zeros(window.grid.count, dtype=complex)
     for start in range(0, len(windows), tile):
         modes = chirp_z(values[:, start:start + tile].T, comb, window.grid.comb,

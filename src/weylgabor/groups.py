@@ -31,6 +31,8 @@ from typing import Any
 
 import numpy as np
 
+from .numerics import _require_finite
+
 __all__ = [
     "Ring",
     "PrimeField",
@@ -120,6 +122,14 @@ REAL = Ring()
 INTEGER = Ring(0)
 
 
+def _coordinate(ring: Ring, value, name: str):
+    """``ring.coerce(value)``, refusing a non-finite float or block by name."""
+    value = ring.coerce(value)
+    if isinstance(value, (float, np.ndarray)):
+        _require_finite(value, name)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # the Heisenberg law: one cocycle, one embedding
 # ---------------------------------------------------------------------------
@@ -168,7 +178,8 @@ class WHElement:
     polarized cocycle a b', which keeps coordinates inside the ring.  The
     two presentations differ by the coordinate change c -> c + a b / 2.
     Coordinates pass through ``ring.coerce`` on construction, which is
-    where a prime field reduces mod p.
+    where a prime field reduces mod p; a non-finite one raises a
+    ValueError naming it.
     """
 
     c: Any
@@ -177,9 +188,8 @@ class WHElement:
     ring: Ring = REAL
 
     def __post_init__(self):
-        object.__setattr__(self, "c", self.ring.coerce(self.c))
-        object.__setattr__(self, "a", self.ring.coerce(self.a))
-        object.__setattr__(self, "b", self.ring.coerce(self.b))
+        for name in ("c", "a", "b"):
+            object.__setattr__(self, name, _coordinate(self.ring, getattr(self, name), name))
 
 
 def wh_identity(ring: Ring = REAL) -> WHElement:
@@ -218,7 +228,7 @@ def wh_to_matrix(g: WHElement) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _real_tuple(values, what: str) -> tuple:
-    out = tuple(REAL.coerce(v) for v in values)
+    out = tuple(_coordinate(REAL, v, what) for v in values)
     if not out:
         raise ValueError("%s must have at least one component" % what)
     return out
@@ -236,7 +246,7 @@ class PolarizedElement:
     def __post_init__(self):
         object.__setattr__(self, "a", _real_tuple(self.a, "a"))
         object.__setattr__(self, "b", _real_tuple(self.b, "b"))
-        object.__setattr__(self, "c", REAL.coerce(self.c))
+        object.__setattr__(self, "c", _coordinate(REAL, self.c, "c"))
         if len(self.a) != len(self.b):
             raise ValueError("a and b must have equal dimension")
 
@@ -275,7 +285,7 @@ class SymplecticElement:
     v: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "c", REAL.coerce(self.c))
+        object.__setattr__(self, "c", _coordinate(REAL, self.c, "c"))
         object.__setattr__(self, "v", _real_tuple(self.v, "v"))
         if len(self.v) % 2 != 0:
             raise ValueError("v must have even dimension")
@@ -326,7 +336,7 @@ class Unitriangular4Element:
     x: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "z", REAL.coerce(self.z))
+        object.__setattr__(self, "z", _coordinate(REAL, self.z, "z"))
         object.__setattr__(self, "y", _real_tuple(self.y, "y"))
         object.__setattr__(self, "x", _real_tuple(self.x, "x"))
         if len(self.y) != 2 or len(self.x) != 3:
@@ -384,6 +394,7 @@ def subdiagonal_embed(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("x must be a vector with at least one component")
+    _require_finite(x, "x")
     return _unit_upper(x.size + 1, {(i, i + 1): v for i, v in enumerate(x)})
 
 

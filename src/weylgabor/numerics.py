@@ -11,10 +11,7 @@ measure ``d(omega) d(b) / (2*pi)``.  The forward Fourier kernel is
 ``exp(-1j*omega*t)``; where a symmetric ``1/sqrt(2*pi)`` normalization is
 needed it is written explicitly at the call site, never hidden inside a
 helper.  A Fourier sum between two uniform combs is one chirp-z
-transform (``chirp_z``), with one exception: ``quantize_to_kernel`` keeps
-its dense (n_t, n_omega) lag table, because at the kernel sizes it is run
-at (n_t <= 384) the chirp-z form gained nothing and would change the
-bytes of ``kernel.csv``.
+transform (``chirp_z``).
 """
 
 from __future__ import annotations
@@ -371,8 +368,8 @@ def _next_fast_len(target: int, real: bool = False) -> int:
     return best
 
 
-# bytes of zero-padded lines per chirp-z tile, and of modes per tile of the
-# Gabor resynthesis: a tile and its products stay in cache
+# bytes of work buffer per tile of every tiled loop, read through this
+# module at call time: a tile and its products stay in cache together
 _TILE_BYTES = 512 * 1024
 
 
@@ -398,12 +395,14 @@ def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
     later calls.  The lines run in tiles of about _TILE_BYTES of
     zero-padded work, each line computed as it would be alone, and each
     tile's sums are written into the result: a fresh C-ordered array of
-    the input's shape with n_f samples along ``axis``.
+    the input's shape with n_f samples along ``axis``.  Real values are
+    not copied to complex: each tile's real-by-complex pre-chirp product
+    gives the bits of the same values cast to complex.
     """
     _require_finite(nodes, "nodes")
     _require_finite(comb, "comb")
     n, n_f = nodes[2], comb[2]
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values)
     moved = np.moveaxis(values, axis, -1)
     if moved.shape[-1] != n:
         raise ValueError("values hold %d samples along the axis, the nodes %d"

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .gabor import SampledSignal, _require_unit_norm
 from .numerics import (
     Grid1D,
@@ -143,11 +144,11 @@ def gaussian_distribution(grid: PhaseSpaceGrid, sigma_omega: float = 1.0,
 
 
 def _axis_gaussian(axis: Grid1D, center: float, sigma: float) -> np.ndarray:
-    """exp(-(x - center)^2/(2*sigma^2)) at the points x of ``axis``.  An
-    overflowing 2*sigma^2 or quotient takes its limit, exp(-x^2/inf) = 1 or
-    exp(-inf) = 0, without a warning."""
+    """exp(-(x - center)^2/(2*sigma^2)) at the points x of ``axis``.  sigma
+    is squared as a numpy float, so an overflowing 2*sigma^2 or quotient
+    takes its limit, exp(-x^2/inf) = 1 or exp(-inf) = 0, without a warning."""
     with np.errstate(over="ignore"):
-        return np.exp(-(axis.points - center) ** 2 / (2.0 * sigma ** 2))
+        return np.exp(-(axis.points - center) ** 2 / (2.0 * np.float64(sigma) ** 2))
 
 
 def point_mass_distribution(grid: PhaseSpaceGrid, omega0: float, b0: float) -> Distribution:
@@ -270,61 +271,53 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     projectors with the density w.
 
     w is real, so w_p(-xi) = conj w_p(xi) and the kernel is Hermitian: only
-    the lags t' - t = L*dt for L = 0..n_t-1 are transformed (one dense
-    transform over the omega-axis), and the L-th diagonal is one product
-    of the probe overlaps psi(t_i - b) conj(psi(t_i + L*dt - b)) with
+    the lags t' - t = L*dt for L = 0..n_t-1 are transformed, by one chirp-z
+    transform over the omega-axis with the kernel exp(+1j*omega*xi), which
+    gives conj w_p directly, and the L-th diagonal is one product of the
+    probe overlaps psi(t_i - b) conj(psi(t_i + L*dt - b)) with
     w_p(L*dt, b) over the b-nodes.  The translated probes are held
     time-major, one contiguous (n_t, n_b) block, and the lag products run
     over tiles of time rows that fit in cache (see _lag_products).  Beside
-    the kernel the work holds w_p, the translates and two tiles of rows:
-    about 2.3 (n_t, n_b) blocks at n_t 384, n_b 256.  Making the translates
-    time-major briefly takes three blocks, before the kernel is allocated.
-    The diagonal, |psi|^2 summed against real weights, is set exactly real.
-    Trace equals mass(w) exactly and the kernel is positive semidefinite up
-    to roundoff by construction.
+    the kernel the work holds conj w_p, the translates and two tiles of
+    rows: about 2.3 (n_t, n_b) blocks at n_t 384, n_b 256.  Making the
+    translates time-major briefly takes three blocks, before the kernel is
+    allocated.  The diagonal, |psi|^2 summed against real weights, is set
+    exactly real.  Trace equals mass(w) exactly and the kernel is positive
+    semidefinite up to roundoff by construction.
     """
     _require_unit_mass(w, "quantize_to_kernel")
     _require_unit_norm(psi_a)
     _warn_band_edge(w.values, "distribution")
     tgrid = psi_a.grid
     n_t = tgrid.count
-    d_om = w.grid.omega_axis.step
-    d_b = w.grid.b_axis.step
-    lags = tgrid.step * np.arange(n_t)
-    omegas = w.grid.omega_axis.points
-    w_partial = np.exp(-1j * np.outer(lags, omegas)) @ w.values  # (n_t, n_b)
-    w_partial *= d_om / _SQRT_2PI
+    w_conj = chirp_z(w.values, w.grid.omega_axis.comb, (0.0, tgrid.step, n_t),
+                     sign=1, axis=0)                        # (n_t, n_b)
+    w_conj *= w.grid.omega_axis.step / _SQRT_2PI
     shifted = np.ascontiguousarray(
         psi_a.translated(w.grid.b_axis.points).T)           # (n_t, n_b)
-    entries = _lag_products(shifted, w_partial)
+    entries = _lag_products(shifted, w_conj)
     entries.reshape(-1)[::n_t + 1].imag = 0.0
-    entries *= d_b / _SQRT_2PI
+    entries *= w.grid.b_axis.step / _SQRT_2PI
     return OperatorKernel(tgrid, entries)
 
 
-# bytes of translate rows per tile: a tile, its window and their product
-# stay in cache together
-_TILE_BYTES = 256 * 1024
-
-
-def _lag_products(shifted: np.ndarray, w_partial: np.ndarray) -> np.ndarray:
+def _lag_products(shifted: np.ndarray, w_conj: np.ndarray) -> np.ndarray:
     """The (n_t, n_t) matrix whose L-th upper diagonal is
-    sum_b shifted[i, b] conj(shifted[i + L, b]) w_partial[L, b] and whose
-    L-th lower diagonal is its conjugate, from the time-major translates
-    and w_p at the lags 0..n_t-1, both (n_t, n_b); w_partial is conjugated
-    in place.
+    sum_b shifted[i, b] conj(shifted[i + L, b]) conj(w_conj[L, b]) and
+    whose L-th lower diagonal is its conjugate, from the time-major
+    translates and conj w_p at the lags 0..n_t-1, both (n_t, n_b).
 
-    The time rows j run in tiles of _TILE_BYTES.  Each tile is conjugated
-    once; for every lag L it is multiplied by the window of rows j + L,
-    which slides one row per lag and so stays in cache, and then by
-    conj(w_partial[L]).  Every factor is the conjugate of the one the upper
+    The time rows j run in tiles whose two row buffers, the conjugated
+    tile and its product, fill numerics._TILE_BYTES.  Each tile is
+    conjugated once; for every lag L it is multiplied by the window of
+    rows j + L, which slides one row per lag and so stays in cache, and
+    then by w_conj[L].  Every factor is the conjugate of the one the upper
     diagonal takes in the same operand slot, so the multiply formulas give
     the exact conjugate of the upper diagonal: this fills the lower
     diagonal entries[j + L, j], and its conjugate the upper one.
     """
     n_t, n_b = shifted.shape
-    tile = max(1, _TILE_BYTES // shifted[0].nbytes)
-    np.conjugate(w_partial, out=w_partial)
+    tile = max(1, numerics._TILE_BYTES // (2 * shifted[0].nbytes))
     conj_tile = np.empty((min(tile, n_t), n_b), dtype=complex)
     overlaps = np.empty_like(conj_tile)
     entries = np.empty((n_t, n_t), dtype=complex)
@@ -337,7 +330,7 @@ def _lag_products(shifted: np.ndarray, w_partial: np.ndarray) -> np.ndarray:
             m = min(rows, n_t - j0 - lag)
             product = overlaps[:m]
             np.multiply(conj_tile[:m], shifted[j0 + lag:j0 + lag + m], out=product)
-            lower = product @ w_partial[lag]
+            lower = product @ w_conj[lag]
             span = m * (n_t + 1)
             below, above = first + lag * n_t, first + lag
             flat[below:below + span:n_t + 1] = lower          # entries[j + L, j]

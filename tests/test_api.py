@@ -56,13 +56,23 @@ def test_all_lists_every_public_definition(module):
     ("step", lambda bad: numerics.spectral_shift(np.ones(8), bad, 0.5)),
     ("step", lambda bad: numerics.batch_fractional_shift(np.ones(8), bad, 0.5)),
     ("step", lambda bad: numerics.periodic_trapezoid(np.ones(8), bad)),
+    ("c", lambda bad: groups.WHElement(bad, 0, 0)),
+    ("a", lambda bad: groups.WHElement(0.0, np.array([0.5, bad]), 0.0)),
+    ("b", lambda bad: groups.PolarizedElement((1.0,), (bad,), 0.0)),
+    ("c", lambda bad: groups.SymplecticElement(bad, (0.0, 0.0))),
+    ("v", lambda bad: groups.SymplecticElement(0.0, (bad, 0.0))),
+    ("y", lambda bad: groups.Unitriangular4Element(0.0, (0.0, bad), (0.0, 0.0, 0.0))),
+    ("x", lambda bad: groups.Unitriangular4Element(0.0, (0.0, 0.0), (bad, 0.0, 0.0))),
+    ("x", lambda bad: groups.subdiagonal_embed([bad])),
 ], ids=["gaussian-sigma_omega", "gaussian-sigma_b", "gaussian-center_omega",
         "gaussian-center_b", "point-omega0", "point-b0", "overlap-a", "overlap-r",
         "quadrature-omega", "quadrature-b", "weight-rate_b", "weight-rate_omega",
         "weight-zero-real", "distribution-zero-imag", "weight-z-real",
         "stellar-weight-z-imag", "hermite-z", "params-probe_a", "params-probe_r",
         "regular-lo", "regular-hi", "chirp_z-x0", "chirp_z-dx", "chirp_z-f0",
-        "chirp_z-df", "shift-step", "batch-shift-step", "trapezoid-step"])
+        "chirp_z-df", "shift-step", "batch-shift-step", "trapezoid-step",
+        "wh-c", "wh-a-block", "polarized-b", "symplectic-c", "symplectic-v",
+        "unitriangular-y", "unitriangular-x", "subdiagonal-x"])
 def test_library_boundaries_name_their_nonfinite_arguments(name, call, bad):
     with pytest.raises(ValueError, match="^%s must be finite$" % name):
         call(bad)

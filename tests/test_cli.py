@@ -645,6 +645,17 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
     ("stellar", {"n_grid": 10 ** 21}, "'n_grid' is out of range"),
     ("gabor", {"n_time": 10 ** 21}, "'n_time' is out of range"),
     ("cylinder", {"m": 40, "mprime": -25}, "|m - mprime| must be at most 64"),
+    ("quantize", {"sigma_omega": 1e-200},
+     "parameter 'sigma_omega' is out of range: 2*sigma_omega**2 underflows to 0"),
+    ("quantize", {"sigma_b": 1e200},
+     "parameter 'sigma_b' is out of range: 2*sigma_b**2 overflows"),
+    ("quantize", {"sigma_omega": 1e-155, "sigma_b": 1e-155},
+     "'sigma_omega' * 'sigma_b' is too small"),
+    ("quantize", {"w": "overlap", "r": 5e-324}, "parameter 'r' is too small: 1/r overflows"),
+    ("cylinder", {"n_gamma": 8}, "parameter 'n_gamma' 8 is too small for the window"),
+    ("stellar", {"s": 5e-324}, "parameter 's' is too small: 1/s overflows"),
+    ("stellar", {"a": 5e-324}, "parameter 'a' is too small: 1/a overflows"),
+    ("stellar", {"r": 5e-324}, "parameter 'r' is too small: 1/r overflows"),
 ])
 def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
                                                 parameters, message):

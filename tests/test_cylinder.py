@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import iv
 
-from weylgabor import gabor
+from weylgabor import numerics
 from weylgabor.cylinder import (
     CircularSignal,
     CylCoefficients,
@@ -505,7 +505,7 @@ def test_resynthesis_over_theta_tiles_matches_the_dense_sum(monkeypatch, columns
     psi = von_mises(2.0, 64)
     phi = displace(2, 0.7, psi)
     coeffs = cyl_gabor_transform(psi, phi, adaptive_m_cutoff(psi, phi))
-    monkeypatch.setattr(gabor, "_TILE_BYTES", columns * psi.values.nbytes)
+    monkeypatch.setattr(numerics, "_TILE_BYTES", columns * psi.values.nbytes)
     recon = cyl_reconstruct(psi, coeffs)
     assert np.abs(recon.values - _dense_reconstruct(psi, coeffs)).max() < 1e-12
 

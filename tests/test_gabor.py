@@ -296,7 +296,7 @@ def test_resynthesis_over_b_tiles_matches_the_dense_sum(monkeypatch, columns, ti
     probe = gaussian_probe(tgrid)
     grid = PhaseSpaceGrid.square(-5.0, 5.0, 40)
     coeffs = gabor_transform(probe, make_test_signal("two_bump", tgrid), grid)
-    monkeypatch.setattr(gabor, "_TILE_BYTES", columns * probe.values.nbytes)
+    monkeypatch.setattr(numerics, "_TILE_BYTES", columns * probe.values.nbytes)
     made, original = [], gabor.chirp_z
 
     def counted(values, *args, **kwargs):
@@ -315,7 +315,6 @@ def test_hot_window_warns_once_per_transform_call(monkeypatch):
     # one translate call per transform and per resynthesis, however small
     # the tiles
     monkeypatch.setattr(numerics, "_TILE_BYTES", 1)
-    monkeypatch.setattr(gabor, "_TILE_BYTES", 1)
     tgrid = Grid1D.regular(-6.0, 6.0, 64)
     hot = SampledSignal(tgrid, np.exp(-tgrid.points ** 2 / 50.0)).normalized()
     s = make_test_signal("gaussian", tgrid)

@@ -448,6 +448,22 @@ def test_chirp_z_tiles_equal_per_line_calls(monkeypatch, sign, axis):
     assert np.all(np.abs(tiled - dense).T <= 1e-12 * np.abs(values).sum(axis=1))
 
 
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_chirp_z_of_a_real_block_is_its_complex_cast(monkeypatch, sign, axis):
+    # real values are not copied to complex: the real-by-complex pre-chirp
+    # product must give the bits of the cast block, across short tiles too
+    n, n_f = 40, 23
+    nodes, comb = (-2.0, 0.1, n), (-1.5, 0.3, n_f)
+    monkeypatch.setattr(numerics, "_TILE_BYTES",
+                        3 * 16 * numerics._next_fast_len(n + n_f - 1))
+    values = np.random.default_rng(5).normal(size=(n, 7))
+    values = values if axis == 0 else values.T
+    real = chirp_z(values, nodes, comb, sign, axis=axis)
+    assert np.array_equal(real, chirp_z(values.astype(complex), nodes, comb,
+                                        sign, axis=axis))
+
+
 def test_chirp_z_tiles_a_middle_axis(monkeypatch):
     # along axis 1 of a (5, n, 3) block each tile holds whole entries of
     # axis 0, three lines each

@@ -338,6 +338,31 @@ def test_gaussian_distribution_names_a_width_too_small_to_square(sigmas, name):
         gaussian_distribution(TF_GRID, *sigmas)
 
 
+def test_gaussian_distribution_takes_the_limit_of_a_width_too_large_to_square():
+    # 2*sigma_b**2 overflows to inf: the b-factor is exp(-b^2/inf) = 1, with
+    # no OverflowError and, under the suite's warnings-as-errors, no warning
+    w = gaussian_distribution(TF_GRID, 1.0, 1e200)
+    along_omega = np.exp(-TF_GRID.omega_axis.points ** 2 / 2.0)
+    expected = np.repeat(along_omega[:, None] / 1e200, TF_GRID.shape[1], axis=1)
+    assert np.array_equal(w.values, expected)
+
+
+def test_quantize_to_kernel_makes_one_chirp_z_call(monkeypatch):
+    # the lag transform of w is one chirp-z transform, with no dense table
+    calls, original = [], quantize.chirp_z
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(quantize, "chirp_z", counted)
+    w = gaussian_distribution(TF_GRID, center=(0.5, -0.4)).normalized()
+    for n_t in (48, 96):
+        calls.clear()
+        quantize_to_kernel(w, gaussian_probe(Grid1D.regular(-8.0, 8.0, n_t), 1.0))
+        assert calls == [TF_GRID.shape]
+
+
 def test_quantized_density_diagnostics():
     w = overlap_kernel(1.0, 1.0, TF_GRID).normalized()
     kernel = quantize_to_kernel(w, gaussian_probe(TIME_GRID, 1.0))
@@ -583,7 +608,7 @@ def test_per_lag_kernel_matches_the_b_node_loop(seed, n_t, n_omega, n_b,
 def test_tiled_kernel_matches_the_b_node_loop_across_tile_edges(extra):
     # one tile, a partial last tile, and windows that cross into later tiles
     n_b = 256
-    tile = quantize._TILE_BYTES // (16 * n_b)
+    tile = numerics._TILE_BYTES // (32 * n_b)
     n_t = extra[0] * tile + extra[1]
     rng = np.random.default_rng(n_t)
     grid = PhaseSpaceGrid(Grid1D.regular(-6.0, 6.0, 24), Grid1D.regular(-3.0, 3.0, n_b))
