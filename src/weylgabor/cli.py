@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -164,6 +165,16 @@ class _Params:
             raise ValidationFailure(
                 "%r to %r is wider than float range" % (lo_key, hi_key))
         return lo, hi
+
+    def square_grid(self, lo_key, lo, hi_key, hi, n_key, n, minimum):
+        """The square phase-space grid of n cells per axis over [lo, hi);
+        a cell measure d(omega)*d(b)/(2*pi) beyond float range is bad input."""
+        lo, hi = self.span(lo_key, lo, hi_key, hi)
+        grid = PhaseSpaceGrid.square(lo, hi, self.intval(n_key, n, minimum=minimum))
+        if not grid.cell_measure <= sys.float_info.max:
+            raise ValidationFailure("%r to %r is too wide for %r: the cell measure "
+                                    "overflows" % (lo_key, hi_key, n_key))
+        return grid
 
     def strval(self, key, default):
         value = self._raw.pop(key, default)
@@ -374,8 +385,7 @@ def _run_gabor(params: _Params, seed: int, outdir: Path) -> None:
     if name is not None:  # a CSV signal brings its own time grid
         t_start, t_stop = params.span("time_start", -20.0, "time_stop", 20.0)
         n_time = params.intval("n_time", 1024, minimum=2)
-    tf_min, tf_max = params.span("tf_min", -16.0, "tf_max", 16.0)
-    n_tf = params.intval("n_tf", 256, minimum=2)
+    tf_grid = params.square_grid("tf_min", -16.0, "tf_max", 16.0, "n_tf", 256, minimum=2)
     params.finish("signal_csv" if name is None else "signal=%r" % name)
     label = "csv:%s" % Path(csv_path).name if name is None else name
     if name is None:
@@ -386,7 +396,6 @@ def _run_gabor(params: _Params, seed: int, outdir: Path) -> None:
             signal = make_test_signal(name, grid)
         except ValueError as exc:
             raise ValidationFailure("signal %r: %s" % (name, exc))
-    tf_grid = PhaseSpaceGrid.square(tf_min, tf_max, n_tf)
     probe = _probe(signal.grid, probe_width)
     coeffs = gabor_transform(probe, signal, tf_grid)
     report = {"schema": SCHEMA, "signal": label, "probe_width": probe_width}
@@ -472,8 +481,7 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
     elif kind is not None:
         raise ValidationFailure("w must be 'gaussian' or 'overlap'")
     if kind is not None:  # a CSV density brings its own grid
-        tf_min, tf_max = params.span("tf_min", -16.0, "tf_max", 16.0)
-        n_tf = params.intval("n_tf", 256, minimum=2)
+        grid = params.square_grid("tf_min", -16.0, "tf_max", 16.0, "n_tf", 256, minimum=2)
     probe_width = params.positive("probe_width", 1.0)
     t_start, t_stop = params.span("time_start", -20.0, "time_stop", 20.0)
     n_time = params.intval("n_time", 256, minimum=2)
@@ -481,11 +489,10 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
     label = "csv:%s" % Path(w_csv).name if kind is None else kind
     if kind is None:
         w = _read_phase_grid_csv(w_csv)
-        if abs(w.mass - 1.0) > 1e-6:
+        if not abs(w.mass - 1.0) <= 1e-6:
             raise ValidationFailure(
                 "w grid has mass %.9g; normalize it before quantizing" % w.mass)
     else:
-        grid = PhaseSpaceGrid.square(tf_min, tf_max, n_tf)
         if kind == "gaussian":
             w = gaussian_distribution(grid, sigma_omega, sigma_b,
                                       center=(center_omega, center_b))
@@ -539,8 +546,7 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
     s = params.floatval("s", 0.945)
     probe_a = params.positive("a", 2.0)
     probe_r = params.positive("r", 2.0)
-    grid_min, grid_max = params.span("grid_min", -4.0, "grid_max", 4.0)
-    n_grid = params.intval("n_grid", 512, minimum=16)
+    grid = params.square_grid("grid_min", -4.0, "grid_max", 4.0, "n_grid", 512, minimum=16)
     rel_threshold = params.floatval("rel_threshold", 1e-2)
     match_cutoff = params.positive("match_cutoff", 0.5)
     fold = params.optional_int("symmetry_fold", minimum=2)
@@ -552,9 +558,15 @@ def _run_stellar(params: _Params, seed: int, outdir: Path) -> None:
     if not 0.0 < rel_threshold <= 1.0:
         raise ValidationFailure("rel_threshold must lie in (0, 1]")
     zeros = _load_zeros(name, zeros_path)
+    # |prod(z - z_i)|^2 <= (corner + max|z_i|)^(2*len(zeros)) on the square grid
+    axis = grid.b_axis
+    corner = math.sqrt(2.0) * max(abs(axis.start), abs(axis.start + axis.step * (axis.count - 1)))
+    reach = corner + float(np.abs(zeros).max())
+    if 2 * len(zeros) * math.log(reach) > math.log(sys.float_info.max):
+        raise ValidationFailure("'grid_min' to 'grid_max' is too wide for %d zeros: "
+                                "the zero polynomial overflows" % len(zeros))
     if fold is None and name == "pentagon":
         fold = 5
-    grid = PhaseSpaceGrid.square(grid_min, grid_max, n_grid)
     try:  # the portrait smoothing centres its Gaussians on the origin
         grid.omega_axis.origin_index()  # the b axis too: the grid is square
     except ValueError as exc:

@@ -25,14 +25,14 @@ quadrature (which is the ground truth for the phase and normalization).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import fft
 
 from .gabor import SampledSignal, _analyze, _synthesize, displace
-from .numerics import Grid1D, _require_finite, bessel_i, edge_mass_share, spectral_shift
+from .numerics import (Grid1D, _require_finite, _warn_health, bessel_i, edge_mass_share,
+                       spectral_shift)
 
 __all__ = [
     "TruncationWarning",
@@ -239,12 +239,7 @@ def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients) -> CircularSig
     m_comb = (-coeffs.m_max, 1.0, 2 * coeffs.m_max + 1)
     out = CircularSignal(psi.grid, _synthesize(
         psi, m_comb, thetas, descaled, coeffs.theta_axis.step / _TWO_PI))
-    tail = edge_mass_share(np.abs(coeffs.values) ** 2, axes=(0,))
-    if tail > 1e-10:
-        warnings.warn(
-            "outermost m-rows carry %.2e of the coefficient energy; "
-            "increase m_max" % tail,
-            TruncationWarning,
-            stacklevel=2,
-        )
+    _warn_health(edge_mass_share(np.abs(coeffs.values) ** 2, axes=(0,)), 1e-10,
+                 TruncationWarning, "cyl_reconstruct",
+                 "outermost m-rows carry %.2e of the coefficient energy; increase m_max")
     return out

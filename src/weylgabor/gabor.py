@@ -33,7 +33,6 @@ numerics._TILE_BYTES.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,7 @@ from .numerics import (
     Grid1D,
     PhaseSpaceGrid,
     _require_finite,
+    _warn_health,
     batch_fractional_shift,
     chirp_z,
     edge_peak_ratio,
@@ -273,13 +273,10 @@ def gabor_reconstruct(probe: SampledSignal, coeffs: TFCoefficients) -> SampledSi
         probe, grid.omega_axis.comb, grid.b_axis.points,
         coeffs.values, grid.cell_measure))
     target = coeffs.energy
-    if target > 0 and abs(out.energy - target) > 0.01 * target:
-        warnings.warn(
-            "reconstructed energy %.6g vs coefficient energy %.6g; grid "
-            "coverage is insufficient" % (out.energy, target),
-            SupportCoverageWarning,
-            stacklevel=2,
-        )
+    mismatch = abs(out.energy - target) / target if target > 0 else 0.0
+    _warn_health(mismatch, 0.01, SupportCoverageWarning, "gabor_reconstruct",
+                 "reconstructed energy differs from the coefficient energy by "
+                 "%.3g of it; grid coverage is insufficient")
     return out
 
 
@@ -317,12 +314,8 @@ def uncertainty_product(s: SampledSignal) -> float:
     Gaussian the product saturates the lower bound 1/2.
     """
     mag2 = np.abs(s.values) ** 2
-    if edge_peak_ratio(mag2) > 1e-6:
-        warnings.warn(
-            "signal does not decay at the grid edges; moments are unreliable",
-            SlowDecayWarning,
-            stacklevel=2,
-        )
+    _warn_health(edge_peak_ratio(mag2), 1e-6, SlowDecayWarning, "uncertainty_product",
+                 "signal reaches %.2e of its peak at the grid edges; moments are unreliable")
     t = s.grid.points
     total = mag2.sum()
     mean_t = (t * mag2).sum() / total

@@ -236,15 +236,17 @@ def edge_mass_share(values: np.ndarray, axes: tuple | None = None) -> float:
     return float(values[border].sum() / total)
 
 
-def _warn_hot_edges(ratio: float, what: str, effect: str) -> None:
-    """Warn when the edge samples exceed 1e-8 of the peak: ``ratio`` is
-    their ``edge_peak_ratio``."""
-    if ratio > 1e-8:
-        warnings.warn(
-            "%s: edge samples reach %.2e of the peak; %s" % (what, ratio, effect),
-            EdgeEnergyWarning,
-            stacklevel=3,
-        )
+def _warn_health(value: float, limit: float, category: type, stage: str,
+                 text: str) -> None:
+    """The package's one health warning: when ``value > limit``, warn
+    ``category`` with ``"<stage>: " + text % value``, attributed to the
+    caller of the public function named by ``stage``."""
+    if value > limit:
+        warnings.warn("%s: %s" % (stage, text % value), category, stacklevel=3)
+
+
+# the EdgeEnergyWarning text of a convolution whose inputs reach the edge
+_TRUNCATED_EDGES = "edge samples reach %.2e of the peak; mass beyond the lattice is truncated"
 
 
 # a shift within this many cells of a whole number of cells is an exact
@@ -344,8 +346,8 @@ def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarra
     """
     # shift first, so that bad input raises before any warning
     out = spectral_shift(values, step, shifts)
-    _warn_hot_edges(edge_peak_ratio(values), "batch_fractional_shift",
-                    "wrap-around will contaminate the result")
+    _warn_health(edge_peak_ratio(values), 1e-8, EdgeEnergyWarning, "batch_fractional_shift",
+                 "edge samples reach %.2e of the peak; wrap-around will contaminate the result")
     return out
 
 
@@ -502,8 +504,8 @@ def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid) -> np.ndar
     if f.shape != grid.shape or g.shape != grid.shape:
         raise ValueError("inputs must live on the given grid")
     for values, which in ((f, "first"), (g, "second")):
-        _warn_hot_edges(edge_peak_ratio(values), "grid_convolve (%s input)" % which,
-                        "mass beyond the lattice is truncated")
+        _warn_health(edge_peak_ratio(values), 1e-8, EdgeEnergyWarning,
+                     "grid_convolve (%s input)" % which, _TRUNCATED_EDGES)
     (s0, p0), (s1, p1) = _wrap_free_window(grid.omega_axis), _wrap_free_window(grid.b_axis)
     n0, n1 = grid.shape
     spectrum = rfftn(f, (p0, p1), axes=(0, 1))

@@ -27,7 +27,6 @@ one axis at a time.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +34,13 @@ import numpy as np
 from . import numerics
 from .gabor import SampledSignal, _require_unit_norm
 from .numerics import (
+    _TRUNCATED_EDGES,
+    EdgeEnergyWarning,
     Grid1D,
     PhaseSpaceGrid,
     _require_finite,
     _separable_convolve,
-    _warn_hot_edges,
+    _warn_health,
     chirp_z,
     edge_peak_ratio,
     spectral_shift,
@@ -94,8 +95,8 @@ class Distribution:
 
     def normalized(self) -> "Distribution":
         m = self.mass
-        if m <= 0:
-            raise ValueError("cannot normalize a massless distribution")
+        if not 0 < m < np.inf:  # massless, or a cell measure beyond float range
+            raise ValueError("cannot normalize a distribution of mass %r" % m)
         return Distribution(self.grid, self.values / m)
 
 
@@ -240,7 +241,7 @@ def portrait(w: Distribution, a: float, r: float) -> Distribution:
     kernel_edge = max(edge_peak_ratio(along_omega), edge_peak_ratio(along_b))
     for ratio, which in ((edge_peak_ratio(w.values), "density"),
                          (kernel_edge, "overlap kernel")):
-        _warn_hot_edges(ratio, "portrait (%s)" % which, "mass beyond the lattice is truncated")
+        _warn_health(ratio, 1e-8, EdgeEnergyWarning, "portrait (%s)" % which, _TRUNCATED_EDGES)
     return Distribution(w.grid, smoothed)
 
 
@@ -249,21 +250,13 @@ def portrait(w: Distribution, a: float, r: float) -> Distribution:
 # ---------------------------------------------------------------------------
 
 def _require_unit_mass(w: Distribution, who: str) -> None:
-    if abs(w.mass - 1.0) > 1e-6:
+    if not abs(w.mass - 1.0) <= 1e-6:  # a NaN mass fails too
         raise ValueError("%s requires unit-mass input (mass = %.9g); call "
                          "normalized() first" % (who, w.mass))
 
 
-def _warn_band_edge(values: np.ndarray, what: str) -> None:
-    """BandCoverageWarning when the values reach the frequency-band edge."""
-    band_edge = edge_peak_ratio(values, axes=(0,))
-    if band_edge > 1e-8:
-        warnings.warn(
-            "%s reaches %.2e of its peak at the frequency-band edge; the "
-            "operator is band-truncated" % (what, band_edge),
-            BandCoverageWarning,
-            stacklevel=3,
-        )
+# the BandCoverageWarning text, after the name of what reaches the band edge
+_BAND_EDGE = " reaches %.2e of its peak at the frequency-band edge; the operator is band-truncated"
 
 
 def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
@@ -287,7 +280,8 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     """
     _require_unit_mass(w, "quantize_to_kernel")
     _require_unit_norm(psi_a)
-    _warn_band_edge(w.values, "distribution")
+    _warn_health(edge_peak_ratio(w.values, axes=(0,)), 1e-8, BandCoverageWarning,
+                 "quantize_to_kernel", "distribution" + _BAND_EDGE)
     tgrid = psi_a.grid
     n_t = tgrid.count
     w_conj = chirp_z(w.values, w.grid.omega_axis.comb, (0.0, tgrid.step, n_t),
@@ -364,7 +358,8 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     if w_values.shape != grid.shape:
         raise ValueError("weight must match the grid shape")
     _require_finite(w_values, "weight")
-    _warn_band_edge(w_values, "weight")
+    _warn_health(edge_peak_ratio(w_values, axes=(0,)), 1e-8, BandCoverageWarning,
+                 "weyl_operator_from_weight", "weight" + _BAND_EDGE)
     n_t = time_grid.count
     bs = grid.b_axis.points
     # row r holds the midpoint t_0 + (r - n_t//2)*dt/2, for pair sums

@@ -23,7 +23,6 @@ Hausdorff residual.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import NamedTuple, Sequence
@@ -37,6 +36,7 @@ from .numerics import (
     PhaseSpaceGrid,
     _integer_order,
     _require_finite,
+    _warn_health,
     edge_mass_share,
     find_local_minima,
 )
@@ -187,13 +187,8 @@ def stellar_distribution(zeros: Sequence[complex], s: float,
     if raw_total <= 0:
         raise ValueError("density has no mass on the grid")
     tail = edge_mass_share(values)
-    if tail > 1e-6:
-        warnings.warn(
-            "boundary ring holds %.3g of the on-grid mass; normalization is "
-            "grid-truncated" % tail,
-            MassLeakageWarning,
-            stacklevel=2,
-        )
+    _warn_health(tail, 1e-6, MassLeakageWarning, "stellar_distribution",
+                 "boundary ring holds %.3g of the on-grid mass; normalization is grid-truncated")
     return StellarDensity(Distribution(grid, values / raw_total),
                           float(raw_total), tail)
 

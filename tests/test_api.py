@@ -1,8 +1,10 @@
 """Each library module exports, in ``__all__``, every public function and
-class it defines, and the library boundaries name the argument that
-carries a non-finite value."""
+class it defines, the library boundaries name the argument that carries a
+non-finite value, and every health warning names the stage that raised it."""
 
 import inspect
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -76,3 +78,80 @@ def test_all_lists_every_public_definition(module):
 def test_library_boundaries_name_their_nonfinite_arguments(name, call, bad):
     with pytest.raises(ValueError, match="^%s must be finite$" % name):
         call(bad)
+
+
+def _edge_heavy():
+    """A unit-mass Gaussian on GRID wide enough to reach every edge."""
+    return quantize.gaussian_distribution(GRID, 1.5, 1.5).normalized()
+
+
+def _health_case(stage):
+    """(category, call that raises it, the number its text must hold)."""
+    if stage == "batch_fractional_shift":
+        values = np.exp(-0.5 * (0.25 * np.arange(-16, 16)) ** 2)
+        return (numerics.EdgeEnergyWarning,
+                lambda: numerics.batch_fractional_shift(values, 0.25, 0.5),
+                numerics.edge_peak_ratio(values))
+    if stage == "grid_convolve (first input)":
+        f = _edge_heavy().values
+        g = quantize.gaussian_distribution(GRID, 0.5, 0.5).values
+        return (numerics.EdgeEnergyWarning, lambda: numerics.grid_convolve(f, g, GRID),
+                numerics.edge_peak_ratio(f))
+    if stage == "portrait (density)":
+        w = _edge_heavy()
+        return (numerics.EdgeEnergyWarning, lambda: quantize.portrait(w, 2.0, 2.0),
+                numerics.edge_peak_ratio(w.values))
+    if stage == "quantize_to_kernel":
+        w = _edge_heavy()
+        return (quantize.BandCoverageWarning, lambda: quantize.quantize_to_kernel(w, PROBE),
+                numerics.edge_peak_ratio(w.values, axes=(0,)))
+    if stage == "weyl_operator_from_weight":
+        weight = _edge_heavy().values
+        return (quantize.BandCoverageWarning,
+                lambda: quantize.weyl_operator_from_weight(weight, GRID, PROBE.grid),
+                numerics.edge_peak_ratio(weight, axes=(0,)))
+    if stage == "gabor_reconstruct":
+        narrow = numerics.PhaseSpaceGrid.square(-2.0, 2.0, 16)
+        coeffs = gabor.gabor_transform(PROBE, gabor.make_test_signal("two_bump", PROBE.grid),
+                                       narrow)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", gabor.SupportCoverageWarning)
+            energy = gabor.gabor_reconstruct(PROBE, coeffs).energy
+        return (gabor.SupportCoverageWarning, lambda: gabor.gabor_reconstruct(PROBE, coeffs),
+                abs(energy - coeffs.energy) / coeffs.energy)
+    if stage == "uncertainty_product":
+        wide = gabor.SampledSignal(PROBE.grid, np.exp(-PROBE.grid.points ** 2 / 32.0))
+        return (gabor.SlowDecayWarning, lambda: gabor.uncertainty_product(wide),
+                numerics.edge_peak_ratio(np.abs(wide.values) ** 2))
+    if stage == "cyl_reconstruct":
+        window = cylinder.von_mises(2.0)
+        cut = cylinder.cyl_gabor_transform(window, window, 8)
+        return (cylinder.TruncationWarning, lambda: cylinder.cyl_reconstruct(window, cut),
+                numerics.edge_mass_share(np.abs(cut.values) ** 2, axes=(0,)))
+    assert stage == "stellar_distribution"
+    zeros = stellar.pentagon_zeros()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", stellar.MassLeakageWarning)
+        tail = stellar.stellar_distribution(zeros, 0.945, GRID).tail_fraction
+    return (stellar.MassLeakageWarning,
+            lambda: stellar.stellar_distribution(zeros, 0.945, GRID), tail)
+
+
+@pytest.mark.parametrize("stage", [
+    "batch_fractional_shift", "grid_convolve (first input)", "portrait (density)",
+    "quantize_to_kernel", "weyl_operator_from_weight", "gabor_reconstruct",
+    "uncertainty_product", "cyl_reconstruct", "stellar_distribution"])
+def test_health_warnings_name_their_stage_and_number(stage):
+    category, call, value = _health_case(stage)
+    assert value > 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    texts = [str(w.message) for w in caught if w.category is category
+             and str(w.message).startswith(stage + ": ")]
+    assert len(texts) == 1, [str(w.message) for w in caught]
+    # the text prints the measured number to three significant digits
+    printed = [float(x) for x in re.findall(r"\d\.\d+(?:e[-+]\d+)?|\d+", texts[0])]
+    assert any(abs(x - value) <= 5e-3 * value for x in printed), (texts[0], value)
+    # attributed to the caller of the public function, as before
+    assert {w.filename for w in caught if w.category is category} == {__file__}

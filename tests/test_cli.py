@@ -656,6 +656,16 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
     ("stellar", {"s": 5e-324}, "parameter 's' is too small: 1/s overflows"),
     ("stellar", {"a": 5e-324}, "parameter 'a' is too small: 1/a overflows"),
     ("stellar", {"r": 5e-324}, "parameter 'r' is too small: 1/r overflows"),
+    ("gabor", {"n_time": 64, "n_tf": 16, "tf_max": 1e160},
+     "'tf_min' to 'tf_max' is too wide for 'n_tf': the cell measure overflows"),
+    ("gabor", {"n_time": 64, "n_tf": 16, "tf_min": -1e300},
+     "'tf_min' to 'tf_max' is too wide for 'n_tf': the cell measure overflows"),
+    ("quantize", {"n_time": 64, "n_tf": 16, "tf_max": 1e300},
+     "'tf_min' to 'tf_max' is too wide for 'n_tf': the cell measure overflows"),
+    ("stellar", {"n_grid": 16, "grid_max": 1e26},
+     "'grid_min' to 'grid_max' is too wide for 6 zeros: the zero polynomial overflows"),
+    ("stellar", {"n_grid": 16, "grid_max": 1e300},
+     "'grid_min' to 'grid_max' is too wide for 'n_grid': the cell measure overflows"),
 ])
 def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
                                                 parameters, message):
@@ -664,6 +674,17 @@ def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
     assert message in _stderr_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,parameters", [
+    ("stellar", {"n_grid": 16, "grid_max": 1e25}),
+    ("gabor", {"n_time": 64, "n_tf": 16, "tf_max": 1e150}),
+])
+def test_wide_spans_below_the_overflow_refusals_still_run(tmp_path, command, parameters):
+    # one decade below the refusals above: (sqrt(2)*1e25)^12 and the cell
+    # measure of a 1e150 span over 16 cells stay finite
+    cfg = _write_config(tmp_path / "cfg.json", command, **parameters)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("module,name", [(gabor, "chirp_z"),
