@@ -398,9 +398,13 @@ def _run_gabor(params: _Params, seed: int, outdir: Path) -> None:
             raise ValidationFailure("signal %r: %s" % (name, exc))
     probe = _probe(signal.grid, probe_width)
     coeffs = gabor_transform(probe, signal, tf_grid)
+    energy = _energy_report(signal, coeffs, gabor_reconstruct(probe, coeffs))
+    if not np.all(np.isfinite(list(energy.values()))):
+        # JSON has no Infinity or NaN, and these numbers mean nothing
+        raise ValidationFailure("'tf_min' to 'tf_max' is too wide for 'n_tf': the "
+                                "energy report overflows")
     report = {"schema": SCHEMA, "signal": label, "probe_width": probe_width}
-    report.update(_energy_report(signal, coeffs,
-                                 gabor_reconstruct(probe, coeffs)))
+    report.update(energy)
     _write_grid_csv(outdir / "coefficients_modulus.csv",
                     tf_grid.omega_axis, tf_grid.b_axis,
                     np.abs(coeffs.values), PHASE_GRID_HEADER)

@@ -25,10 +25,12 @@ a uniform frequency comb are chirp-z transforms (numerics.chirp_z), so the
 analysis costs O(n_b*(n_t + n_omega)*log) and no n_omega x n_t table of
 exponentials is ever built.  The n_b window translates cost
 O(q*n_t*log(n_t) + n_b*n_t) when the b-step is p/q time steps (16/5 at the
-default grids): q FFT translates and exact rolls of them, made in one call
-per transform.  Beside its input and result each direction holds the
-(n_b, n_t) batch of translates and tiles of work within the one budget,
-numerics._TILE_BYTES.
+default grids): one call per transform makes a (g, n_t) table of the
+translates of the g <= q distinct cell fractions, and every other
+translate is an exact roll of one of them, copied into the tile that
+uses it.  Beside its input and result each direction holds that table
+and tiles of work within the one budget, numerics._TILE_BYTES; no
+(n_b, n_t) batch of translates is built.
 """
 
 from __future__ import annotations
@@ -112,9 +114,12 @@ class SampledSignal:
     def translated(self, b) -> np.ndarray:
         """Samples of t -> s(t - b), band-limited; an array of shifts gives
         one translate per row.  Every module shifts a line signal through
-        here.  Shifts that differ by whole time steps share one FFT
-        translate and are exact rolls of it (see numerics.spectral_shift).
-        The shift wraps around the grid, so hot edges raise an
+        here: displace and the overlap quadrature one shift at a time,
+        quantize_to_kernel its whole b-comb, and the transform and the
+        resynthesis one shift per distinct cell fraction of theirs.
+        Shifts that differ by whole time steps share one FFT translate
+        and are exact rolls of it (see numerics.spectral_shift).  The
+        shift wraps around the grid, so hot edges raise an
         EdgeEnergyWarning."""
         return batch_fractional_shift(self.values, self.grid.step, b)
 
@@ -216,17 +221,56 @@ def _require_unit_norm(window: SampledSignal) -> None:
         raise ValueError("window must have unit norm, got %.12g" % window.norm)
 
 
+def _translate_rows(window: SampledSignal, shifts: np.ndarray):
+    """fill(out, start): row k of ``out`` becomes window(t - shifts[start + k]).
+
+    The shifts split as in numerics.spectral_shift into whole cells and
+    groups of cell fractions.  One ``translated`` call makes the translate
+    of each group's defining member (its smallest fraction; any member of
+    the group of 0), a (g, n_t) table held twice over, and every row is
+    copied out of it as an exact roll by the whole cells it lies from its
+    member: the row that translating all the shifts at once would give,
+    bit for bit, with g <= q when the shifts step by p/q cells."""
+    n = window.grid.count
+    starts, groups = numerics._split_shifts(shifts, window.grid.step, n)
+    members = [group for _, group in groups if group]
+    places = [None] * len(shifts)
+    for g, group in enumerate(members):
+        for i in group:
+            places[i] = (g, (starts[i] - starts[group[0]]) % n)
+    table = window.translated(shifts[[group[0] for group in members]])
+    table = np.concatenate((table, table), axis=1)
+
+    def fill(out: np.ndarray, start: int) -> None:
+        for k, (g, at) in enumerate(places[start:start + len(out)]):
+            out[k] = table[g, at:at + n]
+    return fill
+
+
 def _analyze(window: SampledSignal, s: SampledSignal, comb: tuple,
              shifts: np.ndarray) -> np.ndarray:
     """sum_t exp(-1j*omega*t) conj(window(t - b)) s(t) dt, indexed [omega, b],
     for the uniform frequency comb ``comb`` = (start, step, count): one
-    chirp-z transform of every windowed copy of the signal."""
+    chirp-z transform of every windowed copy of the signal.
+
+    The b-rows run in chirp_z's own tiles: each tile of windowed copies is
+    filled from the fraction translates, transformed, and written into
+    its columns of the result."""
     _require_unit_norm(window)
-    windowed = window.translated(shifts)            # fresh (n_b, n_t): window it in place
-    np.conjugate(windowed, out=windowed)
-    windowed *= s.grid.step * s.values
-    # along t of the [t, b] view, so the result is a compact [omega, b] array
-    return chirp_z(windowed.T, s.grid.comb, comb, sign=-1, axis=0)
+    fill = _translate_rows(window, shifts)
+    weight = s.grid.step * s.values
+    result = np.empty((comb[2], len(shifts)), dtype=complex)
+    tile = numerics._chirp_tile_rows(s.grid.count, comb[2])
+    windowed = np.empty((min(tile, len(shifts)), s.grid.count), dtype=complex)
+    for start in range(0, len(shifts), tile):
+        part = windowed[:len(shifts) - start]
+        fill(part, start)
+        np.conjugate(part, out=part)
+        part *= weight
+        # along t of the [t, b] view, so the tile is a compact [omega, b] array
+        result[:, start:start + tile] = chirp_z(part.T, s.grid.comb, comb,
+                                                sign=-1, axis=0)
+    return result
 
 
 def _synthesize(window: SampledSignal, comb: tuple, shifts: np.ndarray,
@@ -235,16 +279,21 @@ def _synthesize(window: SampledSignal, comb: tuple, shifts: np.ndarray,
     for ``values`` on the uniform frequency comb ``comb`` = (start, step, count).
 
     The b-columns run in tiles of numerics._TILE_BYTES of modes: each
-    tile's chirp-z modes are multiplied by their windows and summed into
-    the result, so no (n_b, n_t) block of modes is held beside the windows."""
+    tile's chirp-z modes are multiplied by a tile of windows filled from
+    the fraction translates and summed into the result, so neither an
+    (n_b, n_t) block of modes nor one of windows is held."""
     _require_unit_norm(window)
-    windows = window.translated(shifts)                                  # (n_b, n_t)
-    tile = max(1, numerics._TILE_BYTES // windows[0].nbytes)
-    out = np.zeros(window.grid.count, dtype=complex)
-    for start in range(0, len(windows), tile):
+    fill = _translate_rows(window, shifts)
+    n_t = window.grid.count
+    tile = max(1, numerics._TILE_BYTES // (16 * n_t))
+    windows = np.empty((min(tile, len(shifts)), n_t), dtype=complex)
+    out = np.zeros(n_t, dtype=complex)
+    for start in range(0, len(shifts), tile):
         modes = chirp_z(values[:, start:start + tile].T, comb, window.grid.comb,
                         sign=1)                                          # (tile, n_t)
-        modes *= windows[start:start + tile]
+        part = windows[:len(modes)]
+        fill(part, start)
+        modes *= part
         out += modes.sum(axis=0)
     out *= measure
     return out

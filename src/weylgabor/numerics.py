@@ -288,13 +288,9 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     _require_finite(step, "step")
     if not step > 0:
         raise ValueError("step must be positive")
-    _require_finite(shift, "shift")
     n = values.size
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
-    cells = shifts / step
-    whole = np.floor(cells + (0.5 + _CELL_TOLERANCE))
-    starts = np.mod(-whole, n).astype(np.intp).tolist()
-    groups = _fraction_groups(cells - whole)
+    starts, groups = _split_shifts(shifts, step, n)
     # the forward FFT only when some group moves
     spectrum = fft(values) if len(groups) > 1 else None
     nu = 2.0 * np.pi * fftfreq(n, d=step)
@@ -313,6 +309,19 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
         for i in members:
             out[i] = doubled[starts[i]:starts[i] + n]
     return out if np.ndim(shift) else out[0]
+
+
+def _split_shifts(shifts: np.ndarray, step: float, n: int) -> tuple:
+    """(starts, groups) of a 1-D array of shifts of n samples of ``step``,
+    the split that ``spectral_shift`` makes: each shift is whole cells
+    plus a fraction, its row is the n samples from starts[i] on of its
+    group's translate held twice over (a roll by the whole cells), and
+    groups are _fraction_groups of the fractions.  Non-finite shifts
+    raise a ValueError naming them."""
+    _require_finite(shifts, "shift")
+    cells = shifts / step
+    whole = np.floor(cells + (0.5 + _CELL_TOLERANCE))
+    return np.mod(-whole, n).astype(np.intp).tolist(), _fraction_groups(cells - whole)
 
 
 def _fraction_groups(fraction: np.ndarray) -> list:
@@ -351,11 +360,13 @@ def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarra
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _next_fast_len(target: int, real: bool = False) -> int:
     """Smallest length >= target that pocketfft transforms fastest: one with
     no prime factor above 11, or above 5 for a real transform (the lengths
     scipy.fft.next_fast_len gives).  Each odd smooth part below the best
-    length so far is doubled up to the target."""
+    length so far is doubled up to the target; the search takes tens of
+    microseconds, so each length is kept."""
     best = 1 << max(target - 1, 0).bit_length()
     odd = [1]
     for prime in (3, 5) if real else (3, 5, 7, 11):
@@ -373,6 +384,12 @@ def _next_fast_len(target: int, real: bool = False) -> int:
 # bytes of work buffer per tile of every tiled loop, read through this
 # module at call time: a tile and its products stay in cache together
 _TILE_BYTES = 512 * 1024
+
+
+def _chirp_tile_rows(n: int, n_f: int) -> int:
+    """Lines per tile of ``chirp_z`` from n nodes to n_f frequencies: as
+    many zero-padded lines as fit in _TILE_BYTES, at least one."""
+    return max(1, _TILE_BYTES // (16 * _next_fast_len(n + n_f - 1)))
 
 
 def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
@@ -422,7 +439,7 @@ def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
         moved, out = moved[None], out[None]
     # tiles run along the first axis; each entry of it holds `lines` lines
     lines = math.prod(moved.shape[1:-1])
-    rows = max(1, _TILE_BYTES // max(1, lines * chirp.nbytes))
+    rows = max(1, _chirp_tile_rows(n, n_f) // max(1, lines))
     work = np.empty((min(rows, len(moved)),) + moved.shape[1:-1] + chirp.shape,
                     dtype=complex)
     for start in range(0, len(moved), rows):
@@ -549,11 +566,13 @@ def find_local_minima(w: np.ndarray, grid: PhaseSpaceGrid,
     below rel_threshold * max(w) (1.0 keeps every strict minimum).  Each hit
     is refined to sub-cell accuracy
     with a least-squares quadratic fit on its 3x3 neighborhood.  Returns
-    [(omega, b, value), ...] sorted by refined value, ascending.
+    [(omega, b, value), ...] sorted by refined value, ascending.  A
+    non-finite entry of w raises a ValueError.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != grid.shape:
         raise ValueError("array shape does not match grid")
+    _require_finite(w, "w")
     if not 0.0 < rel_threshold <= 1.0:
         raise ValueError("rel_threshold must lie in (0, 1]")
     peak = w.max()

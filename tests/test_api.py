@@ -58,6 +58,8 @@ def test_all_lists_every_public_definition(module):
     ("step", lambda bad: numerics.spectral_shift(np.ones(8), bad, 0.5)),
     ("step", lambda bad: numerics.batch_fractional_shift(np.ones(8), bad, 0.5)),
     ("step", lambda bad: numerics.periodic_trapezoid(np.ones(8), bad)),
+    ("w", lambda bad: numerics.find_local_minima(
+        np.where(np.eye(32, dtype=bool), bad, 1.0), GRID)),
     ("c", lambda bad: groups.WHElement(bad, 0, 0)),
     ("a", lambda bad: groups.WHElement(0.0, np.array([0.5, bad]), 0.0)),
     ("b", lambda bad: groups.PolarizedElement((1.0,), (bad,), 0.0)),
@@ -73,6 +75,7 @@ def test_all_lists_every_public_definition(module):
         "stellar-weight-z-imag", "hermite-z", "params-probe_a", "params-probe_r",
         "regular-lo", "regular-hi", "chirp_z-x0", "chirp_z-dx", "chirp_z-f0",
         "chirp_z-df", "shift-step", "batch-shift-step", "trapezoid-step",
+        "minima-w",
         "wh-c", "wh-a-block", "polarized-b", "symplectic-c", "symplectic-v",
         "unitriangular-y", "unitriangular-x", "subdiagonal-x"])
 def test_library_boundaries_name_their_nonfinite_arguments(name, call, bad):

@@ -666,6 +666,10 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
      "'grid_min' to 'grid_max' is too wide for 6 zeros: the zero polynomial overflows"),
     ("stellar", {"n_grid": 16, "grid_max": 1e300},
      "'grid_min' to 'grid_max' is too wide for 'n_grid': the cell measure overflows"),
+    ("gabor", {"n_time": 64, "n_tf": 16, "tf_max": 1e150},
+     "'tf_min' to 'tf_max' is too wide for 'n_tf': the energy report overflows"),
+    ("gabor", {"n_time": 64, "n_tf": 16, "tf_max": 1e100},
+     "'tf_min' to 'tf_max' is too wide for 'n_tf': the energy report overflows"),
 ])
 def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
                                                 parameters, message):
@@ -678,13 +682,17 @@ def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
 
 @pytest.mark.parametrize("command,parameters", [
     ("stellar", {"n_grid": 16, "grid_max": 1e25}),
-    ("gabor", {"n_time": 64, "n_tf": 16, "tf_max": 1e150}),
+    ("gabor", {"n_time": 64, "n_tf": 16, "tf_max": 1e75}),
 ])
 def test_wide_spans_below_the_overflow_refusals_still_run(tmp_path, command, parameters):
-    # one decade below the refusals above: (sqrt(2)*1e25)^12 and the cell
-    # measure of a 1e150 span over 16 cells stay finite
+    # below the refusals above: (sqrt(2)*1e25)^12 stays finite, and so does
+    # every number of the energy report of a 1e75 span over 16 cells
     cfg = _write_config(tmp_path / "cfg.json", command, **parameters)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def refuse(constant):
+        raise AssertionError("report.json holds %s" % constant)
+    json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=refuse)
 
 
 @pytest.mark.parametrize("module,name", [(gabor, "chirp_z"),

@@ -311,20 +311,103 @@ def test_resynthesis_over_b_tiles_matches_the_dense_sum(monkeypatch, columns, ti
     assert np.abs(recon.values - _dense_reconstruct(probe, coeffs)).max() < 1e-13
 
 
+def _batched_analysis(window, s, comb, shifts):
+    """The transform as one batch: every translate at once, windowed, and
+    one chirp-z transform of all of them."""
+    windowed = window.translated(shifts)
+    np.conjugate(windowed, out=windowed)
+    windowed *= s.grid.step * s.values
+    return numerics.chirp_z(windowed.T, s.grid.comb, comb, sign=-1, axis=0)
+
+
+def _batched_resynthesis(window, comb, shifts, values, measure):
+    """The resynthesis with every translate at once, over b-tiles of
+    numerics._TILE_BYTES of modes."""
+    windows = window.translated(shifts)
+    tile = max(1, numerics._TILE_BYTES // windows[0].nbytes)
+    out = np.zeros(window.grid.count, dtype=complex)
+    for start in range(0, len(windows), tile):
+        modes = numerics.chirp_z(values[:, start:start + tile].T, comb,
+                                 window.grid.comb, sign=1)
+        modes *= windows[start:start + tile]
+        out += modes.sum(axis=0)
+    out *= measure
+    return out
+
+
+@pytest.mark.parametrize("tgrid,grid", [
+    (Grid1D.regular(-20.0, 20.0, 2048), PhaseSpaceGrid.square(-16.0, 16.0, 512)),
+    (Grid1D.regular(-20.0, 20.0, 1000), PhaseSpaceGrid.square(-15.3, 15.3, 201)),
+    (default_time_grid(), PhaseSpaceGrid(Grid1D(-8.0, 0.25, 64),
+                                         Grid1D(-16.0, math.sqrt(2.0) / 8.0, 256))),
+], ids=["16/5-cells", "off-node-765/201-cells", "distinct-fractions"])
+def test_tiled_transform_pair_is_the_batched_pair_bit_for_bit(tgrid, grid):
+    # rows copied from the fraction translates are the rows of the batch:
+    # five fractions, 67 fractions from off the nodes, and all distinct
+    probe = gaussian_probe(tgrid)
+    s = make_test_signal("chirp_tones", tgrid)
+    comb, shifts = grid.omega_axis.comb, grid.b_axis.points
+    coeffs = gabor_transform(probe, s, grid)
+    assert np.array_equal(coeffs.values, _batched_analysis(probe, s, comb, shifts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SupportCoverageWarning)
+        recon = gabor_reconstruct(probe, coeffs)
+    assert np.array_equal(recon.values, _batched_resynthesis(
+        probe, comb, shifts, coeffs.values, grid.cell_measure))
+
+
+def test_tiled_circle_pair_is_the_batched_pair_bit_for_bit():
+    vm = von_mises(2.0, 512)
+    phi = displace(3, 0.7, vm)
+    m_max = 24
+    m = np.arange(-m_max, m_max + 1)
+    m_comb, thetas = (-m_max, 1.0, 2 * m_max + 1), vm.grid.points
+    coeffs = cyl_gabor_transform(vm, phi, m_max)
+    # the half-phase products are written as cylinder writes them: complex
+    # multiply is not bitwise commutative, and numpy may compute a product
+    # with a temporary operand in that operand's buffer
+    half_phase = np.exp(1j * np.outer(m, thetas) / 2.0)
+    expected = half_phase * _batched_analysis(vm, phi, m_comb, thetas)
+    assert np.array_equal(coeffs.values, expected)
+    descaled = coeffs.values * np.exp(-1j * np.outer(m, thetas) / 2.0)
+    expected = _batched_resynthesis(vm, m_comb, thetas, descaled,
+                                    vm.grid.step / (2.0 * np.pi))
+    assert np.array_equal(cyl_reconstruct(vm, coeffs).values, expected)
+
+
+def test_default_pair_translates_at_most_five_rows_once_per_direction(monkeypatch):
+    # b-step / dt = 16/5: one call per direction, on a table of the group
+    # of 0 and four fractions, with an inverse FFT row for each fraction
+    probe = gaussian_probe()
+    calls, original = [], numerics.batch_fractional_shift
+
+    def counted(values, step, shifts):
+        calls.append(np.size(shifts))
+        return original(values, step, shifts)
+
+    monkeypatch.setattr(gabor, "batch_fractional_shift", counted)
+    rows = _count_shift_rows(monkeypatch, probe.grid.count)
+    coeffs = gabor_transform(probe, make_test_signal("two_bump"))
+    assert len(calls) == 1 and calls[0] <= 5 and sum(rows) <= 5
+    gabor_reconstruct(probe, coeffs)
+    assert len(calls) == 2 and calls[1] <= 5 and sum(rows) <= 10
+
+
 def test_hot_window_warns_once_per_transform_call(monkeypatch):
     # one translate call per transform and per resynthesis, however small
-    # the tiles
-    monkeypatch.setattr(numerics, "_TILE_BYTES", 1)
-    tgrid = Grid1D.regular(-6.0, 6.0, 64)
-    hot = SampledSignal(tgrid, np.exp(-tgrid.points ** 2 / 50.0)).normalized()
-    s = make_test_signal("gaussian", tgrid)
-    grid = PhaseSpaceGrid.square(-4.0, 4.0, 12)
-    for call in (lambda: gabor_transform(hot, s, grid),
-                 lambda: gabor_reconstruct(hot, TFCoefficients(grid, np.ones(grid.shape)))):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            call()
-        assert [w.category for w in caught].count(EdgeEnergyWarning) == 1
+    # the tiles, and at the default grids with the default budget
+    setups = [(1, Grid1D.regular(-6.0, 6.0, 64), PhaseSpaceGrid.square(-4.0, 4.0, 12)),
+              (numerics._TILE_BYTES, default_time_grid(), default_tf_grid())]
+    for tile_bytes, tgrid, grid in setups:
+        monkeypatch.setattr(numerics, "_TILE_BYTES", tile_bytes)
+        hot = SampledSignal(tgrid, np.exp(-tgrid.points ** 2 / 50.0)).normalized()
+        s = make_test_signal("gaussian", tgrid)
+        for call in (lambda: gabor_transform(hot, s, grid),
+                     lambda: gabor_reconstruct(hot, TFCoefficients(grid, np.ones(grid.shape)))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.category for w in caught].count(EdgeEnergyWarning) == 1
 
 
 def test_coverage_warning_on_narrow_grid():
@@ -521,16 +604,19 @@ def _large_transform_inputs():
     return probe, s, PhaseSpaceGrid.square(-16.0, 16.0, 512)
 
 
-def test_transform_peak_memory_stays_below_one_and_a_half_batches():
-    # the windowed batch, the (512, 512) result (a quarter batch) and one
-    # chirp-z tile; no zero-padded buffer of all lines, no Fourier table
+def test_transform_peak_memory_stays_below_half_a_batch():
+    # the (512, 512) result (a quarter batch), the table of five fraction
+    # translates, and one tile of windowed copies and its chirp-z work; no
+    # batch of translates, no zero-padded buffer of all lines, no Fourier
+    # table
     probe, s, grid = _large_transform_inputs()
-    assert _peak_bytes(lambda: gabor_transform(probe, s, grid)) < 1.5 * _BATCH_BYTES
+    assert _peak_bytes(lambda: gabor_transform(probe, s, grid)) < 0.5 * _BATCH_BYTES
 
 
-def test_reconstruct_peak_memory_stays_below_one_and_a_half_batches():
-    # the window batch, one tile of modes and one chirp-z tile; no
+def test_reconstruct_peak_memory_stays_below_a_quarter_batch():
+    # the table of five fraction translates, one tile of windows, one tile
+    # of modes and one chirp-z tile; no batch of translates and no
     # (n_t, n_b) block of modes
     probe, s, grid = _large_transform_inputs()
     coeffs = gabor_transform(probe, s, grid)
-    assert _peak_bytes(lambda: gabor_reconstruct(probe, coeffs)) < 1.5 * _BATCH_BYTES
+    assert _peak_bytes(lambda: gabor_reconstruct(probe, coeffs)) < 0.25 * _BATCH_BYTES
