@@ -223,7 +223,9 @@ def cyl_gabor_transform(psi: CircularSignal, phi: CircularSignal,
         raise ValueError("m_max too large for %d-point signals" % phi.grid.count)
     m_comb, thetas = (-m_max, 1.0, 2 * m_max + 1), phi.grid.points
     half_phase = np.exp(1j * np.outer(np.arange(-m_max, m_max + 1), thetas) / 2.0)
-    return CylCoefficients(m_max, phi.grid, half_phase * _analyze(psi, phi, m_comb, thetas))
+    analyzed = _analyze(psi, phi, m_comb, thetas)
+    # half-phase first, at every size: complex multiply is not bitwise commutative
+    return CylCoefficients(m_max, phi.grid, np.multiply(half_phase, analyzed, out=analyzed))
 
 
 def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients) -> CircularSignal:
@@ -235,7 +237,8 @@ def cyl_reconstruct(psi: CircularSignal, coeffs: CylCoefficients) -> CircularSig
     raises first.
     """
     thetas = coeffs.theta_axis.points
-    descaled = coeffs.values * np.exp(-1j * np.outer(coeffs.m_values, thetas) / 2.0)
+    descaled = np.exp(-1j * np.outer(coeffs.m_values, thetas) / 2.0)
+    np.multiply(coeffs.values, descaled, out=descaled)  # coefficients first, as above
     m_comb = (-coeffs.m_max, 1.0, 2 * coeffs.m_max + 1)
     out = CircularSignal(psi.grid, _synthesize(
         psi, m_comb, thetas, descaled, coeffs.theta_axis.step / _TWO_PI))

@@ -285,7 +285,7 @@ def _synthesize(window: SampledSignal, comb: tuple, shifts: np.ndarray,
     _require_unit_norm(window)
     fill = _translate_rows(window, shifts)
     n_t = window.grid.count
-    tile = max(1, numerics._TILE_BYTES // (16 * n_t))
+    tile = numerics._tile_lines(16 * n_t)
     windows = np.empty((min(tile, len(shifts)), n_t), dtype=complex)
     out = np.zeros(n_t, dtype=complex)
     for start in range(0, len(shifts), tile):

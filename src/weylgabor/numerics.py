@@ -212,28 +212,37 @@ def periodic_trapezoid(values: np.ndarray, step: float | None = None):
 def edge_peak_ratio(values: np.ndarray, axes: tuple | None = None) -> float:
     """Largest |value| on the first and last lines along each of ``axes``
     (every axis by default), divided by the largest |value| anywhere; 0.0
-    for an all-zero array."""
-    mag = np.abs(np.asarray(values))
-    peak = mag.max()
+    for an all-zero array.  Only the edge lines are copied: the peak of a
+    real float array is the larger of its maximum and minus its minimum."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        peak = max(values.max(), -values.min())
+    else:
+        peak = np.abs(values).max()
     if peak == 0.0:
         return 0.0
-    axes = range(mag.ndim) if axes is None else axes
-    edge = max(np.take(mag, [0, -1], axis=ax).max() for ax in axes)
+    axes = range(values.ndim) if axes is None else axes
+    edge = max(np.abs(np.take(values, [0, -1], axis=ax)).max() for ax in axes)
     return float(edge / peak)
 
 
 def edge_mass_share(values: np.ndarray, axes: tuple | None = None) -> float:
     """Sum over the first and last lines along each of ``axes`` (every axis
     by default), each cell counted once, divided by the total sum; 0.0 when
-    the total is not positive.  Meant for non-negative densities."""
+    the total is not positive.  Meant for non-negative densities.  The
+    edge cells are gathered by their flat indices, in row-major order, so
+    no mask of the whole array is built."""
     values = np.asarray(values)
     total = values.sum()
     if not total > 0:
         return 0.0
-    border = np.zeros(values.shape, dtype=bool)
+    cells = np.empty(0, dtype=np.intp)
     for ax in range(values.ndim) if axes is None else axes:
-        np.moveaxis(border, ax, 0)[[0, -1]] = True
-    return float(values[border].sum() / total)
+        lines = [np.arange(count) for count in values.shape]
+        lines[ax] = [0, values.shape[ax] - 1]
+        # union1d sorts and drops repeats: row-major order, corners once
+        cells = np.union1d(cells, np.ravel_multi_index(np.ix_(*lines), values.shape))
+    return float(values.flat[cells].sum() / total)
 
 
 def _warn_health(value: float, limit: float, category: type, stage: str,
@@ -386,10 +395,16 @@ def _next_fast_len(target: int, real: bool = False) -> int:
 _TILE_BYTES = 512 * 1024
 
 
+def _tile_lines(line_bytes: int) -> int:
+    """Lines per tile of work of ``line_bytes`` each: as many as fit in
+    _TILE_BYTES, at least one."""
+    return max(1, _TILE_BYTES // line_bytes)
+
+
 def _chirp_tile_rows(n: int, n_f: int) -> int:
     """Lines per tile of ``chirp_z`` from n nodes to n_f frequencies: as
     many zero-padded lines as fit in _TILE_BYTES, at least one."""
-    return max(1, _TILE_BYTES // (16 * _next_fast_len(n + n_f - 1)))
+    return _tile_lines(16 * _next_fast_len(n + n_f - 1))
 
 
 def chirp_z(values: np.ndarray, nodes: tuple, comb: tuple, sign: int = -1,
@@ -538,20 +553,33 @@ def _separable_convolve(f: np.ndarray, along_omega: np.ndarray,
     omega with ``along_omega``, then of every line along b with
     ``along_b``, each padded to its axis's wrap-free length and cut to the
     window at its origin index.  The cell measure scales the small
-    spectrum of ``along_omega``.  Beside ``f`` the work holds at most two
-    padded blocks, about 3 n^2 floats for a centred origin; the result is
-    a view into the last of them.
+    spectrum of ``along_omega``.
+
+    Both passes run in tiles of about _TILE_BYTES of padded lines: the
+    omega-pass transforms a tile of b-columns of ``f`` and writes its
+    window into the result, and the b-pass transforms a tile of
+    omega-rows of the result and writes them back in place.  Each line is
+    transformed as it would be alone, so the tiles give the bits of
+    whole-array transforms.  Beside ``f`` the work holds the result, a
+    fresh (n_omega, n_b) float array, and one tile.
     """
     (s0, p0), (s1, p1) = _wrap_free_window(grid.omega_axis), _wrap_free_window(grid.b_axis)
     n0, n1 = grid.shape
-    spectrum = rfft(f, p0, axis=0)
-    spectrum *= (grid.cell_measure * rfft(along_omega, p0))[:, None]
-    lines = irfft(spectrum, p0, axis=0)[s0:s0 + n0]
-    del spectrum  # each padded block is freed as soon as it is read
-    spectrum = rfft(lines, p1, axis=1)
-    del lines
-    spectrum *= rfft(along_b, p1)
-    return irfft(spectrum, p1, axis=1)[:, s1:s1 + n1]
+    result = np.empty((n0, n1))
+    kernel = (grid.cell_measure * rfft(along_omega, p0))[:, None]
+    # a padded line takes its half spectrum and its inverse: 16 bytes a sample
+    cols = _tile_lines(16 * p0)
+    for c0 in range(0, n1, cols):
+        spectrum = rfft(f[:, c0:c0 + cols], p0, axis=0)
+        spectrum *= kernel
+        result[:, c0:c0 + cols] = irfft(spectrum, p0, axis=0)[s0:s0 + n0]
+    kernel = rfft(along_b, p1)
+    rows = _tile_lines(16 * p1)
+    for r0 in range(0, n0, rows):
+        spectrum = rfft(result[r0:r0 + rows], p1, axis=1)
+        spectrum *= kernel
+        result[r0:r0 + rows] = irfft(spectrum, p1, axis=1)[:, s1:s1 + n1]
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -83,9 +83,12 @@ class Distribution:
         values = np.asarray(self.values, dtype=float)
         if values.shape != self.grid.shape:
             raise ValueError("values must match the grid shape")
-        _require_finite(values, "distribution values")
-        peak = np.abs(values).max()
-        if peak > 0 and values.min() < -1e-9 * peak:
+        # min and max are NaN or infinite if any entry is, and give the
+        # peak |value|: no mask or |values| copy of the grid is built
+        low, high = values.min(), values.max()
+        _require_finite((low, high), "distribution values")
+        peak = max(high, -low)
+        if peak > 0 and low < -1e-9 * peak:
             raise ValueError("distribution values must be non-negative")
         object.__setattr__(self, "values", values)
 
@@ -225,8 +228,10 @@ def portrait(w: Distribution, a: float, r: float) -> Distribution:
     axis, so the blur runs one axis at a time: a real FFT convolution of
     every omega-line, then of every b-line, each padded to its axis's
     wrap-free length, as grid_convolve pads both (its oracle).  No n^2
-    kernel is built, and beside w and the result the work holds about
-    3 n^2 floats.  Both axes must hold 0 on a lattice point.
+    kernel is built: each pass runs in tiles of lines, written into the
+    result and clipped there, so beside w the work holds the result and
+    one tile of about numerics._TILE_BYTES.  Both axes must hold 0 on a
+    lattice point.
 
     Mass is conserved exactly when both factors are contained in the grid;
     a wide overlap kernel or an edge-heavy w pushes mass off-grid, and
@@ -236,7 +241,8 @@ def portrait(w: Distribution, a: float, r: float) -> Distribution:
     sigma_omega, sigma_b = _overlap_widths(a, r)
     along_omega = _axis_gaussian(w.grid.omega_axis, 0.0, sigma_omega)
     along_b = _axis_gaussian(w.grid.b_axis, 0.0, sigma_b) / (sigma_omega * sigma_b)
-    smoothed = np.maximum(_separable_convolve(w.values, along_omega, along_b, w.grid), 0.0)
+    smoothed = _separable_convolve(w.values, along_omega, along_b, w.grid)
+    np.maximum(smoothed, 0.0, out=smoothed)
     # the edge ratio of an outer product is the larger of its factors'
     kernel_edge = max(edge_peak_ratio(along_omega), edge_peak_ratio(along_b))
     for ratio, which in ((edge_peak_ratio(w.values), "density"),
@@ -311,7 +317,7 @@ def _lag_products(shifted: np.ndarray, w_conj: np.ndarray) -> np.ndarray:
     diagonal entries[j + L, j], and its conjugate the upper one.
     """
     n_t, n_b = shifted.shape
-    tile = max(1, numerics._TILE_BYTES // (2 * shifted[0].nbytes))
+    tile = numerics._tile_lines(2 * shifted[0].nbytes)
     conj_tile = np.empty((min(tile, n_t), n_b), dtype=complex)
     overlaps = np.empty_like(conj_tile)
     entries = np.empty((n_t, n_t), dtype=complex)

@@ -36,6 +36,7 @@ from .numerics import (
     PhaseSpaceGrid,
     _integer_order,
     _require_finite,
+    _tile_lines,
     _warn_health,
     edge_mass_share,
     find_local_minima,
@@ -160,7 +161,8 @@ def anisotropic_stellar_weight(zeros: Sequence[complex], rate_b: float,
     _require_finite(z, "z")
     poly = np.ones_like(z)
     for zero in zeros:
-        poly = poly * (z - zero)
+        # factor first, at every size: complex multiply is not bitwise commutative
+        np.multiply(z - zero, poly, out=poly)
     b = z.real
     omega = z.imag
     return np.exp(-rate_b * b ** 2 - rate_omega * omega ** 2) * np.abs(poly) ** 2
@@ -181,16 +183,27 @@ def stellar_distribution(zeros: Sequence[complex], s: float,
     small for the on-grid normalization to approximate the plane integral
     (the reference pentagon run is itself in this regime, since its
     polynomial growth peaks well outside any grid that resolves the zeros).
+
+    The weight is filled into the density's own (n_omega, n_b) float array
+    one tile of omega-rows at a time, each tile calling stellar_weight on
+    its own z = b + 1j*omega, and normalized in place: beside the density
+    the work holds one tile of about numerics._TILE_BYTES, never a complex
+    grid.
     """
-    values = stellar_weight(zeros, s, grid.b_axis.points + 1j * grid.omega_axis.points[:, None])
+    b, omega = grid.b_axis.points, grid.omega_axis.points
+    values = np.empty(grid.shape)
+    # a row of the tile holds z, the product and one factor, all complex
+    rows = _tile_lines(3 * 16 * b.size)
+    for r0 in range(0, omega.size, rows):
+        values[r0:r0 + rows] = stellar_weight(zeros, s, b + 1j * omega[r0:r0 + rows, None])
     raw_total = float(grid.integrate(values))
     if raw_total <= 0:
         raise ValueError("density has no mass on the grid")
     tail = edge_mass_share(values)
     _warn_health(tail, 1e-6, MassLeakageWarning, "stellar_distribution",
                  "boundary ring holds %.3g of the on-grid mass; normalization is grid-truncated")
-    return StellarDensity(Distribution(grid, values / raw_total),
-                          float(raw_total), tail)
+    values /= raw_total
+    return StellarDensity(Distribution(grid, values), float(raw_total), tail)
 
 
 def gram_diagonal(n: int, s: float) -> float:

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import iv
 
-from weylgabor import numerics
+from weylgabor import gabor, numerics
 from weylgabor.cylinder import (
     CircularSignal,
     CylCoefficients,
@@ -508,6 +508,27 @@ def test_resynthesis_over_theta_tiles_matches_the_dense_sum(monkeypatch, columns
     monkeypatch.setattr(numerics, "_TILE_BYTES", columns * psi.values.nbytes)
     recon = cyl_reconstruct(psi, coeffs)
     assert np.abs(recon.values - _dense_reconstruct(psi, coeffs)).max() < 1e-12
+
+
+@pytest.mark.parametrize("m_max", [7, 20])
+def test_half_phase_products_keep_their_bits_at_every_size(m_max):
+    # at m_max 20 on 512 nodes the (41, 512) products are past the 256 KiB
+    # at which numpy computes a product in its temporary operand's buffer,
+    # operands swapped; both products take one fixed order at every size
+    psi = von_mises(2.0, 512)
+    phi = displace(3, 0.7, psi)
+    m = np.arange(-m_max, m_max + 1)
+    m_comb, thetas = (-m_max, 1.0, 2 * m_max + 1), psi.grid.points
+    coeffs = cyl_gabor_transform(psi, phi, m_max)
+    half_phase = np.exp(1j * np.outer(m, thetas) / 2.0)
+    analyzed = gabor._analyze(psi, phi, m_comb, thetas)
+    assert np.array_equal(coeffs.values, half_phase * analyzed)
+    phase = np.exp(-1j * np.outer(m, thetas) / 2.0)
+    descaled = coeffs.values * phase
+    expected = gabor._synthesize(psi, m_comb, thetas, descaled, psi.grid.step / TWO_PI)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert np.array_equal(cyl_reconstruct(psi, coeffs).values, expected)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([15, 33]), st.floats(0.0, 5.0))

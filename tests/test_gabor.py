@@ -363,13 +363,14 @@ def test_tiled_circle_pair_is_the_batched_pair_bit_for_bit():
     m = np.arange(-m_max, m_max + 1)
     m_comb, thetas = (-m_max, 1.0, 2 * m_max + 1), vm.grid.points
     coeffs = cyl_gabor_transform(vm, phi, m_max)
-    # the half-phase products are written as cylinder writes them: complex
-    # multiply is not bitwise commutative, and numpy may compute a product
-    # with a temporary operand in that operand's buffer
+    # the half-phase products in cylinder's operand order, with named
+    # operands: complex multiply is not bitwise commutative, and numpy may
+    # compute a product with a temporary operand in that operand's buffer
     half_phase = np.exp(1j * np.outer(m, thetas) / 2.0)
-    expected = half_phase * _batched_analysis(vm, phi, m_comb, thetas)
-    assert np.array_equal(coeffs.values, expected)
-    descaled = coeffs.values * np.exp(-1j * np.outer(m, thetas) / 2.0)
+    analyzed = _batched_analysis(vm, phi, m_comb, thetas)
+    assert np.array_equal(coeffs.values, half_phase * analyzed)
+    phase = np.exp(-1j * np.outer(m, thetas) / 2.0)
+    descaled = coeffs.values * phase
     expected = _batched_resynthesis(vm, m_comb, thetas, descaled,
                                     vm.grid.step / (2.0 * np.pi))
     assert np.array_equal(cyl_reconstruct(vm, coeffs).values, expected)

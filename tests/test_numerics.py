@@ -3,6 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from weylgabor.numerics import (
     periodic_trapezoid,
     spectral_shift,
 )
-from weylgabor.numerics import _fraction_groups, _next_fast_len, _refine_design
+from weylgabor.numerics import (
+    _fraction_groups,
+    _next_fast_len,
+    _refine_design,
+    _separable_convolve,
+    _wrap_free_window,
+)
 
 # frozen once from the ascending power series sum_k (x/2)^(2k) / (k!)^2
 I0_AT_2 = 2.279585302336067
@@ -520,6 +527,80 @@ def test_edge_mass_share_counts_corners_once():
     assert edge_mass_share(np.zeros((4, 5))) == 0.0
 
 
+def _edge_peak_ratio_of_magnitudes(values, axes=None):
+    """Reference form of edge_peak_ratio: |values| of the whole array."""
+    mag = np.abs(np.asarray(values))
+    peak = mag.max()
+    if peak == 0.0:
+        return 0.0
+    axes = range(mag.ndim) if axes is None else axes
+    edge = max(np.take(mag, [0, -1], axis=ax).max() for ax in axes)
+    return float(edge / peak)
+
+
+def _edge_mass_share_by_mask(values, axes=None):
+    """Reference form of edge_mass_share: a boolean mask of the whole array."""
+    values = np.asarray(values)
+    total = values.sum()
+    if not total > 0:
+        return 0.0
+    border = np.zeros(values.shape, dtype=bool)
+    for ax in range(values.ndim) if axes is None else axes:
+        np.moveaxis(border, ax, 0)[[0, -1]] = True
+    return float(values[border].sum() / total)
+
+
+def _outcome(function, *args):
+    """The float a call returns, told apart by sign and NaN, or the type of
+    what it raises (warnings are errors in this suite)."""
+    try:
+        value = function(*args)
+    except Exception as exc:  # the oracle must raise the same
+        return type(exc)
+    return ("nan",) if math.isnan(value) else (value, math.copysign(1.0, value))
+
+
+_EDGE_SPECIALS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _edge_cases(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+    size = math.prod(shape)
+    zeros_only = draw(st.booleans())  # an all-zero array, zeros of either sign
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):  # real, or real and imaginary
+        part = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+        for index, special in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                                      _EDGE_SPECIALS), max_size=2)):
+            part[index] = special
+        parts.append(np.copysign(0.0, part) if zeros_only else part)
+    values = np.empty(size, dtype=float if len(parts) == 1 else complex)
+    values.real = parts[0]
+    if len(parts) == 2:
+        values.imag = parts[1]
+    axes = draw(st.one_of(st.none(), st.permutations(range(len(shape))).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda k: tuple(order[:k])))))
+    return values.reshape(shape), axes
+
+
+@example(case=(np.array([[0.0, -0.0], [-0.0, 0.0]]), None))
+@example(case=(np.array([1.0, math.nan, 2.0]), (0,)))
+@example(case=(np.array([[-3.0, 1.0, 0.5]]), ()))
+@example(case=(np.array([[0.5, 1.0], [-3.0, 0.25]]), (1,)))
+@example(case=(np.array([[0.5, 1.0, 2.0], [3.0, 0.25, 1.5], [1.0, 2.0, 0.5]]), None))
+@given(case=_edge_cases())
+def test_edge_checks_equal_their_whole_array_forms(case):
+    # same float for every input, signed zeros and NaN included, and the
+    # same error where the whole-array forms raise
+    values, axes = case
+    with np.errstate(all="ignore"):
+        assert (_outcome(edge_peak_ratio, values, axes)
+                == _outcome(_edge_peak_ratio_of_magnitudes, values, axes))
+        assert (_outcome(edge_mass_share, values, axes)
+                == _outcome(_edge_mass_share_by_mask, values, axes))
+
+
 # ---------------------------------------------------------------------------
 # phase-space convolution
 # ---------------------------------------------------------------------------
@@ -593,6 +674,47 @@ def test_convolve_matches_the_direct_double_sum(n, origin):
         warnings.simplefilter("ignore", EdgeEnergyWarning)
         out = grid_convolve(f, g, grid)
     assert np.abs(out - direct).max() < 1e-13 * direct.max()
+
+
+def _untiled_separable_convolve(f, along_omega, along_b, grid):
+    """Reference form of _separable_convolve: each pass transforms every
+    line at once, in one padded block."""
+    (s0, p0), (s1, p1) = _wrap_free_window(grid.omega_axis), _wrap_free_window(grid.b_axis)
+    n0, n1 = grid.shape
+    spectrum = np.fft.rfft(f, p0, axis=0)
+    spectrum *= (grid.cell_measure * np.fft.rfft(along_omega, p0))[:, None]
+    lines = np.fft.irfft(spectrum, p0, axis=0)[s0:s0 + n0]
+    spectrum = np.fft.rfft(lines, p1, axis=1)
+    spectrum *= np.fft.rfft(along_b, p1)
+    return np.fft.irfft(spectrum, p1, axis=1)[:, s1:s1 + n1]
+
+
+@st.composite
+def _origin_axis(draw):
+    count = draw(st.integers(2, 40))
+    step = draw(st.sampled_from([0.1, 0.25, 0.3]))
+    return Grid1D(-draw(st.integers(0, count - 1)) * step, step, count)
+
+
+@example(seed=0, omega_axis=Grid1D(-1.0, 0.25, 9), b_axis=Grid1D(0.0, 0.25, 14),
+         lines=0, spare=0)  # one line per tile in both passes
+@example(seed=1, omega_axis=Grid1D(-1.0, 0.25, 9), b_axis=Grid1D(-3.0, 0.25, 14),
+         lines=40, spare=0)  # the grid below one tile
+@given(seed=st.integers(0, 2 ** 32 - 1), omega_axis=_origin_axis(), b_axis=_origin_axis(),
+       lines=st.integers(0, 43), spare=st.integers(0, 100))
+def test_tiled_separable_convolve_is_the_untiled_one_bit_for_bit(seed, omega_axis, b_axis,
+                                                                  lines, spare):
+    # omega-pass tiles of `lines` columns (one when 0), b-pass tiles of as
+    # many rows as that budget holds; origins anywhere on non-square grids
+    grid = PhaseSpaceGrid(omega_axis, b_axis)
+    rng = np.random.default_rng(seed)
+    f = rng.random(grid.shape)
+    along_omega, along_b = rng.random(omega_axis.count), rng.random(b_axis.count)
+    tile_bytes = lines * 16 * _wrap_free_window(omega_axis)[1] + spare
+    with mock.patch.object(numerics, "_TILE_BYTES", tile_bytes):
+        tiled = _separable_convolve(f, along_omega, along_b, grid)
+    assert tiled.flags.c_contiguous
+    assert np.array_equal(tiled, _untiled_separable_convolve(f, along_omega, along_b, grid))
 
 
 def test_convolve_warns_on_leaky_edges():

@@ -54,6 +54,43 @@ def test_distribution_rejects_negative_values():
         Distribution(TF_GRID, values)
 
 
+def _checked_by_magnitudes(grid, values):
+    """Reference form of the Distribution checks: a finiteness mask and
+    |values| of the whole grid."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError("values must match the grid shape")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("distribution values must be finite")
+    peak = np.abs(values).max()
+    if peak > 0 and values.min() < -1e-9 * peak:
+        raise ValueError("distribution values must be non-negative")
+
+
+def _check_message(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_SMALL_GRID = PhaseSpaceGrid(Grid1D(-1.0, 0.5, 3), Grid1D(-1.0, 0.5, 4))
+
+
+@pytest.mark.parametrize("entry", [1.0, 0.0, -0.0, -1e-10, -2e-9, -1.0, 5e-324, -5e-324,
+                                   np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rest", [0.0, -0.0, 1.0, -1.0])
+def test_distribution_checks_equal_their_whole_grid_forms(entry, rest):
+    # the same refusal, message for message, from min and max alone
+    values = np.full(_SMALL_GRID.shape, rest)
+    values[1, 2] = entry
+    message = _check_message(_checked_by_magnitudes, _SMALL_GRID, values)
+    assert _check_message(Distribution, _SMALL_GRID, values) == message
+    assert _check_message(Distribution, _SMALL_GRID, values[:, :3]) == (
+        "values must match the grid shape")
+
+
 def test_distribution_normalization():
     d = Distribution(TF_GRID, np.ones(TF_GRID.shape)).normalized()
     assert abs(d.mass - 1.0) < 1e-12
@@ -302,9 +339,10 @@ def test_portrait_builds_no_kernel_grid(monkeypatch):
     np.testing.assert_array_equal(quantize.portrait(w, 1.0, 1.0).values, expected)
 
 
-def test_portrait_holds_under_four_grids_beside_its_input():
-    # two padded blocks of about 1.5 n^2 floats at a time, then the result:
-    # the 2-D FFT with the n^2 kernel took 7.8 grids
+def test_portrait_holds_under_one_and_a_half_grids_beside_its_input():
+    # the result and one tile of padded lines (measured: 1.26 grids); two
+    # whole padded blocks and a |values| copy took 3.01 grids, and the
+    # 2-D FFT with the n^2 kernel 7.8
     n = 512
     w = gaussian_distribution(PhaseSpaceGrid.square(-10.0, 10.0, n)).normalized()
     portrait(w, 2.0, 2.0)
@@ -314,7 +352,7 @@ def test_portrait_holds_under_four_grids_beside_its_input():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * n * n * 8
+    assert peak < 1.5 * n * n * 8
 
 
 def test_portrait_requires_unit_mass():

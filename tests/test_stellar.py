@@ -1,13 +1,16 @@
 """Zero-constellation densities: Hermite machinery, anisotropic envelopes,
 zero preservation under smoothing, and quantization of the reference run."""
 
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weylgabor import numerics
 from weylgabor.numerics import EdgeEnergyWarning, Grid1D, PhaseSpaceGrid
 from weylgabor.quantize import BandCoverageWarning
 from weylgabor.stellar import (
@@ -214,6 +217,67 @@ def test_pentagon_distribution_reports_leakage():
     with pytest.warns(MassLeakageWarning):
         density = stellar_distribution(pentagon_zeros(), params.s, params.grid)
     assert density.tail_fraction > 1e-6
+
+
+def _whole_grid_density(zeros, s, grid):
+    """Reference form of stellar_distribution: the weight on the whole
+    complex z grid at once, normalized by its quadrature."""
+    values = stellar_weight(zeros, s, grid.b_axis.points + 1j * grid.omega_axis.points[:, None])
+    raw_total = float(grid.integrate(values))
+    return values / raw_total, raw_total
+
+
+_OFF_CENTRE_AXES = st.builds(Grid1D, st.floats(-5.0, 1.0), st.floats(0.05, 0.4),
+                             st.integers(2, 40))
+_CONSTELLATIONS = st.lists(st.complex_numbers(max_magnitude=3.0), max_size=6)
+
+
+@example(omega_axis=Grid1D(-2.0, 0.25, 17), b_axis=Grid1D(-3.0, 0.25, 23),
+         zeros=[0j, 1 + 1j], s=0.6, rows=1, spare=0)  # one-line tiles
+@example(omega_axis=Grid1D(-2.0, 0.25, 17), b_axis=Grid1D(-3.0, 0.25, 23),
+         zeros=[0.5j], s=0.6, rows=40, spare=0)  # the grid below one tile
+@given(omega_axis=_OFF_CENTRE_AXES, b_axis=_OFF_CENTRE_AXES, zeros=_CONSTELLATIONS,
+       s=st.floats(0.3, 0.95), rows=st.integers(1, 45), spare=st.integers(0, 47))
+def test_tiled_density_is_the_whole_grid_density_bit_for_bit(omega_axis, b_axis, zeros,
+                                                             s, rows, spare):
+    # tiles of `rows` omega-rows, a budget a few bytes past a whole number
+    # of rows, short last tiles and grids smaller than one tile
+    grid = PhaseSpaceGrid(omega_axis, b_axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MassLeakageWarning)
+        with mock.patch.object(numerics, "_TILE_BYTES", rows * 48 * b_axis.count + spare):
+            density = stellar_distribution(zeros, s, grid)
+    values, raw_total = _whole_grid_density(zeros, s, grid)
+    assert np.array_equal(density.distribution.values, values)
+    assert density.normalization == raw_total
+
+
+def test_weight_of_a_whole_grid_is_its_rows_bit_for_bit():
+    # a 160^2 complex grid is past the 256 KiB at which numpy computes a
+    # product in its temporary operand's buffer, operands swapped; the
+    # weight multiplies in one fixed order, so its bits do not depend on
+    # the size of z
+    grid = PhaseSpaceGrid.square(-4.0, 4.0, 160)
+    z = grid.b_axis.points + 1j * grid.omega_axis.points[:, None]
+    whole = stellar_weight(pentagon_zeros(), 0.945, z)
+    assert np.array_equal(whole, [stellar_weight(pentagon_zeros(), 0.945, row) for row in z])
+
+
+def test_density_holds_under_one_and_a_half_grids_with_its_output():
+    # the output and one tile of about numerics._TILE_BYTES (measured: 1.29
+    # grids at 512^2); the whole complex z grid and its products took 6.0
+    n = 512
+    grid = PhaseSpaceGrid.square(-4.0, 4.0, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MassLeakageWarning)
+        stellar_distribution(pentagon_zeros(), 0.945, grid)
+        tracemalloc.start()
+        try:
+            stellar_distribution(pentagon_zeros(), 0.945, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
 
 
 def test_params_validation():
