@@ -170,11 +170,12 @@ class _Params:
         """The square phase-space grid of n cells per axis over [lo, hi);
         a cell measure d(omega)*d(b)/(2*pi) beyond float range is bad input."""
         lo, hi = self.span(lo_key, lo, hi_key, hi)
-        grid = PhaseSpaceGrid.square(lo, hi, self.intval(n_key, n, minimum=minimum))
-        if not grid.cell_measure <= sys.float_info.max:
+        axis = Grid1D.regular(lo, hi, self.intval(n_key, n, minimum=minimum))
+        # checked before PhaseSpaceGrid refuses it, to name the keys
+        if not axis.step * axis.step / (2.0 * np.pi) <= sys.float_info.max:
             raise ValidationFailure("%r to %r is too wide for %r: the cell measure "
                                     "overflows" % (lo_key, hi_key, n_key))
-        return grid
+        return PhaseSpaceGrid(axis, axis)
 
     def strval(self, key, default):
         value = self._raw.pop(key, default)

@@ -7,9 +7,11 @@ to the file one block at a time, so the whole text is never held in
 memory.  A block of ``write_rows`` holds the whole rows that fit in
 4096 values, and at least one row; one of ``write_pair_rows`` holds whole
 rows i of the pair block, as many as fit in 4096 values, and at least
-one.  A block of 4096 values needs about 1 MiB of buffers; fewer values
-per block cost more per-block overhead, and more raise the writers'
-peak memory in step.
+one.  A block of 4096 values fills 192 KiB of value slots (below); the
+bytes copy of the block and its text are at most that again each, and the
+formatter's temporaries come to about 16 arrays of 8 bytes per value, so a
+block's peak stays below 1 MiB.  Fewer values per block cost more
+per-block overhead, and more raise the writers' peak memory in step.
 
 Digits.  For a finite |x| in [1e-280, 1e280] let k = floor(log10|x|),
 corrected by one either way so that q = |x|*10^(16-k) lies in
@@ -31,13 +33,25 @@ the values whose digits are not certain: those with r within 2^-30 of 1/2
 with a magnitude outside [1e-280, 1e280] (subnormals, NaN and infinities
 among them).  Exact zeros are formatted in bulk as ``0`` and ``-0``.
 
-Text.  The 17 digits come from a table of all 4-digit strings and are
-stripped of trailing zeros.  The layout is that of ``%g``: fixed notation
-for exponents -4 <= X < 17 (``0.000ddd`` for negative X), otherwise
-``d.ddde±XX`` with at least two exponent digits.  Each value fills one
-row of a fixed-width uint8 buffer whose slots hold every character it
-could need, and a boolean keep-mask per layout class selects the ones it
-uses; compacting the buffer row-major under the mask gives the bytes.
+Text.  The layout is that of ``%g``: fixed notation for exponents
+-4 <= X < 17 (``0.000ddd`` for negative X), otherwise ``d.ddde±XX`` with
+at least two exponent digits, and the 17 digits stripped of trailing
+zeros.  Each value fills a 48-byte slot of six native-order uint64 words:
+
+    word 0      sign, "0.000", the first digit, its point   bytes 0-7
+    words 1-4   16 digits, each followed by its point slot  bytes 8-39
+    word 5      "e", exponent sign, three digits, separator bytes 40-45
+
+A value's class is its (sign, layout, digit count).  One ``np.take`` of a
+per-class template writes the constant characters, 0xFF where a digit or
+exponent character goes and NUL in every byte the value does not use;
+six word-wise ANDs with the first-digit words, the 10^4 four-digit words
+(digits at even bytes, 0xFF at odd ones) and the exponent words then fill
+in the variable characters; a line's last separator becomes a newline.
+``bytes.translate(None, b"\\0")`` then deletes the NULs of a whole block
+at once, which is sound because the text never holds a NUL: the text of a
+finite value is made of ``0123456789.-+e`` alone (the fallback adds the
+letters of ``nan`` and ``inf``).
 
 The tables are built on first use, so importing this module computes
 nothing.
@@ -55,10 +69,9 @@ _EXACT_MIN, _EXACT_MAX = 1e-280, 1e280
 # may be one further off, and q = |x|*10^(16-k) needs p = 16 - k
 _K_LIMIT = 282
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
-# field slots: 0 sign, 1-5 "0.000", 6-38 the 17 digits at even offsets
-# with a '.' after each of the first 16, 39-43 "e+XXX", 44 separator
-_TEXT = b"-0.000" + b"0." * 16 + b"0" + b"e+000"
-_WIDTH = len(_TEXT) + 1
+_WORDS = 6            # uint64 words per value slot (see the module docstring)
+_SLOT = 8 * _WORDS
+_SEP = 45             # the separator's byte in a slot
 # layout classes of the exponent X: fixed X = -4..16, then e-notation
 # with two and with three exponent digits
 _N_LAYOUT = 23
@@ -70,12 +83,13 @@ class _Tables(NamedTuple):
     pow_hi_head: np.ndarray  # Veltkamp halves of pow_hi
     pow_hi_tail: np.ndarray
     pow_lo: np.ndarray      # correctly rounded 10^p - pow_hi
-    quads: np.ndarray       # uint32 view of "0000".."9999"
+    firsts: np.ndarray      # word 0 of each first digit 0..9
+    quads: np.ndarray       # a word of four digits: "0000".."9999"
     quad_ends: np.ndarray   # per quad position 1..4 of the 17 digits: the
     #                         count of digits through its last nonzero one
-    exponents: np.ndarray   # uint32 view of "+XXX"/"-XXX", X from -_K_LIMIT
+    exponents: np.ndarray   # word 5 of "+XXX"/"-XXX", X from -_K_LIMIT
     layouts: np.ndarray     # 17 * layout class, X from -_K_LIMIT
-    masks: np.ndarray       # keep-mask per (sign, layout, digit count)
+    templates: np.ndarray   # slot per (sign, layout, digit count)
 
 
 def _powers_of_ten():
@@ -98,36 +112,50 @@ def _powers_of_ten():
     return np.array(hi), np.array(lo)
 
 
-def _keep_masks(negative, exponent, n_digits):
-    """Slots a value uses, from its sign, decimal exponent and count of
-    digits after stripping trailing zeros."""
+def _templates() -> np.ndarray:
+    """One slot per class: the constant characters and 0xFF in the bytes
+    the value uses, NUL in the others.  class = (sign * _N_LAYOUT +
+    layout) * 17 + digit count - 1, with one exponent standing for each
+    layout."""
+    cls = np.arange(2 * _N_LAYOUT * 17)
+    negative = cls >= _N_LAYOUT * 17
+    exponent = np.r_[-4:17, 17, 100][cls // 17 % _N_LAYOUT]
+    n_digits = cls % 17 + 1
     sci = (exponent < -4) | (exponent >= 17)
     fixed_int = ~sci & (exponent >= 0)
     # digits written, and how many of them precede the decimal point
     shown = np.where(fixed_int, np.maximum(n_digits, exponent + 1), n_digits)
     before = np.where(fixed_int, exponent + 1, np.where(sci, 1, 0))
     prefix = np.where(~sci & (exponent < 0), 1 - exponent, 0)
-    keep = np.zeros((len(negative), _WIDTH), dtype=bool)
-    keep[:, 0] = negative
-    keep[:, 1:6] = np.arange(5) < prefix[:, None]
-    keep[:, 6:39:2] = np.arange(17) < shown[:, None]
-    keep[:, 7:38:2] = ((np.arange(1, 17) == before[:, None])
-                       & (shown > before)[:, None])
-    keep[:, 39:41] = sci[:, None]
-    keep[:, 41] = sci & (np.abs(exponent) >= 100)
-    keep[:, 42:44] = sci[:, None]
-    keep[:, 44] = True
-    return keep
+    every = np.uint8(0xFF)
+    slot = np.zeros((len(cls), _SLOT), dtype=np.uint8)
+    slot[:, 0] = negative * np.uint8(ord("-"))
+    slot[:, 1:6] = ((np.arange(5) < prefix[:, None])
+                    * np.frombuffer(b"0.000", dtype=np.uint8))
+    slot[:, 6:40:2] = (np.arange(17) < shown[:, None]) * every
+    slot[:, 7:38:2] = (((np.arange(1, 17) == before[:, None])
+                        & (shown > before)[:, None]) * np.uint8(ord(".")))
+    slot[:, 40] = sci * np.uint8(ord("e"))
+    slot[:, 41:45] = sci[:, None] * every
+    slot[:, 42] &= (np.abs(exponent) >= 100) * every
+    slot[:, _SEP] = ord(",")
+    return slot.view(np.uint64)
 
 
 @functools.cache
 def _tables() -> _Tables:
+    # the templates first: their transients then meet no other table
+    templates = _templates()
     hi, lo = _powers_of_ten()
     c = _SPLIT * hi
     head = c - (c - hi)
+    # the words are filled as bytes: the 10^4 quads never pass through int64
+    firsts = np.full((10, 8), 0xFF, dtype=np.uint8)
+    firsts[:, 6] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     q = np.arange(10000, dtype=np.int16)
-    quads = (q[:, None] // np.array([1000, 100, 10, 1], dtype=np.int16) % 10
-             + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
+    quads = np.full((10000, 8), 0xFF, dtype=np.uint8)
+    for i, scale in enumerate((1000, 100, 10, 1)):
+        quads[:, 2 * i] = q // scale % 10 + ord("0")
     trailing = (q % 10 == 0).astype(np.int16) + (q % 100 == 0) + (q % 1000 == 0)
     end = np.where(q == 0, 0, 5 - trailing)
     # the leading digit is never zero, so at least one digit is shown
@@ -137,17 +165,12 @@ def _tables() -> _Tables:
     x = np.arange(-_K_LIMIT, _K_LIMIT + 1)
     layouts = 17 * np.where((x >= -4) & (x < 17), x + 4,
                             np.where(abs(x) < 100, 21, 22))
-    exp_text = np.column_stack((np.where(x < 0, ord("-"), ord("+")),
-                                abs(x)[:, None] // [100, 10, 1] % 10 + ord("0")))
-    exponents = exp_text.astype(np.uint8).view(np.uint32)[:, 0]
-    # class = (sign * _N_LAYOUT + layout) * 17 + digit count - 1, with one
-    # exponent standing for each layout
-    cls = np.arange(2 * _N_LAYOUT * 17)
-    masks = _keep_masks(cls >= _N_LAYOUT * 17,
-                        np.r_[-4:17, 17, 100][cls // 17 % _N_LAYOUT],
-                        cls % 17 + 1)
-    return _Tables(hi, head, hi - head, lo, quads, quad_ends, exponents,
-                   layouts, masks)
+    exponents = np.full((len(x), 8), 0xFF, dtype=np.uint8)
+    exponents[:, 1] = np.where(x < 0, ord("-"), ord("+"))
+    exponents[:, 2:5] = abs(x)[:, None] // [100, 10, 1] % 10 + ord("0")
+    return _Tables(hi, head, hi - head, lo, firsts.view(np.uint64)[:, 0],
+                   quads.view(np.uint64)[:, 0], quad_ends,
+                   exponents.view(np.uint64)[:, 0], layouts, templates)
 
 
 def _scaled(ax, k, tab):
@@ -187,10 +210,10 @@ def _decimal(ax, tab):
     return digits, k + carry, uncertain
 
 
-def _format(values, buf, keep) -> None:
-    """Fill buf (uint8) and keep (bool), each of shape values.shape +
-    (_WIDTH,), with the ``%.17g`` text of the float64 values; the
-    separator slots are left as they are."""
+def _format(values, slots) -> None:
+    """Fill slots (uint64, of shape values.shape + (_WORDS,)) with the
+    ``%.17g`` text of the float64 values, NUL-padded, each followed by a
+    ',' separator."""
     tab = _tables()
     shape = values.shape
     values = values.reshape(-1)
@@ -200,6 +223,7 @@ def _format(values, buf, keep) -> None:
     # zeros and the fallback values print from digits 0, exponent 0
     digits[~exact] = 0
     exponent[~exact] = 0
+    exponent += _K_LIMIT
     fallback |= ~exact & (ax != 0)
     # floor division by a scalar takes numpy's fast path, np.divmod does not
     high = digits // 10 ** 8
@@ -210,25 +234,23 @@ def _format(values, buf, keep) -> None:
     q1 = top - d0 * 10 ** 4
     q3 = low // 10 ** 4
     q4 = low - q3 * 10 ** 4
-    words = np.empty((len(values), 5), dtype=np.uint32)
-    for col, quad in enumerate((d0, q1, q2, q3, q4)):
-        words[:, col] = tab.quads[quad]
-    buf[..., :_WIDTH - 1] = np.frombuffer(_TEXT, dtype=np.uint8)
-    buf[..., 6:39:2] = words.view(np.uint8)[:, 3:].reshape(shape + (17,))
-    buf[..., 40:44] = tab.exponents[exponent + _K_LIMIT].view(
-        np.uint8).reshape(shape + (4,))
     ends = tab.quad_ends
-    n_digits = np.maximum(np.maximum(ends[0, q1], ends[1, q2]),
-                          np.maximum(ends[2, q3], ends[3, q4]))
-    cls = (tab.layouts[exponent + _K_LIMIT] + (n_digits - 1)
+    n_digits = np.maximum(np.maximum(ends[0][q1], ends[1][q2]),
+                          np.maximum(ends[2][q3], ends[3][q4]))
+    cls = (tab.layouts[exponent] + (n_digits - 1)
            + np.signbit(values) * (17 * _N_LAYOUT))
-    np.take(tab.masks, cls.reshape(shape), axis=0, out=keep, mode="clip")
+    np.take(tab.templates, cls.reshape(shape), axis=0, out=slots, mode="clip")
+    # digits and exponent over the template's 0xFF bytes; each table word
+    # holds 0xFF in the bytes it leaves to the template
+    for word, (table, index) in enumerate((
+            (tab.firsts, d0), (tab.quads, q1), (tab.quads, q2),
+            (tab.quads, q3), (tab.quads, q4), (tab.exponents, exponent))):
+        slots[..., word] &= table.take(index).reshape(shape)
     for i in np.flatnonzero(fallback):
         text = _fallback_text(values[i])
-        at = np.unravel_index(i, shape)
-        buf[at][:len(text)] = text
-        keep[at][:_WIDTH - 1] = False
-        keep[at][:len(text)] = True
+        slot = slots[np.unravel_index(i, shape)].view(np.uint8)
+        slot[:_SEP] = 0
+        slot[:len(text)] = text
 
 
 def _fallback_text(value) -> np.ndarray:
@@ -236,17 +258,22 @@ def _fallback_text(value) -> np.ndarray:
     return np.frombuffer(b"%.17g" % value, dtype=np.uint8)
 
 
-def _lines(*shape):
-    """Reusable text and keep buffers for lines of shape[-1] fields, laid
-    out over shape, with the separators in place."""
-    buf = np.empty(shape + (_WIDTH,), dtype=np.uint8)
-    buf[..., -1] = ord(",")
-    buf[..., -1, -1] = ord("\n")
-    return buf, np.empty(buf.shape, dtype=bool)
+def _write_text(fh, slots) -> None:
+    """Write the bytes of the filled slots to fh with every NUL deleted."""
+    fh.write(slots.tobytes().translate(None, b"\0"))
 
 
-def _emit(fh, buf, keep) -> None:
-    fh.write(np.compress(keep.reshape(-1), buf.reshape(-1)).tobytes())
+def _packed(values) -> np.ndarray:
+    """The text of each value and its ',' moved to the front of as few
+    whole words as the longest needs, NUL-padded: (len(values), words)."""
+    slots = np.empty((len(values), _WORDS), dtype=np.uint64)
+    _format(values, slots)
+    raw = slots.view(np.uint8)
+    # a stable sort of the NUL flags keeps the text bytes in their order
+    order = np.argsort(raw == 0, axis=1, kind="stable")
+    width = 8 * -(-np.count_nonzero(raw, axis=1).max() // 8)
+    return np.ascontiguousarray(
+        np.take_along_axis(raw, order[:, :width], axis=1)).view(np.uint64)
 
 
 def write_rows(fh, values) -> None:
@@ -255,36 +282,42 @@ def write_rows(fh, values) -> None:
     values = np.asarray(values, dtype=np.float64)
     n_rows, n_cols = values.shape
     step = max(1, _CHUNK // n_cols)
-    buf, keep = _lines(min(step, n_rows), n_cols)
+    slots = np.empty((min(step, n_rows), n_cols, _WORDS), dtype=np.uint64)
+    raw = slots.view(np.uint8)
     for start in range(0, n_rows, step):
         block = values[start:start + step]
         m = len(block)
-        _format(block, buf[:m], keep[:m])
-        _emit(fh, buf[:m], keep[:m])
+        _format(block, slots[:m])
+        raw[:m, -1, _SEP] = ord("\n")
+        _write_text(fh, slots[:m])
 
 
 def write_pair_rows(fh, axis, values) -> None:
     """Write one line per pair (i, j), i major, to the binary file fh:
     ``axis[i], axis[j], values[i, j, 0], ..., values[i, j, c - 1]``, all
     as ``%.17g``, for an (n, n, c) float block.  A block of whole rows i
-    is formatted at a time, in a buffer laid out as (rows, n, 2 + c,
-    _WIDTH).  The axis is formatted once, its text laid into the t_j field
-    of every buffered row once, and per block only the t_i field is
-    broadcast along the row."""
+    is formatted at a time, in a buffer of words laid out as (rows, n,
+    line).  The axis text is formatted once and packed into whole words,
+    which are laid into the t_j field of every buffered row once; per
+    block only the t_i words are broadcast along the row."""
     axis = np.asarray(axis, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     n, _, c = values.shape
-    axis_buf = np.empty((n, _WIDTH), dtype=np.uint8)
-    axis_keep = np.empty((n, _WIDTH), dtype=bool)
-    _format(axis, axis_buf, axis_keep)
+    fields = _packed(axis)
+    width = fields.shape[1]
     step = max(1, _CHUNK // (n * (2 + c)))
-    buf, keep = _lines(min(step, n), n, 2 + c)
-    buf[:, :, 1, :-1] = axis_buf[:, :-1]
-    keep[:, :, 1] = axis_keep
+    rows = min(step, n)
+    lines = np.empty((rows, n, 2 * width + _WORDS * c), dtype=np.uint64)
+    lines[:, :, width:2 * width] = fields
+    raw = lines.view(np.uint8)
+    # formatted in a slot block of their own, where every word pass is
+    # contiguous, and copied into the lines whole
+    slots = np.empty((rows, n, c, _WORDS), dtype=np.uint64)
     for start in range(0, n, step):
-        rows = values[start:start + step]
-        m = len(rows)
-        buf[:m, :, 0, :-1] = axis_buf[start:start + m, None, :-1]
-        keep[:m, :, 0] = axis_keep[start:start + m, None]
-        _format(rows, buf[:m, :, 2:], keep[:m, :, 2:])
-        _emit(fh, buf[:m], keep[:m])
+        block = values[start:start + step]
+        m = len(block)
+        lines[:m, :, :width] = fields[start:start + m, None]
+        _format(block, slots[:m])
+        lines[:m, :, 2 * width:] = slots[:m].reshape(m, n, c * _WORDS)
+        raw[:m, :, _SEP - _SLOT] = ord("\n")
+        _write_text(fh, lines[:m])

@@ -125,6 +125,13 @@ class PhaseSpaceGrid:
     omega_axis: Grid1D
     b_axis: Grid1D
 
+    def __post_init__(self):
+        # a cell measure beyond float range would make every mass inf, or
+        # nan against zero values
+        if not math.isfinite(self.cell_measure):
+            raise ValueError("grid cell measure d(omega)*d(b)/(2*pi) is %r, "
+                             "not finite" % self.cell_measure)
+
     @classmethod
     def square(cls, lo: float, hi: float, n: int) -> "PhaseSpaceGrid":
         axis = Grid1D.regular(lo, hi, n)

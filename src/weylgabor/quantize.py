@@ -98,7 +98,7 @@ class Distribution:
 
     def normalized(self) -> "Distribution":
         m = self.mass
-        if not 0 < m < np.inf:  # massless, or a cell measure beyond float range
+        if not 0 < m < np.inf:  # massless, or values summing beyond float range
             raise ValueError("cannot normalize a distribution of mass %r" % m)
         return Distribution(self.grid, self.values / m)
 

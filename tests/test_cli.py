@@ -375,6 +375,21 @@ def test_quantize_rejects_nonfinite_grid_metadata(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_quantize_rejects_grid_metadata_whose_cell_measure_overflows(tmp_path, capsys):
+    csv_path = _write_density_csv(tmp_path / "w.csv")
+    lines = (tmp_path / "w.csv").read_text().splitlines()
+    meta = lines[1].split(",")
+    meta[1] = meta[4] = "1e300"  # both steps: their product overflows
+    lines[1] = ",".join(meta)
+    (tmp_path / "w.csv").write_text("\n".join(lines) + "\n")
+    cfg = _write_config(tmp_path / "cfg.json", "quantize", w_csv=csv_path)
+    out = tmp_path / "out"
+    assert cli.main(["quantize", "--config", cfg, "--out", str(out)]) == 2
+    assert _stderr_error(capsys) == ("grid CSV parse error: grid cell measure "
+                                     "d(omega)*d(b)/(2*pi) is inf, not finite")
+    assert not out.exists()
+
+
 def test_quantize_rejects_negative_csv_density(tmp_path, capsys):
     csv_path = _write_density_csv(tmp_path / "w.csv", poison=-1e-3)
     cfg = _write_config(tmp_path / "cfg.json", "quantize", w_csv=csv_path)
@@ -755,9 +770,9 @@ def test_few_values_take_the_python_fallback(tmp_path, monkeypatch):
     counts = {"values": 0, "fallback": 0}
     bulk, fallback = csvtext._format, csvtext._fallback_text
 
-    def counted_bulk(values, buf, keep):
+    def counted_bulk(values, slots):
         counts["values"] += values.size
-        bulk(values, buf, keep)
+        bulk(values, slots)
 
     def counted_fallback(value):
         counts["fallback"] += 1

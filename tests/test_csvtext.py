@@ -1,11 +1,13 @@
 """The bulk CSV writer against Python's own "%.17g", the oracle."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weylgabor import csvtext
 
@@ -18,6 +20,18 @@ def _oracle(block) -> bytes:
 def _written(block) -> bytes:
     fh = io.BytesIO()
     csvtext.write_rows(fh, block)
+    return fh.getvalue()
+
+
+def _pair_oracle(axis, values) -> bytes:
+    n = len(axis)
+    return "".join(",".join("%.17g" % v for v in (axis[i], axis[j], *values[i, j]))
+                   + "\n" for i in range(n) for j in range(n)).encode()
+
+
+def _written_pairs(axis, values) -> bytes:
+    fh = io.BytesIO()
+    csvtext.write_pair_rows(fh, axis, values)
     return fh.getvalue()
 
 
@@ -133,9 +147,50 @@ def test_pair_rows_across_block_edges(monkeypatch, c, rows_per_block):
     # fallback values where blocks of 3 rows, and of 1, begin and end
     values[0, 0, 0] = values[2, -1, -1] = 5e-324
     values[3, 0, 0] = values[-1, -1, -1] = 1e15 + 0.25
-    fh = io.BytesIO()
-    csvtext.write_pair_rows(fh, axis, values)
-    expected = "".join(",".join("%.17g" % v for v in (axis[i], axis[j],
-                                                       *values[i, j])) + "\n"
-                       for i in range(n) for j in range(n))
-    assert fh.getvalue() == expected.encode()
+    assert _written_pairs(axis, values) == _pair_oracle(axis, values)
+
+
+# values whose text the bulk path cannot take: the smallest subnormal, an
+# exact tie at 17 digits, and a signed zero
+_SPECIAL = st.sampled_from([5e-324, 1e15 + 0.25, -0.0])
+
+
+@given(st.data())
+def test_any_pair_block_prints_as_percent_g(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    c = data.draw(st.sampled_from([1, 2, 3]), label="c")
+    elements = st.one_of(st.floats(), _SPECIAL)
+    axis = data.draw(arrays(np.float64, n, elements=elements), label="axis")
+    values = data.draw(arrays(np.float64, (n, n, c), elements=elements), label="values")
+    # blocks of one to three rows, the last one short when they do not divide n
+    chunk = data.draw(st.integers(1, 3 * n * (2 + c)), label="chunk")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csvtext, "_CHUNK", chunk)
+        assert _written_pairs(axis, values) == _pair_oracle(axis, values)
+
+
+def test_writers_emit_only_csv_characters():
+    # deleting NULs is sound only while no text holds one: finite values
+    # print with digits, '.', '-', '+' and 'e' alone
+    rng = np.random.default_rng(20261019)
+    bits = rng.integers(0, 2 ** 64, size=20_000, dtype=np.uint64).view(np.float64)
+    finite = np.concatenate([bits[np.isfinite(bits)], [0.0, -0.0, 5e-324, 1e15 + 0.25]])
+    block = finite[:len(finite) // 50 * 50].reshape(-1, 50)
+    axis = finite[:40]
+    values = finite[40:40 + 40 * 40 * 2].reshape(40, 40, 2)
+    allowed = set(b"0123456789.-+e,\n")
+    assert set(_written(block)) <= allowed
+    assert set(_written_pairs(axis, values)) <= allowed
+
+
+def test_building_the_tables_stays_small():
+    # word tables built through int64 intermediates would hold several
+    # times their own size for a moment, and raise the peak RSS of a run
+    csvtext._tables.cache_clear()
+    tracemalloc.start()
+    try:
+        csvtext._tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19
