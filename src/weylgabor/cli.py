@@ -24,9 +24,9 @@ Every CSV artifact (w.csv, portrait.csv, coefficients_modulus.csv,
 kernel_{real,imag,modulus}.csv, kernel.csv) holds exact %.17g text: each
 line is the bytes of ",".join("%.17g" % v for v in line).  The csvtext
 module produces them in bulk with numpy, from correctly rounded 17-digit
-decimals, and streams them a few thousand values at a time; Python's own
-formatting remains only for the rare values whose digits it cannot
-certify (see csvtext).
+decimals, and streams them in blocks of whole lines sized by the one work
+budget, numerics._TILE_BYTES; Python's own formatting remains only for
+the rare values whose digits it cannot certify (see csvtext).
 
 Exit codes: 0 success; 2 validation failure (error JSON on stderr): the
 runners check the parameters the library would reject before it runs;
@@ -168,13 +168,16 @@ class _Params:
 
     def square_grid(self, lo_key, lo, hi_key, hi, n_key, n, minimum):
         """The square phase-space grid of n cells per axis over [lo, hi);
-        a cell measure d(omega)*d(b)/(2*pi) beyond float range is bad input."""
+        a cell measure d(omega)*d(b)/(2*pi) that overflows or underflows to
+        0 is bad input."""
         lo, hi = self.span(lo_key, lo, hi_key, hi)
         axis = Grid1D.regular(lo, hi, self.intval(n_key, n, minimum=minimum))
         # checked before PhaseSpaceGrid refuses it, to name the keys
-        if not axis.step * axis.step / (2.0 * np.pi) <= sys.float_info.max:
-            raise ValidationFailure("%r to %r is too wide for %r: the cell measure "
-                                    "overflows" % (lo_key, hi_key, n_key))
+        cell = axis.step * axis.step / (2.0 * np.pi)
+        if not 0.0 < cell <= sys.float_info.max:
+            raise ValidationFailure("%r to %r is too %s for %r: the cell measure %s" % (
+                lo_key, hi_key, "wide" if cell else "narrow", n_key,
+                "overflows" if cell else "underflows to 0"))
         return PhaseSpaceGrid(axis, axis)
 
     def strval(self, key, default):
@@ -214,19 +217,13 @@ def _write_json(path: Path, obj) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _write_csv(path: Path, comments, write_body, *body) -> None:
-    """Write "# "-prefixed comment lines, then the body that
-    ``write_body(fh, *body)`` streams to the binary file."""
-    with open(path, "wb") as fh:
-        fh.write("".join("# %s\n" % line for line in comments).encode())
-        write_body(fh, *body)
-
-
 def _write_grid_csv(path: Path, axis0: Grid1D, axis1: Grid1D,
                     values: np.ndarray, header: str) -> None:
     meta = ",".join("%.17g,%.17g,%d" % (a.start, a.step, a.count)
                     for a in (axis0, axis1))
-    _write_csv(path, (header, meta), csvtext.write_rows, values)
+    with open(path, "wb") as fh:
+        fh.write(("# %s\n# %s\n" % (header, meta)).encode())
+        csvtext.write_rows(fh, values)
 
 
 def _require_finite(values, what: str) -> None:
@@ -510,9 +507,10 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
     kernel = quantize_to_kernel(w, _probe(time_grid, probe_width))
     # rows t_i,t_j,re,im: the (n, n, 2) float view of the complex entries
     entries = np.ascontiguousarray(kernel.entries)
-    _write_csv(outdir / "kernel.csv", ("t_i,t_j,re,im",),
-               csvtext.write_pair_rows, time_grid.points,
-               entries.view(np.float64).reshape(n_time, n_time, 2))
+    with open(outdir / "kernel.csv", "wb") as fh:
+        fh.write(b"# t_i,t_j,re,im\n")
+        csvtext.write_pair_rows(fh, time_grid.points,
+                                entries.view(np.float64).reshape(n_time, n_time, 2))
     report = {"schema": SCHEMA, "w": label, "probe_width": probe_width}
     report.update(density_diagnostics(kernel))
     _write_json(outdir / "diagnostics.json", report)

@@ -4,14 +4,14 @@ Every CSV artifact of the command line is a block of float64 values in
 which each line reads ``",".join("%.17g" % v for v in line) + "\\n"``.
 The writers here produce exactly those bytes with numpy and stream them
 to the file one block at a time, so the whole text is never held in
-memory.  A block of ``write_rows`` holds the whole rows that fit in
-4096 values, and at least one row; one of ``write_pair_rows`` holds whole
-rows i of the pair block, as many as fit in 4096 values, and at least
-one.  A block of 4096 values fills 192 KiB of value slots (below); the
-bytes copy of the block and its text are at most that again each, and the
-formatter's temporaries come to about 16 arrays of 8 bytes per value, so a
-block's peak stays below 1 MiB.  Fewer values per block cost more
-per-block overhead, and more raise the writers' peak memory in step.
+memory.  A block holds whole rows, at least one, as many as
+``numerics._tile_lines`` fits in the package's one work budget at 121
+bytes per value formatted: its 48-byte slot (below), its share of the
+block's ``tobytes()`` copy, and its text, at most the 24 characters of
+``-d.dddddddddddddddde-XXX`` and a separator.  Only the values a line
+formats count: the axis text of ``write_pair_rows`` is copied.  At the
+default budget a block holds about 4300 values, and the formatter's
+temporaries, about 16 arrays of 8 bytes per value, come on top.
 
 Digits.  For a finite |x| in [1e-280, 1e280] let k = floor(log10|x|),
 corrected by one either way so that q = |x|*10^(16-k) lies in
@@ -64,6 +64,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import numerics
+
 _EXACT_MIN, _EXACT_MAX = 1e-280, 1e280
 # k = floor(log10|x|) stays within +-281 on that range; the first guess
 # may be one further off, and q = |x|*10^(16-k) needs p = 16 - k
@@ -75,7 +77,7 @@ _SEP = 45             # the separator's byte in a slot
 # layout classes of the exponent X: fixed X = -4..16, then e-notation
 # with two and with three exponent digits
 _N_LAYOUT = 23
-_CHUNK = 4096  # fields per block; a pair block is at least one whole row
+_VALUE_BYTES = 2 * _SLOT + 25  # a block's bytes per value formatted (above)
 
 
 class _Tables(NamedTuple):
@@ -281,7 +283,7 @@ def write_rows(fh, values) -> None:
     fh: ``",".join("%.17g" % v for v in row) + "\\n"``."""
     values = np.asarray(values, dtype=np.float64)
     n_rows, n_cols = values.shape
-    step = max(1, _CHUNK // n_cols)
+    step = numerics._tile_lines(n_cols * _VALUE_BYTES)
     slots = np.empty((min(step, n_rows), n_cols, _WORDS), dtype=np.uint64)
     raw = slots.view(np.uint8)
     for start in range(0, n_rows, step):
@@ -305,7 +307,7 @@ def write_pair_rows(fh, axis, values) -> None:
     n, _, c = values.shape
     fields = _packed(axis)
     width = fields.shape[1]
-    step = max(1, _CHUNK // (n * (2 + c)))
+    step = numerics._tile_lines(n * c * _VALUE_BYTES)
     rows = min(step, n)
     lines = np.empty((rows, n, 2 * width + _WORDS * c), dtype=np.uint64)
     lines[:, :, width:2 * width] = fields

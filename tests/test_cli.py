@@ -685,6 +685,12 @@ def test_failed_run_leaves_no_artifacts(tmp_path, capsys):
      "'tf_min' to 'tf_max' is too wide for 'n_tf': the energy report overflows"),
     ("gabor", {"n_time": 64, "n_tf": 16, "tf_max": 1e100},
      "'tf_min' to 'tf_max' is too wide for 'n_tf': the energy report overflows"),
+    ("stellar", {"grid_min": -1e-300, "grid_max": 1e-300, "n_grid": 16},
+     "'grid_min' to 'grid_max' is too narrow for 'n_grid': the cell measure underflows to 0"),
+    ("gabor", {"tf_min": -1e-300, "tf_max": 1e-300},
+     "'tf_min' to 'tf_max' is too narrow for 'n_tf': the cell measure underflows to 0"),
+    ("quantize", {"tf_min": -1e-300, "tf_max": 1e-300},
+     "'tf_min' to 'tf_max' is too narrow for 'n_tf': the cell measure underflows to 0"),
 ])
 def test_bad_parameters_are_validation_failures(tmp_path, capsys, command,
                                                 parameters, message):

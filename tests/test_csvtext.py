@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from weylgabor import csvtext
+from weylgabor import csvtext, numerics
 
 
 def _oracle(block) -> bytes:
@@ -135,11 +135,11 @@ def test_pair_rows_gather_the_axis_text():
 @pytest.mark.parametrize("c", [1, 3])
 @pytest.mark.parametrize("rows_per_block", [3, 1])
 def test_pair_rows_across_block_edges(monkeypatch, c, rows_per_block):
-    # 7 rows in blocks of 3 end on a short block of 1; a chunk of 4 fields
+    # 7 rows in blocks of 3 end on a short block of 1; a budget of 4 bytes
     # is narrower than one row, so each row is a block of its own
     n = 7
-    monkeypatch.setattr(csvtext, "_CHUNK",
-                        3 * n * (2 + c) if rows_per_block == 3 else 4)
+    monkeypatch.setattr(numerics, "_TILE_BYTES",
+                        3 * n * c * csvtext._VALUE_BYTES if rows_per_block == 3 else 4)
     rng = np.random.default_rng(11 + c)
     axis = np.linspace(-3.0, 3.0, n)
     axis[[0, 3, -1]] = (5e-324, 1e15 + 0.25, -5e-324)
@@ -163,10 +163,23 @@ def test_any_pair_block_prints_as_percent_g(data):
     axis = data.draw(arrays(np.float64, n, elements=elements), label="axis")
     values = data.draw(arrays(np.float64, (n, n, c), elements=elements), label="values")
     # blocks of one to three rows, the last one short when they do not divide n
-    chunk = data.draw(st.integers(1, 3 * n * (2 + c)), label="chunk")
+    budget = data.draw(st.integers(1, 3 * n * c * csvtext._VALUE_BYTES), label="budget")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(csvtext, "_CHUNK", chunk)
+        patch.setattr(numerics, "_TILE_BYTES", budget)
         assert _written_pairs(axis, values) == _pair_oracle(axis, values)
+
+
+def test_kernel_blocks_count_only_the_formatted_values(monkeypatch):
+    # a 384^2 kernel.csv took 192 blocks of 2 rows while the two axis
+    # fields of each line, which are copied and not formatted, counted
+    calls = []
+    bulk = csvtext._format
+    monkeypatch.setattr(csvtext, "_format",
+                        lambda values, slots: calls.append(1) or bulk(values, slots))
+    n = 384
+    values = np.random.default_rng(384).standard_normal((n, n, 2))
+    csvtext.write_pair_rows(io.BytesIO(), np.linspace(-20.0, 20.0, n), values)
+    assert len(calls) < 192
 
 
 def test_writers_emit_only_csv_characters():

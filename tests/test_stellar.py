@@ -136,10 +136,15 @@ AXES = st.builds(Grid1D, st.floats(-8.0, 4.0), st.floats(0.05, 0.6), st.integers
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(0.05, 0.95), AXES, AXES, st.integers(0, 8), st.integers(0, 8))
+# subnormal sums: 5e-324+7.4e-323j against the mesh's 4e-323j, of magnitude
+# 4e-323, where no relative bound can hold
+@example(0.05078125, Grid1D(-7.875, 0.05078125, 32), Grid1D(0.0, 0.5, 8), 0, 1)
 def test_grid_gram_equals_the_mesh_sum(s, omega_axis, b_axis, m, n):
     grid = PhaseSpaceGrid(omega_axis=omega_axis, b_axis=b_axis)
     direct, magnitude = _mesh_gram(m, n, s, grid)
-    assert abs(hermite_gram(m, n, s, grid) - direct) <= 1e-12 * magnitude
+    # relative wherever the magnitude is at least about 2e-296
+    bound = max(1e-12 * magnitude, np.finfo(float).tiny)
+    assert abs(hermite_gram(m, n, s, grid) - direct) <= bound
 
 
 # ---------------------------------------------------------------------------
