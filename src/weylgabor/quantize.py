@@ -112,10 +112,14 @@ class OperatorKernel:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.ascontiguousarray(self.entries, dtype=complex)
         n = self.time_grid.count
         if entries.shape != (n, n):
             raise ValueError("entries must be a square matrix on the time grid")
+        # as for Distribution: min and max of the real and imaginary parts,
+        # with no mask of the matrix
+        parts = entries.view(float)
+        _require_finite((parts.min(), parts.max()), "entries")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -356,9 +360,17 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     cos(omega*n*dt/2).  Both (i, j) and (j, i) get the same mean, so the
     symmetry above still gives Hermitian kernels.  The sum collapses to one
     chirp-z transform over omega onto the 3n - 1 half-step midpoints that
-    cover every image and one product with the stacked shift rows, read
-    off at (i + j, i - j mod n).  Linear in w; a point mass 2*pi*delta at
-    the origin returns the identity kernel.
+    cover every image and products with the stacked shift rows, read off
+    at (i + j, i - j mod n).  The diagonal i - j = d reads column d mod n
+    on midpoint rows of one parity only, the parity of n//2 + d, or of
+    n//2 + d + n when wrapped, and each column is read on one parity.  So
+    each parity's rows are multiplied by just the columns read on it,
+    about n/2 of them, one parity at a time, and the kernel is filled one
+    diagonal at a time: about 1.5*n^2*n_b multiply-adds where the whole
+    product took 3*n^2*n_b.  Beside the kernel the work holds the
+    midpoint amplitudes, the shift rows, and one parity's product with
+    the means of its images, but no n^2 index array.  Linear in w; a
+    point mass 2*pi*delta at the origin returns the identity kernel.
     """
     w_values = np.asarray(w_values, dtype=complex)
     if w_values.shape != grid.shape:
@@ -379,17 +391,31 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     impulse = np.zeros(n_t)
     impulse[0] = 1.0
     shift_rows = spectral_shift(impulse, time_grid.step, bs)  # (n_b, n_t)
-    product = (amplitudes @ shift_rows).ravel()
-    idx = np.arange(n_t)
-    lag = idx[:, None] - idx[None, :]
-    # flat position of (row i + j, column i - j mod n_t); an image n_t rows
-    # away is n_t*n_t positions away
-    entry = (low + idx[:, None] + idx[None, :]) * n_t + lag % n_t
-    matrix = product[entry]
-    wrapped = 2 * np.abs(lag) >= n_t
-    images = entry[wrapped]
-    matrix[wrapped] = 0.5 * (product[images - n_t * n_t] + product[images + n_t * n_t])
-    return OperatorKernel(time_grid, matrix / time_grid.step)
+    # diagonal d = i - j reads column d mod n_t on rows low + |d| + 2k, or
+    # on their two images n_t rows away when wrapped: one row parity each
+    diagonals = np.arange(-(n_t - 1), n_t)
+    wrapped = 2 * np.abs(diagonals) >= n_t
+    parities = (low + diagonals + n_t * wrapped) % 2
+    matrix = np.empty((n_t, n_t), dtype=complex)
+    flat = matrix.reshape(-1)
+    for parity in (0, 1):
+        reads = parities == parity
+        columns, position = np.unique(diagonals[reads] % n_t, return_inverse=True)
+        product = amplitudes[parity::2] @ shift_rows[:, columns]
+        # a wrapped diagonal reads the mean of two images n_t rows apart
+        means = product[:-n_t] + product[n_t:]
+        means *= 0.5
+        for lag, image, column in zip(diagonals[reads].tolist(),
+                                      wrapped[reads].tolist(), position.tolist()):
+            m = n_t - abs(lag)
+            # the product row of its first entry, or of that entry's lower image
+            first = (low + abs(lag) - n_t * image - parity) // 2
+            start = lag * n_t if lag >= 0 else -lag  # flat position of that entry
+            flat[start:start + m * (n_t + 1):n_t + 1] = (
+                (means if image else product)[first:first + m, column])
+        del product, means  # before the other parity's are made
+    matrix /= time_grid.step
+    return OperatorKernel(time_grid, matrix)
 
 
 def density_diagnostics(kernel: OperatorKernel) -> dict:
@@ -397,23 +423,40 @@ def density_diagnostics(kernel: OperatorKernel) -> dict:
     operator represented by the kernel.
 
     The eigenvalues are those of the step-weighted symmetrized matrix
-    (the operator's matrix in the discrete L2 inner product).  k^dagger is
-    formed once, for the Hermiticity defect and, scaled by the real step,
-    as the adjoint of the matrix; the symmetrized matrix is summed in the
-    matrix's own buffer.
+    (the operator's matrix in the discrete L2 inner product), summed in
+    one step-weighted copy of the kernel.  k^dagger is never formed
+    whole: its rows, conj(k[:, tile]).T, run in tiles whose buffers fill
+    numerics._TILE_BYTES, each giving its share of the Hermiticity defect
+    and, scaled by the real step, its rows of the matrix's adjoint.  So
+    beside the kernel the work holds the matrix, one tile and
+    eigvalsh's own copy.
     """
     k = kernel.entries
     dt = kernel.quad_weight
-    adjoint = k.conj().T
-    defect = float(np.abs(k - adjoint).max())
+    n = k.shape[0]
+    # before the matrix is made, so that |k|^2 is never held beside it
+    purity = float(dt ** 2 * np.sum(np.abs(k) ** 2))
     matrix = dt * k
     trace = float(np.real(np.trace(matrix)))
-    adjoint *= dt
-    matrix += adjoint
-    matrix *= 0.5
+    # a row of k^dagger and of k - k^dagger, complex, and of |k - k^dagger|
+    rows = numerics._tile_lines(40 * n)
+    adjoint = np.empty((min(rows, n), n), dtype=complex)
+    difference = np.empty_like(adjoint)
+    magnitude = np.empty(adjoint.shape)
+    defect = 0.0
+    for r0 in range(0, n, rows):
+        m = min(rows, n - r0)
+        tile = adjoint[:m]
+        np.conjugate(k[:, r0:r0 + m].T, out=tile)
+        np.subtract(k[r0:r0 + m], tile, out=difference[:m])
+        defect = max(defect, float(np.abs(difference[:m], out=magnitude[:m]).max()))
+        tile *= dt
+        block = matrix[r0:r0 + m]
+        block += tile
+        block *= 0.5
     return {
         "trace": trace,
         "hermiticity_defect": defect,
         "min_eigenvalue": float(np.linalg.eigvalsh(matrix).min()),
-        "purity": float(dt ** 2 * np.sum(np.abs(k) ** 2)),
+        "purity": purity,
     }

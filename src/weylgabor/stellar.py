@@ -28,7 +28,6 @@ from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .gabor import gaussian_probe
 from .numerics import (
@@ -226,7 +225,9 @@ def default_gram_grid(s: float, n_points: int = 384) -> PhaseSpaceGrid:
 def _gauss_hermite() -> tuple:
     """Nodes and weights of the 9-point Gauss-Hermite rule for weight
     exp(-x^2), exact up to degree 17; computed on first use, so importing
-    the package runs no eigensolver."""
+    the package runs no eigensolver and loads no numpy.polynomial."""
+    from numpy.polynomial.hermite import hermgauss
+
     return hermgauss(9)
 
 

@@ -38,6 +38,8 @@ def test_all_lists_every_public_definition(module):
     ("r", lambda bad: quantize.overlap_kernel(1.0, bad, GRID)),
     ("omega", lambda bad: quantize.overlap_kernel_quadrature(PROBE, PROBE, bad, 0.0)),
     ("b", lambda bad: quantize.overlap_kernel_quadrature(PROBE, PROBE, 0.0, bad)),
+    ("entries", lambda bad: quantize.OperatorKernel(
+        PROBE.grid, np.where(np.eye(PROBE.grid.count, dtype=bool), 1.0, complex(0.5, bad)))),
     ("rate_b", lambda bad: stellar.anisotropic_stellar_weight([0j], bad, 1.0, 0.1j)),
     ("rate_omega", lambda bad: stellar.anisotropic_stellar_weight([0j], 1.0, bad, 0.1j)),
     ("zeros", lambda bad: stellar.anisotropic_stellar_weight([0j, complex(bad, 0.0)],
@@ -70,7 +72,7 @@ def test_all_lists_every_public_definition(module):
     ("x", lambda bad: groups.subdiagonal_embed([bad])),
 ], ids=["gaussian-sigma_omega", "gaussian-sigma_b", "gaussian-center_omega",
         "gaussian-center_b", "point-omega0", "point-b0", "overlap-a", "overlap-r",
-        "quadrature-omega", "quadrature-b", "weight-rate_b", "weight-rate_omega",
+        "quadrature-omega", "quadrature-b", "kernel-entries", "weight-rate_b", "weight-rate_omega",
         "weight-zero-real", "distribution-zero-imag", "weight-z-real",
         "stellar-weight-z-imag", "hermite-z", "params-probe_a", "params-probe_r",
         "regular-lo", "regular-hi", "chirp_z-x0", "chirp_z-dx", "chirp_z-f0",

@@ -808,15 +808,17 @@ def test_cli_import_leaves_scipy_signal_unloaded():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # FFTs come from numpy.fft, and scipy.special is imported on the first
-    # Bessel value, so importing the CLI and then every other module of
-    # the package loads no scipy module at all
+    # FFTs come from numpy.fft, scipy.special is imported on the first
+    # Bessel value and numpy.polynomial on the first Gauss-Hermite rule, so
+    # importing the CLI and then every other module of the package loads
+    # neither scipy nor numpy.polynomial
     proc = subprocess.run(
         [sys.executable, "-c",
          "import importlib, pkgutil, sys, weylgabor.cli\n"
          "for m in pkgutil.iter_modules(weylgabor.__path__):\n"
          "    importlib.import_module('weylgabor.' + m.name)\n"
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+         "             or m.startswith('numpy.polynomial')))"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -362,20 +362,25 @@ def test_portrait_requires_unit_mass():
 # projector smearing
 # ---------------------------------------------------------------------------
 
-def test_density_diagnostics_equal_the_plain_formulas():
-    # k^dagger formed once gives the same four numbers, bit for bit, as the
-    # formulas written out, on a kernel that is not Hermitian
+def test_density_diagnostics_equal_the_plain_formulas(monkeypatch):
+    # k^dagger in tiles of rows gives the same four numbers, bit for bit, as
+    # the formulas written out, on a kernel that is not Hermitian: in one
+    # tile, and in nine tiles of 5 rows and one of 3
     rng = np.random.default_rng(9)
     k = rng.normal(size=(48, 48)) + 1j * rng.normal(size=(48, 48))
     grid = Grid1D.regular(-3.0, 3.0, 48)
     dt = grid.step
     matrix = dt * k
-    assert density_diagnostics(OperatorKernel(grid, k)) == {
+    expected = {
         "trace": float(np.real(np.trace(matrix))),
         "hermiticity_defect": float(np.abs(k - k.conj().T).max()),
         "min_eigenvalue": float(np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T)).min()),
         "purity": float(dt ** 2 * np.sum(np.abs(k) ** 2)),
     }
+    kernel = OperatorKernel(grid, k)
+    assert density_diagnostics(kernel) == expected
+    monkeypatch.setattr(numerics, "_TILE_BYTES", 40 * 48 * 5)
+    assert density_diagnostics(kernel) == expected
 
 
 @pytest.mark.parametrize("sigmas,name", [
@@ -490,14 +495,9 @@ def test_weyl_even_real_weight_is_hermitian():
     assert np.abs(op.entries - op.entries.conj().T).max() < 1e-10
 
 
-def test_weyl_matches_direct_cell_sum():
-    grid = PhaseSpaceGrid.square(-4.0, 4.0, 16)
-    tgrid = Grid1D.regular(-5.0, 5.0, 32)
-    rng = np.random.default_rng(9)
-    w = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    w[[0, -1], :] = 0.0
-    w[:, [0, -1]] = 0.0
-    fast = weyl_operator_from_weight(w, grid, tgrid).entries
+def _weyl_by_cell_sum(w, grid, tgrid):
+    """The weight sum written out cell by cell, with dense pair phases and
+    circulant shift rows."""
     t = tgrid.points
     n = tgrid.count
     nu = 2.0 * np.pi * np.fft.fftfreq(n, d=tgrid.step)
@@ -514,8 +514,22 @@ def test_weyl_matches_direct_cell_sum():
                 continue
             row = np.fft.ifft(np.exp(-1j * b * nu))
             slow += grid.cell_measure * w[i, j] * pair * row[circ]
-    slow /= tgrid.step
-    assert np.abs(fast - slow).max() < 1e-12 * np.abs(slow).max()
+    return slow / tgrid.step
+
+
+def test_weyl_matches_direct_cell_sum():
+    # an odd n_t splits the shift columns between the two row parities
+    # differently from an even one
+    grid = PhaseSpaceGrid.square(-4.0, 4.0, 16)
+    rng = np.random.default_rng(9)
+    w = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    w[[0, -1], :] = 0.0
+    w[:, [0, -1]] = 0.0
+    for n_t in (32, 31):
+        tgrid = Grid1D.regular(-5.0, 5.0, n_t)
+        fast = weyl_operator_from_weight(w, grid, tgrid).entries
+        slow = _weyl_by_cell_sum(w, grid, tgrid)
+        assert np.abs(fast - slow).max() < 1e-12 * np.abs(slow).max(), n_t
 
 
 @pytest.mark.parametrize("n_t", [127, 128])
@@ -530,6 +544,26 @@ def test_weyl_ambiguity_weight_gives_the_projector(n_t):
     diag = density_diagnostics(op)
     assert diag["min_eigenvalue"] >= -1e-5
     assert abs(diag["purity"] - 1.0) < 1e-5
+
+
+def test_weyl_sum_holds_under_five_kernels():
+    # beside the kernel the work holds the midpoint amplitudes (1.5 kernels
+    # here), one row parity's product (0.75), the shift rows and the columns
+    # that parity reads (0.75) and the complex weight (measured: 4.26
+    # kernels); the whole product and its four n_t^2 index arrays took 8.44
+    n_t, n_tf = 256, 128
+    grid = PhaseSpaceGrid.square(-8.0, 8.0, n_tf)
+    omega, b = grid.meshes()
+    w = np.exp(-b ** 2 / 5.2 - 1.3 * omega ** 2 / 4.0)
+    tgrid = Grid1D.regular(-10.0, 10.0, n_t)
+    weyl_operator_from_weight(w, grid, tgrid)
+    tracemalloc.start()
+    try:
+        weyl_operator_from_weight(w, grid, tgrid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n_t * n_t * 16
 
 
 def test_weyl_is_linear_in_the_weight():
@@ -700,6 +734,25 @@ def test_kernel_assembly_holds_under_three_blocks_beside_the_entries():
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
+
+def test_diagnostics_hold_one_matrix_and_two_tiles_beside_the_kernel():
+    # the step-weighted matrix and one tile of adjoint rows (measured: 1.28
+    # matrices); k^dagger, k - k^dagger and its modulus, formed whole, took
+    # 2.50.  eigvalsh copies the matrix into a buffer of its own, which
+    # tracemalloc does not see.
+    n = 384
+    rng = np.random.default_rng(4)
+    kernel = OperatorKernel(Grid1D.regular(-6.0, 6.0, n),
+                            rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    density_diagnostics(kernel)
+    tracemalloc.start()
+    try:
+        density_diagnostics(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16 + 2 * numerics._TILE_BYTES
+
 
 def test_diagnostics_of_rank_one_projector():
     psi = gaussian_probe(TIME_GRID, 1.0).values
