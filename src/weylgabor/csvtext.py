@@ -9,7 +9,8 @@ memory.  A block holds whole rows, at least one, as many as
 bytes per value formatted: its 48-byte slot (below), its share of the
 block's ``tobytes()`` copy, and its text, at most the 24 characters of
 ``-d.dddddddddddddddde-XXX`` and a separator.  Only the values a line
-formats count: the axis text of ``write_pair_rows`` is copied.  At the
+formats count: the n axis fields of ``write_pair_rows`` are Python's own
+``%.17g`` text, made once per file and copied into every line.  At the
 default budget a block holds about 4300 values, and the formatter's
 temporaries, about 16 arrays of 8 bytes per value, come on top.
 
@@ -266,16 +267,11 @@ def _write_text(fh, slots) -> None:
 
 
 def _packed(values) -> np.ndarray:
-    """The text of each value and its ',' moved to the front of as few
-    whole words as the longest needs, NUL-padded: (len(values), words)."""
-    slots = np.empty((len(values), _WORDS), dtype=np.uint64)
-    _format(values, slots)
-    raw = slots.view(np.uint8)
-    # a stable sort of the NUL flags keeps the text bytes in their order
-    order = np.argsort(raw == 0, axis=1, kind="stable")
-    width = 8 * -(-np.count_nonzero(raw, axis=1).max() // 8)
-    return np.ascontiguousarray(
-        np.take_along_axis(raw, order[:, :width], axis=1)).view(np.uint64)
+    """Python's own ``"%.17g,"`` of each value, NUL-padded to as few whole
+    words as the longest needs: (len(values), words)."""
+    text = np.array([b"%.17g," % v for v in values.tolist()])
+    width = -(-text.itemsize // 8)
+    return text.astype("S%d" % (8 * width)).view(np.uint64).reshape(-1, width)
 
 
 def write_rows(fh, values) -> None:
@@ -299,9 +295,9 @@ def write_pair_rows(fh, axis, values) -> None:
     ``axis[i], axis[j], values[i, j, 0], ..., values[i, j, c - 1]``, all
     as ``%.17g``, for an (n, n, c) float block.  A block of whole rows i
     is formatted at a time, in a buffer of words laid out as (rows, n,
-    line).  The axis text is formatted once and packed into whole words,
-    which are laid into the t_j field of every buffered row once; per
-    block only the t_i words are broadcast along the row."""
+    line).  The axis text is Python's own, made once and padded to whole
+    words, which are laid into the t_j field of every buffered row once;
+    per block only the t_i words are broadcast along the row."""
     axis = np.asarray(axis, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     n, _, c = values.shape

@@ -190,7 +190,8 @@ def adaptive_m_cutoff(psi: CircularSignal, phi: CircularSignal | None = None) ->
     """Smallest M whose Fourier tail of conj(psi)*phi holds less than 1e-12
     of the product's energy.  A heuristic for choosing the m-range of the
     transform; for von Mises windows with lambda <= 5, M = 32 is already in
-    the flat-tail regime.
+    the flat-tail regime.  Beyond the FFT it costs O(n): the power is
+    folded onto |m| once and every tail read off one cumulative sum.
     """
     phi = phi or psi
     if psi.grid.count != phi.grid.count:
@@ -203,10 +204,10 @@ def adaptive_m_cutoff(psi: CircularSignal, phi: CircularSignal | None = None) ->
     half = psi.grid.count // 2
     ms = np.minimum(np.arange(psi.grid.count),
                     psi.grid.count - np.arange(psi.grid.count))
-    for m_cut in range(1, half):
-        if power[ms > m_cut].sum() < 1e-12 * total:
-            return m_cut
-    return half - 1
+    # tails[m] = the power at |m'| > m, folded by |m'| and summed from the top
+    tails = np.cumsum(np.bincount(ms, weights=power)[:0:-1])[::-1]
+    below = np.flatnonzero(tails[1:] < 1e-12 * total)
+    return int(below[0]) + 1 if below.size else half - 1
 
 
 def cyl_gabor_transform(psi: CircularSignal, phi: CircularSignal,

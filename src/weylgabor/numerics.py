@@ -237,19 +237,16 @@ def edge_mass_share(values: np.ndarray, axes: tuple | None = None) -> float:
     """Sum over the first and last lines along each of ``axes`` (every axis
     by default), each cell counted once, divided by the total sum; 0.0 when
     the total is not positive.  Meant for non-negative densities.  The
-    edge cells are gathered by their flat indices, in row-major order, so
-    no mask of the whole array is built."""
+    edge cells are picked by a boolean border mask, one byte per cell, so
+    they are summed in row-major order."""
     values = np.asarray(values)
     total = values.sum()
     if not total > 0:
         return 0.0
-    cells = np.empty(0, dtype=np.intp)
+    border = np.zeros(values.shape, dtype=bool)
     for ax in range(values.ndim) if axes is None else axes:
-        lines = [np.arange(count) for count in values.shape]
-        lines[ax] = [0, values.shape[ax] - 1]
-        # union1d sorts and drops repeats: row-major order, corners once
-        cells = np.union1d(cells, np.ravel_multi_index(np.ix_(*lines), values.shape))
-    return float(values.flat[cells].sum() / total)
+        np.moveaxis(border, ax, 0)[[0, -1]] = True
+    return float(values[border].sum() / total)
 
 
 def _warn_health(value: float, limit: float, category: type, stage: str,

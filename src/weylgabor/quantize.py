@@ -345,7 +345,7 @@ def _lag_products(shifted: np.ndarray, w_conj: np.ndarray) -> np.ndarray:
 def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
                               time_grid: Grid1D) -> OperatorKernel:
     """Kernel of M = sum over cells of w(omega, b) * displacement(omega, b) * dM
-    for a complex weight w on the phase-space grid.
+    for a real or complex weight w on the phase-space grid.
 
     Each displacement is realized in split form: half of the modulation on
     each side of a circulant (spectral) shift, giving matrix entries
@@ -372,7 +372,8 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     the means of its images, but no n^2 index array.  Linear in w; a
     point mass 2*pi*delta at the origin returns the identity kernel.
     """
-    w_values = np.asarray(w_values, dtype=complex)
+    # a real weight stays real: chirp_z takes it without a complex copy
+    w_values = np.asarray(w_values, dtype=float if np.isrealobj(w_values) else complex)
     if w_values.shape != grid.shape:
         raise ValueError("weight must match the grid shape")
     _require_finite(w_values, "weight")

@@ -824,6 +824,28 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("command, parameters", [
+    ("stellar", {"n_grid": 64}),
+    ("quantize", {"n_tf": 64, "n_time": 64, "tf_min": -8.0, "tf_max": 8.0,
+                  "time_start": -10.0, "time_stop": 10.0}),
+    ("gabor", {"n_time": 256, "n_tf": 64}),
+])
+def test_cli_run_leaves_numpy_ma_unloaded(tmp_path, command, parameters):
+    # np.union1d, and np.unique without return_inverse, import numpy.ma on
+    # their first call; a cold run of these subcommands loads it nowhere
+    # (cylinder is left out: scipy.special imports numpy.ma itself)
+    cfg = _write_config(tmp_path / "cfg.json", command, **parameters)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, weylgabor.cli\n"
+         "code = weylgabor.cli.main(sys.argv[1:])\n"
+         "print(code, 'numpy.ma' in sys.modules)",
+         command, "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def test_cli_import_runs_no_refine_design_svd():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -340,6 +340,42 @@ def test_adaptive_cutoff_grows_with_displaced_signal():
     assert adaptive_m_cutoff(w, displace(2, 0.7, w)) == 13
 
 
+def _cutoff_by_masked_tails(psi, phi):
+    """Reference form of adaptive_m_cutoff: every candidate M masks the
+    power at |m| > M and sums it again."""
+    power = np.abs(np.fft.fft(np.conj(psi.values) * phi.values)) ** 2
+    total = power.sum()
+    if total == 0.0:
+        return 1
+    n = psi.grid.count
+    ms = np.minimum(np.arange(n), n - np.arange(n))
+    for m_cut in range(1, n // 2):
+        if power[ms > m_cut].sum() < 1e-12 * total:
+            return m_cut
+    return n // 2 - 1
+
+
+# a fixed sweep, not drawn: a tail at the threshold itself may round to
+# either side, and a case that does is a finding, not a case to redraw
+_CUTOFF_SWEEP = (
+    [(lam, n, m, theta) for lam in np.geomspace(0.05, 50.0, 85)
+     for n in (16, 32, 64, 128, 129, 256, 512)
+     for m in (0, 1, 2, 3, 5) for theta in (0.0, 0.7, 2.0)]
+    # the ranges of the benchmark's cylinder runs
+    + [(lam, n, m, theta) for lam in np.linspace(1.5, 3.0, 7) for n in (128, 512)
+       for m in (1, 2, 3) for theta in np.linspace(0.3, 1.2, 4)])
+
+
+def test_adaptive_cutoff_equals_its_masked_tails():
+    differ = []
+    for lam, n, m, theta in _CUTOFF_SWEEP:
+        w = von_mises(float(lam), n)
+        phi = displace(m, float(theta), w)
+        if adaptive_m_cutoff(w, phi) != _cutoff_by_masked_tails(w, phi):
+            differ.append((lam, n, m, theta))
+    assert differ == []
+
+
 def test_adaptive_cutoff_grid_mismatch():
     with pytest.raises(ValueError):
         adaptive_m_cutoff(von_mises(2.0, 128), von_mises(2.0, 256))

@@ -538,16 +538,17 @@ def _edge_peak_ratio_of_magnitudes(values, axes=None):
     return float(edge / peak)
 
 
-def _edge_mass_share_by_mask(values, axes=None):
-    """Reference form of edge_mass_share: a boolean mask of the whole array."""
+def _edge_mass_share_by_cells(values, axes=None):
+    """Reference form of edge_mass_share: the edge cells picked one at a
+    time, in row-major order."""
     values = np.asarray(values)
     total = values.sum()
     if not total > 0:
         return 0.0
-    border = np.zeros(values.shape, dtype=bool)
-    for ax in range(values.ndim) if axes is None else axes:
-        np.moveaxis(border, ax, 0)[[0, -1]] = True
-    return float(values[border].sum() / total)
+    axes = range(values.ndim) if axes is None else axes
+    edge = [values[index] for index in np.ndindex(values.shape)
+            if any(index[ax] in (0, values.shape[ax] - 1) for ax in axes)]
+    return float(np.array(edge, dtype=values.dtype).sum() / total)
 
 
 def _outcome(function, *args):
@@ -598,7 +599,7 @@ def test_edge_checks_equal_their_whole_array_forms(case):
         assert (_outcome(edge_peak_ratio, values, axes)
                 == _outcome(_edge_peak_ratio_of_magnitudes, values, axes))
         assert (_outcome(edge_mass_share, values, axes)
-                == _outcome(_edge_mass_share_by_mask, values, axes))
+                == _outcome(_edge_mass_share_by_cells, values, axes))
 
 
 # ---------------------------------------------------------------------------
