@@ -71,8 +71,8 @@ class Grid1D:
     count: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.step)):
-            raise ValueError("grid start and step must be finite")
+        _require_finite(self.start, "start")
+        _require_finite(self.step, "step")
         if self.step <= 0:
             raise ValueError("grid step must be positive")
         if self.count < 2:
@@ -291,13 +291,14 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     is its fraction's translate rolled, so its roundoff does not grow with
     the shift, and a row whose fraction is its group's (every row, when
     the fractions are distinct) is that single shift bit for bit.
-    Anything but 1-D samples, a finite positive step and a scalar or 1-D
-    array of finite shifts raises a ValueError.  The result is always a
-    fresh array.
+    Anything but 1-D finite samples, a finite positive step and a scalar
+    or 1-D array of finite shifts raises a ValueError.  The result is
+    always a fresh array.
     """
     values = np.asarray(values, dtype=complex)
     if values.ndim != 1 or np.ndim(shift) > 1:
         raise ValueError("expected 1-D samples and a scalar or 1-D array of shifts")
+    _require_finite(values, "values")
     _require_finite(step, "step")
     if not step > 0:
         raise ValueError("step must be positive")

@@ -419,45 +419,62 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     return OperatorKernel(time_grid, matrix)
 
 
+def _adjoint_tiles(k: np.ndarray, buffer: np.ndarray):
+    """(r0, rows r0.. of k^dagger) of a square k, in tiles of
+    len(buffer) rows written into ``buffer``: k^dagger is never formed
+    whole."""
+    n, rows = k.shape[0], buffer.shape[0]
+    for r0 in range(0, n, rows):
+        tile = buffer[:min(rows, n - r0)]
+        np.conjugate(k[:, r0:r0 + tile.shape[0]].T, out=tile)
+        yield r0, tile
+
+
 def density_diagnostics(kernel: OperatorKernel) -> dict:
     """Trace, Hermiticity defect, smallest eigenvalue, and purity of the
     operator represented by the kernel.
 
     The eigenvalues are those of the step-weighted symmetrized matrix
-    (the operator's matrix in the discrete L2 inner product), summed in
-    one step-weighted copy of the kernel.  k^dagger is never formed
-    whole: its rows, conj(k[:, tile]).T, run in tiles whose buffers fill
-    numerics._TILE_BYTES, each giving its share of the Hermiticity defect
-    and, scaled by the real step, its rows of the matrix's adjoint.  So
-    beside the kernel the work holds the matrix, one tile and
-    eigvalsh's own copy.
+    dt*(k + k^dagger)/2, the operator's matrix in the discrete L2 inner
+    product.  k^dagger is never formed whole: its rows, conj(k[:, tile]).T,
+    run in tiles whose buffers fill numerics._TILE_BYTES, each giving its
+    share of the Hermiticity defect.  A kernel whose defect is exactly 0,
+    as is every kernel quantize_to_kernel makes, is its own symmetrized
+    part, so its smallest eigenvalue is reported as dt * lambda_min(k),
+    read from k in place: beside the kernel the work holds one tile and
+    eigvalsh's own copy.  Any other kernel is summed into one
+    step-weighted copy, its adjoint rows again in tiles and scaled by the
+    real step, so beside the kernel that work holds the matrix, one tile
+    and eigvalsh's copy.
     """
     k = kernel.entries
     dt = kernel.quad_weight
     n = k.shape[0]
-    # before the matrix is made, so that |k|^2 is never held beside it
+    # before any matrix is made, so that |k|^2 is never held beside it
     purity = float(dt ** 2 * np.sum(np.abs(k) ** 2))
-    matrix = dt * k
-    trace = float(np.real(np.trace(matrix)))
+    trace = float(np.real(np.sum(dt * k.diagonal())))
     # a row of k^dagger and of k - k^dagger, complex, and of |k - k^dagger|
-    rows = numerics._tile_lines(40 * n)
-    adjoint = np.empty((min(rows, n), n), dtype=complex)
+    adjoint = np.empty((min(numerics._tile_lines(40 * n), n), n), dtype=complex)
     difference = np.empty_like(adjoint)
     magnitude = np.empty(adjoint.shape)
     defect = 0.0
-    for r0 in range(0, n, rows):
-        m = min(rows, n - r0)
-        tile = adjoint[:m]
-        np.conjugate(k[:, r0:r0 + m].T, out=tile)
+    for r0, tile in _adjoint_tiles(k, adjoint):
+        m = tile.shape[0]
         np.subtract(k[r0:r0 + m], tile, out=difference[:m])
         defect = max(defect, float(np.abs(difference[:m], out=magnitude[:m]).max()))
-        tile *= dt
-        block = matrix[r0:r0 + m]
-        block += tile
-        block *= 0.5
+    if defect == 0.0:
+        smallest = dt * np.linalg.eigvalsh(k).min()
+    else:
+        matrix = dt * k
+        for r0, tile in _adjoint_tiles(k, adjoint):
+            tile *= dt
+            block = matrix[r0:r0 + tile.shape[0]]
+            block += tile
+            block *= 0.5
+        smallest = np.linalg.eigvalsh(matrix).min()
     return {
         "trace": trace,
         "hermiticity_defect": defect,
-        "min_eigenvalue": float(np.linalg.eigvalsh(matrix).min()),
+        "min_eigenvalue": float(smallest),
         "purity": purity,
     }

@@ -57,8 +57,13 @@ def test_all_lists_every_public_definition(module):
     ("nodes", lambda bad: numerics.chirp_z(np.ones(8), (0.0, bad, 8), (0.0, 1.0, 4))),
     ("comb", lambda bad: numerics.chirp_z(np.ones(8), (0.0, 0.1, 8), (bad, 1.0, 4))),
     ("comb", lambda bad: numerics.chirp_z(np.ones(8), (0.0, 0.1, 8), (0.0, bad, 4))),
+    ("start", lambda bad: numerics.Grid1D(bad, 0.1, 8)),
+    ("step", lambda bad: numerics.Grid1D(0.0, bad, 8)),
     ("step", lambda bad: numerics.spectral_shift(np.ones(8), bad, 0.5)),
     ("step", lambda bad: numerics.batch_fractional_shift(np.ones(8), bad, 0.5)),
+    ("values", lambda bad: numerics.spectral_shift(np.array([1.0, bad, 1.0, 1.0]), 0.1, 0.5)),
+    ("values", lambda bad: numerics.batch_fractional_shift(
+        np.array([1.0, 1.0, complex(0.0, bad), 1.0]), 0.1, [0.0, 0.5])),
     ("step", lambda bad: numerics.periodic_trapezoid(np.ones(8), bad)),
     ("w", lambda bad: numerics.find_local_minima(
         np.where(np.eye(32, dtype=bool), bad, 1.0), GRID)),
@@ -76,7 +81,8 @@ def test_all_lists_every_public_definition(module):
         "weight-zero-real", "distribution-zero-imag", "weight-z-real",
         "stellar-weight-z-imag", "hermite-z", "params-probe_a", "params-probe_r",
         "regular-lo", "regular-hi", "chirp_z-x0", "chirp_z-dx", "chirp_z-f0",
-        "chirp_z-df", "shift-step", "batch-shift-step", "trapezoid-step",
+        "chirp_z-df", "grid-start", "grid-step", "shift-step", "batch-shift-step",
+        "shift-values", "batch-shift-values", "trapezoid-step",
         "minima-w",
         "wh-c", "wh-a-block", "polarized-b", "symplectic-c", "symplectic-v",
         "unitriangular-y", "unitriangular-x", "subdiagonal-x"])

@@ -256,12 +256,26 @@ def test_quantize_run_default_density(tmp_path):
     diag = _read_json(out / "diagnostics.json")
     assert diag["w"] == "gaussian"
     assert abs(diag["trace"] - 1.0) < 1e-6
-    assert diag["hermiticity_defect"] < 1e-8
+    # exactly Hermitian, so the diagnostics read the kernel in place
+    assert diag["hermiticity_defect"] == 0.0
     assert diag["min_eigenvalue"] >= -1e-8
     assert 0.0 < diag["purity"] <= 1.0 + 1e-12
     lines = (out / "kernel.csv").read_text().splitlines()
     assert lines[0] == "# t_i,t_j,re,im"
     assert len(lines) == 1 + 128 * 128
+
+
+def test_quantize_run_overlap_density(tmp_path):
+    cfg = _write_config(tmp_path / "cfg.json", "quantize", w="overlap", a=2.0, r=0.5,
+                        n_tf=64, n_time=64, tf_min=-8.0, tf_max=8.0,
+                        time_start=-10.0, time_stop=10.0)
+    out = tmp_path / "out"
+    assert cli.main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+    diag = _read_json(out / "diagnostics.json")
+    assert diag["w"] == "overlap"
+    assert abs(diag["trace"] - 1.0) < 1e-6
+    assert diag["hermiticity_defect"] == 0.0
+    assert diag["min_eigenvalue"] >= -1e-8
 
 
 def test_kernel_csv_holds_the_exact_kernel(tmp_path):
@@ -331,6 +345,7 @@ def test_quantize_accepts_normalized_csv_density(tmp_path):
     diag = _read_json(out / "diagnostics.json")
     assert diag["w"] == "csv:w.csv"
     assert abs(diag["trace"] - 1.0) < 1e-6
+    assert diag["hermiticity_defect"] == 0.0
 
 
 @pytest.mark.parametrize("poison", [float("nan"), float("inf")])

@@ -364,8 +364,9 @@ def test_portrait_requires_unit_mass():
 
 def test_density_diagnostics_equal_the_plain_formulas(monkeypatch):
     # k^dagger in tiles of rows gives the same four numbers, bit for bit, as
-    # the formulas written out, on a kernel that is not Hermitian: in one
-    # tile, and in nine tiles of 5 rows and one of 3
+    # the formulas written out, on a kernel that is not Hermitian and on
+    # one that is exactly: in one tile, and in nine tiles of 5 rows and one
+    # of 3
     rng = np.random.default_rng(9)
     k = rng.normal(size=(48, 48)) + 1j * rng.normal(size=(48, 48))
     grid = Grid1D.regular(-3.0, 3.0, 48)
@@ -377,10 +378,21 @@ def test_density_diagnostics_equal_the_plain_formulas(monkeypatch):
         "min_eigenvalue": float(np.linalg.eigvalsh(0.5 * (matrix + matrix.conj().T)).min()),
         "purity": float(dt ** 2 * np.sum(np.abs(k) ** 2)),
     }
-    kernel = OperatorKernel(grid, k)
+    # an exactly Hermitian kernel is its own symmetrized part: its smallest
+    # eigenvalue is dt times that of k itself
+    h = k + k.conj().T
+    expected_hermitian = {
+        "trace": float(np.real(np.trace(dt * h))),
+        "hermiticity_defect": 0.0,
+        "min_eigenvalue": float(dt * np.linalg.eigvalsh(h).min()),
+        "purity": float(dt ** 2 * np.sum(np.abs(h) ** 2)),
+    }
+    kernel, hermitian = OperatorKernel(grid, k), OperatorKernel(grid, h)
     assert density_diagnostics(kernel) == expected
+    assert density_diagnostics(hermitian) == expected_hermitian
     monkeypatch.setattr(numerics, "_TILE_BYTES", 40 * 48 * 5)
     assert density_diagnostics(kernel) == expected
+    assert density_diagnostics(hermitian) == expected_hermitian
 
 
 @pytest.mark.parametrize("sigmas,name", [
@@ -737,10 +749,10 @@ def test_kernel_assembly_holds_under_three_blocks_beside_the_entries():
 # ---------------------------------------------------------------------------
 
 def test_diagnostics_hold_one_matrix_and_two_tiles_beside_the_kernel():
-    # the step-weighted matrix and one tile of adjoint rows (measured: 1.28
-    # matrices); k^dagger, k - k^dagger and its modulus, formed whole, took
-    # 2.50.  eigvalsh copies the matrix into a buffer of its own, which
-    # tracemalloc does not see.
+    # a kernel that is not Hermitian: the step-weighted matrix and one tile
+    # of adjoint rows (measured: 1.28 matrices); k^dagger, k - k^dagger and
+    # its modulus, formed whole, took 2.50.  eigvalsh copies the matrix into
+    # a buffer of its own, which tracemalloc does not see.
     n = 384
     rng = np.random.default_rng(4)
     kernel = OperatorKernel(Grid1D.regular(-6.0, 6.0, n),
@@ -753,6 +765,25 @@ def test_diagnostics_hold_one_matrix_and_two_tiles_beside_the_kernel():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 16 + 2 * numerics._TILE_BYTES
+
+
+def test_diagnostics_of_a_hermitian_kernel_hold_no_matrix():
+    # an exactly Hermitian kernel goes to eigvalsh in place: beside it the
+    # work holds |k| for the purity, then one tile of adjoint rows
+    # (measured: 0.50 matrices), where a step-weighted copy took 1.28
+    n = 384
+    rng = np.random.default_rng(4)
+    k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    kernel = OperatorKernel(Grid1D.regular(-6.0, 6.0, n), k + k.conj().T)
+    del k
+    assert density_diagnostics(kernel)["hermiticity_defect"] == 0.0
+    tracemalloc.start()
+    try:
+        density_diagnostics(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 + 2 * numerics._TILE_BYTES
 
 
 def test_diagnostics_of_rank_one_projector():

@@ -406,7 +406,7 @@ def test_quantize_single_zero_density():
     kernel, diag = quantize_stellar([0j], params, Grid1D.regular(-20.0, 20.0, 256))
     assert kernel.entries.shape == (256, 256)
     assert abs(diag["trace"] - 1.0) < 1e-9
-    assert diag["hermiticity_defect"] < 1e-8
+    assert diag["hermiticity_defect"] == 0.0
     assert diag["min_eigenvalue"] >= -1e-6
     assert diag["purity"] < 1.0
 
@@ -418,6 +418,6 @@ def test_quantize_pentagon_density():
         kernel, diag = quantize_stellar(pentagon_zeros(), pentagon_params(),
                                         Grid1D.regular(-20.0, 20.0, 256))
     assert abs(diag["trace"] - 1.0) < 1e-4
-    assert diag["hermiticity_defect"] < 1e-8
+    assert diag["hermiticity_defect"] == 0.0
     assert diag["min_eigenvalue"] >= -1e-6
     assert diag["purity"] < 1.0
