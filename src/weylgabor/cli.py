@@ -62,7 +62,7 @@ from .gabor import (
     gaussian_probe,
     make_test_signal,
 )
-from .numerics import Grid1D, PhaseSpaceGrid
+from .numerics import _BESSEL_ORDER_CAP, Grid1D, PhaseSpaceGrid
 from .quantize import (
     Distribution,
     density_diagnostics,
@@ -425,8 +425,8 @@ def _run_cylinder(params: _Params, seed: int, outdir: Path) -> None:
     params.finish()
     if not 0.0 < lam <= 50.0:
         raise ValidationFailure("lam must lie in (0, 50]")
-    if abs(m - mprime) > 64:  # the Bessel order of the kernel
-        raise ValidationFailure("|m - mprime| must be at most 64")
+    if abs(m - mprime) > _BESSEL_ORDER_CAP:  # the Bessel order of the kernel
+        raise ValidationFailure("|m - mprime| must be at most %d" % _BESSEL_ORDER_CAP)
     if m_max is not None and 2 * m_max + 1 > n_gamma:
         raise ValidationFailure("m_max must satisfy 2*m_max + 1 <= n_gamma")
 
@@ -505,12 +505,11 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
         w = w.normalized()
     time_grid = Grid1D.regular(t_start, t_stop, n_time)
     kernel = quantize_to_kernel(w, _probe(time_grid, probe_width))
-    # rows t_i,t_j,re,im: the (n, n, 2) float view of the complex entries
-    entries = np.ascontiguousarray(kernel.entries)
+    # rows t_i,t_j,re,im: the (n, n, 2) float view of the C-ordered entries
     with open(outdir / "kernel.csv", "wb") as fh:
         fh.write(b"# t_i,t_j,re,im\n")
         csvtext.write_pair_rows(fh, time_grid.points,
-                                entries.view(np.float64).reshape(n_time, n_time, 2))
+                                kernel.entries.view(np.float64).reshape(n_time, n_time, 2))
     report = {"schema": SCHEMA, "w": label, "probe_width": probe_width}
     report.update(density_diagnostics(kernel))
     _write_json(outdir / "diagnostics.json", report)

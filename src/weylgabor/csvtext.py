@@ -250,15 +250,10 @@ def _format(values, slots) -> None:
             (tab.quads, q3), (tab.quads, q4), (tab.exponents, exponent))):
         slots[..., word] &= table.take(index).reshape(shape)
     for i in np.flatnonzero(fallback):
-        text = _fallback_text(values[i])
+        text = np.frombuffer(b"%.17g" % values[i], dtype=np.uint8)
         slot = slots[np.unravel_index(i, shape)].view(np.uint8)
         slot[:_SEP] = 0
         slot[:len(text)] = text
-
-
-def _fallback_text(value) -> np.ndarray:
-    """Python's own ``%.17g`` of one value whose digits are not certain."""
-    return np.frombuffer(b"%.17g" % value, dtype=np.uint8)
 
 
 def _write_text(fh, slots) -> None:

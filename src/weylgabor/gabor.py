@@ -221,8 +221,10 @@ def _require_unit_norm(window: SampledSignal) -> None:
         raise ValueError("window must have unit norm, got %.12g" % window.norm)
 
 
-def _translate_rows(window: SampledSignal, shifts: np.ndarray):
-    """fill(out, start): row k of ``out`` becomes window(t - shifts[start + k]).
+def _window_tiles(window: SampledSignal, shifts: np.ndarray, rows: int):
+    """(start, tile) of a unit-norm window: row k of ``tile`` is
+    window(t - shifts[start + k]), in tiles of ``rows`` rows written into
+    one buffer.
 
     The shifts split as in numerics.spectral_shift into whole cells and
     groups of cell fractions.  One ``translated`` call makes the translate
@@ -231,6 +233,7 @@ def _translate_rows(window: SampledSignal, shifts: np.ndarray):
     copied out of it as an exact roll by the whole cells it lies from its
     member: the row that translating all the shifts at once would give,
     bit for bit, with g <= q when the shifts step by p/q cells."""
+    _require_unit_norm(window)
     n = window.grid.count
     starts, groups = numerics._split_shifts(shifts, window.grid.step, n)
     members = [group for _, group in groups if group]
@@ -240,11 +243,12 @@ def _translate_rows(window: SampledSignal, shifts: np.ndarray):
             places[i] = (g, (starts[i] - starts[group[0]]) % n)
     table = window.translated(shifts[[group[0] for group in members]])
     table = np.concatenate((table, table), axis=1)
-
-    def fill(out: np.ndarray, start: int) -> None:
-        for k, (g, at) in enumerate(places[start:start + len(out)]):
-            out[k] = table[g, at:at + n]
-    return fill
+    buffer = np.empty((min(rows, len(shifts)), n), dtype=complex)
+    for start in range(0, len(shifts), rows):
+        tile = buffer[:len(shifts) - start]
+        for k, (g, at) in enumerate(places[start:start + rows]):
+            tile[k] = table[g, at:at + n]
+        yield start, tile
 
 
 def _analyze(window: SampledSignal, s: SampledSignal, comb: tuple,
@@ -253,22 +257,17 @@ def _analyze(window: SampledSignal, s: SampledSignal, comb: tuple,
     for the uniform frequency comb ``comb`` = (start, step, count): one
     chirp-z transform of every windowed copy of the signal.
 
-    The b-rows run in chirp_z's own tiles: each tile of windowed copies is
-    filled from the fraction translates, transformed, and written into
-    its columns of the result."""
-    _require_unit_norm(window)
-    fill = _translate_rows(window, shifts)
+    The b-rows run in _window_tiles of chirp_z's own tile size: each tile
+    of windows is conjugated and weighted in place, transformed, and
+    written into its columns of the result."""
     weight = s.grid.step * s.values
     result = np.empty((comb[2], len(shifts)), dtype=complex)
-    tile = numerics._chirp_tile_rows(s.grid.count, comb[2])
-    windowed = np.empty((min(tile, len(shifts)), s.grid.count), dtype=complex)
-    for start in range(0, len(shifts), tile):
-        part = windowed[:len(shifts) - start]
-        fill(part, start)
-        np.conjugate(part, out=part)
-        part *= weight
+    rows = numerics._chirp_tile_rows(s.grid.count, comb[2])
+    for start, tile in _window_tiles(window, shifts, rows):
+        np.conjugate(tile, out=tile)
+        tile *= weight
         # along t of the [t, b] view, so the tile is a compact [omega, b] array
-        result[:, start:start + tile] = chirp_z(part.T, s.grid.comb, comb,
+        result[:, start:start + rows] = chirp_z(tile.T, s.grid.comb, comb,
                                                 sign=-1, axis=0)
     return result
 
@@ -278,22 +277,17 @@ def _synthesize(window: SampledSignal, comb: tuple, shifts: np.ndarray,
     """measure * sum_{omega, b} values[omega, b] exp(1j*omega*t) window(t - b),
     for ``values`` on the uniform frequency comb ``comb`` = (start, step, count).
 
-    The b-columns run in tiles of numerics._TILE_BYTES of modes: each
-    tile's chirp-z modes are multiplied by a tile of windows filled from
-    the fraction translates and summed into the result, so neither an
-    (n_b, n_t) block of modes nor one of windows is held."""
-    _require_unit_norm(window)
-    fill = _translate_rows(window, shifts)
+    The b-columns run in _window_tiles of numerics._TILE_BYTES of modes:
+    each tile's chirp-z modes are multiplied by its tile of windows and
+    summed into the result, so neither an (n_b, n_t) block of modes nor
+    one of windows is held."""
     n_t = window.grid.count
-    tile = numerics._tile_lines(16 * n_t)
-    windows = np.empty((min(tile, len(shifts)), n_t), dtype=complex)
+    rows = numerics._tile_lines(16 * n_t)
     out = np.zeros(n_t, dtype=complex)
-    for start in range(0, len(shifts), tile):
-        modes = chirp_z(values[:, start:start + tile].T, comb, window.grid.comb,
-                        sign=1)                                          # (tile, n_t)
-        part = windows[:len(modes)]
-        fill(part, start)
-        modes *= part
+    for start, tile in _window_tiles(window, shifts, rows):
+        modes = chirp_z(values[:, start:start + rows].T, comb, window.grid.comb,
+                        sign=1)                                          # (rows, n_t)
+        modes *= tile
         out += modes.sum(axis=0)
     out *= measure
     return out

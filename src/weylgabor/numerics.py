@@ -12,6 +12,12 @@ measure ``d(omega) d(b) / (2*pi)``.  The forward Fourier kernel is
 needed it is written explicitly at the call site, never hidden inside a
 helper.  A Fourier sum between two uniform combs is one chirp-z
 transform (``chirp_z``).
+
+``grid_convolve`` and ``PhaseSpaceGrid.meshes`` have no caller in the
+package but stay here as documented oracles: the portrait's tests and
+the benchmark's tracing bind the one, the benchmark's workloads call the
+other, and moving a reference implementation into the tests would not
+make the package smaller.
 """
 
 from __future__ import annotations
@@ -207,9 +213,11 @@ def periodic_trapezoid(values: np.ndarray, step: float | None = None):
     """Quadrature over one full period sampled uniformly with no duplicated
     endpoint: step * sum(values).  With ``step`` omitted the grid is assumed
     to cover [0, 2*pi).  Spectrally accurate for smooth periodic integrands.
-    A non-finite step raises a ValueError naming it.
+    A non-finite entry of values, or a non-finite step, raises a ValueError
+    naming it.
     """
     values = np.asarray(values)
+    _require_finite(values, "values")
     if step is None:
         step = 2.0 * np.pi / values.shape[-1]
     _require_finite(step, "step")
@@ -220,12 +228,15 @@ def edge_peak_ratio(values: np.ndarray, axes: tuple | None = None) -> float:
     """Largest |value| on the first and last lines along each of ``axes``
     (every axis by default), divided by the largest |value| anywhere; 0.0
     for an all-zero array.  Only the edge lines are copied: the peak of a
-    real float array is the larger of its maximum and minus its minimum."""
+    real float array is the larger of its maximum and minus its minimum.
+    A NaN or infinite value makes the peak so and raises a ValueError
+    naming values."""
     values = np.asarray(values)
     if values.dtype.kind == "f":
         peak = max(values.max(), -values.min())
     else:
         peak = np.abs(values).max()
+    _require_finite(peak, "values")
     if peak == 0.0:
         return 0.0
     axes = range(values.ndim) if axes is None else axes
@@ -238,9 +249,12 @@ def edge_mass_share(values: np.ndarray, axes: tuple | None = None) -> float:
     by default), each cell counted once, divided by the total sum; 0.0 when
     the total is not positive.  Meant for non-negative densities.  The
     edge cells are picked by a boolean border mask, one byte per cell, so
-    they are summed in row-major order."""
+    they are summed in row-major order.  A NaN or infinite value, or a
+    total beyond float range, makes the total so and raises a ValueError
+    naming values."""
     values = np.asarray(values)
     total = values.sum()
+    _require_finite(total, "values")
     if not total > 0:
         return 0.0
     border = np.zeros(values.shape, dtype=bool)
@@ -378,21 +392,19 @@ def batch_fractional_shift(values: np.ndarray, step: float, shifts) -> np.ndarra
 def _next_fast_len(target: int, real: bool = False) -> int:
     """Smallest length >= target that pocketfft transforms fastest: one with
     no prime factor above 11, or above 5 for a real transform (the lengths
-    scipy.fft.next_fast_len gives).  Each odd smooth part below the best
-    length so far is doubled up to the target; the search takes tens of
-    microseconds, so each length is kept."""
-    best = 1 << max(target - 1, 0).bit_length()
-    odd = [1]
-    for prime in (3, 5) if real else (3, 5, 7, 11):
-        for part in list(odd):
-            part *= prime
-            while part < best:
-                odd.append(part)
-                part *= prime
-    for part in odd:
-        doubled = part << max(-(-target // part) - 1, 0).bit_length()
-        best = min(best, doubled)
-    return best
+    scipy.fft.next_fast_len gives), found by trial division of each
+    candidate in turn.  Smooth lengths lie close together, so the search
+    takes microseconds at the package's sizes; each length is kept."""
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    candidate = max(target, 1)
+    while True:
+        rest = candidate
+        for prime in primes:
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return candidate
+        candidate += 1
 
 
 # bytes of work buffer per tile of every tiled loop, read through this
@@ -534,12 +546,15 @@ def grid_convolve(f: np.ndarray, g: np.ndarray, grid: PhaseSpaceGrid) -> np.ndar
     2n - 1 for an origin at either end.  Both axes must contain 0 on a
     lattice point so the restriction is exact; both inputs should decay at
     the boundary (checked, warning only), since mass pushed beyond the
-    lattice is lost.
+    lattice is lost.  A non-finite entry of f or g raises a ValueError
+    naming it.
     """
     f = np.asarray(f)
     g = np.asarray(g)
     if f.shape != grid.shape or g.shape != grid.shape:
         raise ValueError("inputs must live on the given grid")
+    _require_finite(f, "f")
+    _require_finite(g, "g")
     for values, which in ((f, "first"), (g, "second")):
         _warn_health(edge_peak_ratio(values), 1e-8, EdgeEnergyWarning,
                      "grid_convolve (%s input)" % which, _TRUNCATED_EDGES)

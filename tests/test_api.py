@@ -65,6 +65,15 @@ def test_all_lists_every_public_definition(module):
     ("values", lambda bad: numerics.batch_fractional_shift(
         np.array([1.0, 1.0, complex(0.0, bad), 1.0]), 0.1, [0.0, 0.5])),
     ("step", lambda bad: numerics.periodic_trapezoid(np.ones(8), bad)),
+    ("values", lambda bad: numerics.periodic_trapezoid(np.array([1.0, bad, 1.0, 1.0]))),
+    ("values", lambda bad: numerics.edge_peak_ratio(np.array([1.0, bad, 1.0, 1.0]))),
+    ("values", lambda bad: numerics.edge_peak_ratio(
+        np.array([1.0, 1.0, complex(0.0, bad), 1.0]))),
+    ("values", lambda bad: numerics.edge_mass_share(np.array([1.0, bad, 1.0, 1.0]))),
+    ("f", lambda bad: numerics.grid_convolve(
+        np.where(np.eye(32, dtype=bool), bad, 1.0), np.ones((32, 32)), GRID)),
+    ("g", lambda bad: numerics.grid_convolve(
+        np.ones((32, 32)), np.where(np.eye(32, dtype=bool), bad, 1.0), GRID)),
     ("w", lambda bad: numerics.find_local_minima(
         np.where(np.eye(32, dtype=bool), bad, 1.0), GRID)),
     ("c", lambda bad: groups.WHElement(bad, 0, 0)),
@@ -82,7 +91,9 @@ def test_all_lists_every_public_definition(module):
         "stellar-weight-z-imag", "hermite-z", "params-probe_a", "params-probe_r",
         "regular-lo", "regular-hi", "chirp_z-x0", "chirp_z-dx", "chirp_z-f0",
         "chirp_z-df", "grid-start", "grid-step", "shift-step", "batch-shift-step",
-        "shift-values", "batch-shift-values", "trapezoid-step",
+        "shift-values", "batch-shift-values", "trapezoid-step", "trapezoid-values",
+        "edge-peak-values", "edge-peak-complex-values", "edge-mass-values",
+        "convolve-f", "convolve-g",
         "minima-w",
         "wh-c", "wh-a-block", "polarized-b", "symplectic-c", "symplectic-v",
         "unitriangular-y", "unitriangular-x", "subdiagonal-x"])

@@ -1,15 +1,20 @@
 """End-to-end command-line runs: configs, artifacts, manifests, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.special import iv
 
 from weylgabor import cli, csvtext, gabor, groups
@@ -42,6 +47,11 @@ def _write_config(path, command, seed=0, **parameters):
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _refuse_constant(constant):
+    """parse_constant for JSON output, which must hold no NaN or Infinity."""
+    raise AssertionError("JSON output holds %s" % constant)
 
 
 def _stderr_error(capsys):
@@ -725,10 +735,8 @@ def test_wide_spans_below_the_overflow_refusals_still_run(tmp_path, command, par
     # every number of the energy report of a 1e75 span over 16 cells
     cfg = _write_config(tmp_path / "cfg.json", command, **parameters)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-
-    def refuse(constant):
-        raise AssertionError("report.json holds %s" % constant)
-    json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=refuse)
+    json.loads((tmp_path / "out" / "report.json").read_text(),
+               parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("module,name", [(gabor, "chirp_z"),
@@ -744,6 +752,146 @@ def test_internal_faults_exit_1(tmp_path, capsys, monkeypatch, module, name):
     assert _stderr_error(capsys) == "internal: ValueError: injected fault"
     assert not out.exists()
     assert not list(tmp_path.glob(".weylgabor-*"))
+
+
+# ---------------------------------------------------------------------------
+# every key drawn: exit codes and JSON over sane and extreme values
+# ---------------------------------------------------------------------------
+
+# the extremes every key is drawn from besides its sane values
+_EXTREMES = st.sampled_from([0, 1, -1, 1e300, -1e300, 5e-324, -5e-324, 1e-300,
+                             True, "x", None])
+# placeholders for the paths of the input files each example writes
+_GOOD_FILE, _MISSING_FILE = "<good file>", "<missing file>"
+_PATH = st.sampled_from([_GOOD_FILE, _MISSING_FILE])
+
+
+def _size(low, high):
+    # uniform from one below the minimum the CLI accepts up to a small size
+    return st.sampled_from(range(low - 1, high + 1))
+
+
+def _spans(lo_key, los, hi_key, his):
+    return {lo_key: st.sampled_from(los), hi_key: st.sampled_from(his)}
+
+
+def _drawn(*sources):
+    """Parameters of one input source, each given as (required, optional)
+    strategies by key, with up to two keys of any source, or the config's
+    seed, set to extremes."""
+    keys = sorted(set().union(*(set(req) | set(opt) for req, opt in sources), {"seed"}))
+    sane = st.one_of(*(st.fixed_dictionaries(req, optional=opt) for req, opt in sources))
+    extreme = st.dictionaries(st.sampled_from(keys), _EXTREMES, max_size=2)
+    return st.builds(lambda params, extremes: {**params, **extremes}, sane, extreme)
+
+
+_RUN = {"seed": st.integers(0, 2 ** 32), "strict": st.booleans()}
+_TIME = {"probe_width": st.floats(0.3, 3.0),
+         **_spans("time_start", [-8.0, -12.0], "time_stop", [8.0, 12.0])}
+_TF = _spans("tf_min", [-4.0, -8.0], "tf_max", [4.0, 8.0])
+
+
+def _write_inputs(tmp: Path, zeros) -> dict:
+    """The good input file of each path key, by key."""
+    t = np.linspace(-8.0, 8.0, 64, endpoint=False)
+    signal = np.column_stack([t, np.pi ** -0.25 * np.exp(-t ** 2 / 2.0), 0.0 * t])
+    np.savetxt(tmp / "signal.csv", signal, delimiter=",")
+    grid = PhaseSpaceGrid.square(-4.0, 4.0, 16)
+    w = gaussian_distribution(grid).normalized()
+    cli._write_grid_csv(tmp / "w.csv", grid.omega_axis, grid.b_axis, w.values,
+                        cli.PHASE_GRID_HEADER)
+    (tmp / "zeros.json").write_text(json.dumps(zeros))
+    return {"signal_csv": tmp / "signal.csv", "w_csv": tmp / "w.csv",
+            "zeros_json": tmp / "zeros.json"}
+
+
+def _run_drawn(command, parameters, seed, strict, zeros=()):
+    """Run ``command`` on the drawn config in a fresh directory: the exit
+    code is 0, 2 or 3, never 1; a refusal ends stderr with one JSON error
+    object, and a completed run writes no NaN or Infinity into its JSON."""
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        files = _write_inputs(tmp, [{"re": re, "im": im} for re, im in zeros])
+        parameters = {key: str(files[key]) if value == _GOOD_FILE
+                      else str(tmp / "missing") if value == _MISSING_FILE else value
+                      for key, value in parameters.items()}
+        cfg = _write_config(tmp / "cfg.json", command, parameters.pop("seed", seed),
+                            **parameters)
+        out = tmp / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", cfg, "--out", str(out)]
+                            + ["--strict"] * strict)
+        assert code in (0, 2, 3), err.getvalue()
+        if code == 2:
+            payload = json.loads(err.getvalue().strip().splitlines()[-1])
+            assert isinstance(payload, dict) and "error" in payload
+            return
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+@given(parameters=_drawn(({"trials": _size(1, 4)}, {})), **_RUN)
+def test_group_check_exits_0_2_or_3_on_any_key(parameters, seed, strict):
+    _run_drawn("group-check", parameters, seed, strict)
+
+
+@given(parameters=_drawn(
+    ({"n_time": _size(2, 64), "n_tf": _size(2, 16)},
+     {"signal": st.sampled_from(["gaussian", "two_bump", "modulated", "chirp_tones"]),
+      **_TIME, **_TF}),
+    ({"signal_csv": _PATH, "n_tf": _size(2, 16)},
+     {"probe_width": st.floats(0.3, 3.0), **_TF})), **_RUN)
+@example(parameters={"n_time": 64, "n_tf": 16, "tf_min": -1e300}, seed=0, strict=False)
+@example(parameters={"n_time": 64, "n_tf": 16, "tf_max": 1e300}, seed=0, strict=False)
+@example(parameters={"n_time": 64, "n_tf": 16, "tf_max": 1e150}, seed=0, strict=False)
+def test_gabor_exits_0_2_or_3_on_any_key(parameters, seed, strict):
+    _run_drawn("gabor", parameters, seed, strict)
+
+
+@given(parameters=_drawn(
+    ({"n_theta": _size(2, 9), "n_gamma": _size(8, 32)},
+     {"lam": st.floats(0.1, 50.0), "m": st.integers(-8, 8), "mprime": st.integers(-8, 8),
+      "m_max": st.integers(0, 16), "shift_m": st.integers(-8, 8),
+      "shift_theta": st.floats(-7.0, 7.0)})), **_RUN)
+@example(parameters={"n_theta": 9, "n_gamma": 8}, seed=0, strict=False)
+def test_cylinder_exits_0_2_or_3_on_any_key(parameters, seed, strict):
+    _run_drawn("cylinder", parameters, seed, strict)
+
+
+@given(parameters=_drawn(
+    ({"n_time": _size(2, 64), "n_tf": _size(2, 16)},
+     {"w": st.just("gaussian"), "sigma_omega": st.floats(0.3, 3.0),
+      "sigma_b": st.floats(0.3, 3.0), "center_omega": st.floats(-3.0, 3.0),
+      "center_b": st.floats(-3.0, 3.0), **_TF, **_TIME}),
+    ({"w": st.just("overlap"), "n_time": _size(2, 64), "n_tf": _size(2, 16)},
+     {"a": st.floats(0.3, 4.0), "r": st.floats(0.3, 4.0), **_TF, **_TIME}),
+    ({"w_csv": _PATH, "n_time": _size(2, 64)}, _TIME)), **_RUN)
+@example(parameters={"n_time": 64, "n_tf": 16, "sigma_omega": 1e-300}, seed=0, strict=False)
+@example(parameters={"n_time": 64, "n_tf": 16, "sigma_b": 1e300}, seed=0, strict=False)
+def test_quantize_exits_0_2_or_3_on_any_key(parameters, seed, strict):
+    _run_drawn("quantize", parameters, seed, strict)
+
+
+_STELLAR = {"s": st.floats(0.05, 0.99), "a": st.floats(0.5, 4.0),
+            "r": st.floats(0.5, 4.0),
+            **_spans("grid_min", [-4.0, -2.0], "grid_max", [4.0, 6.0]),
+            "rel_threshold": st.floats(1e-3, 1.0), "match_cutoff": st.floats(0.1, 2.0),
+            "symmetry_fold": st.integers(2, 8)}
+
+
+@given(parameters=_drawn(
+    ({"n_grid": _size(16, 24)}, {"zeros": st.just("pentagon"), **_STELLAR}),
+    ({"zeros_json": _PATH, "n_grid": _size(16, 24)}, _STELLAR)),
+       zeros=st.lists(st.tuples(*[st.one_of(st.floats(-2.0, 2.0), _EXTREMES)] * 2),
+                      min_size=1, max_size=4), **_RUN)
+@example(parameters={"n_grid": 16, "s": 5e-324}, zeros=[(0.5, 0.5)], seed=0, strict=False)
+@example(parameters={"n_grid": 16, "a": 5e-324}, zeros=[(0.5, 0.5)], seed=0, strict=False)
+@example(parameters={"n_grid": 16, "r": 5e-324}, zeros=[(0.5, 0.5)], seed=0, strict=False)
+@example(parameters={"n_grid": 16, "grid_max": 1e300}, zeros=[(0.5, 0.5)], seed=0,
+         strict=False)
+def test_stellar_exits_0_2_or_3_on_any_key(parameters, zeros, seed, strict):
+    _run_drawn("stellar", parameters, seed, strict, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -788,19 +936,25 @@ def test_kernel_csv_writer_streams(tmp_path, monkeypatch):
 
 
 def test_few_values_take_the_python_fallback(tmp_path, monkeypatch):
+    # the fallback takes the values too near a rounding tie to decide and
+    # the nonzero magnitudes outside the exact range
     counts = {"values": 0, "fallback": 0}
-    bulk, fallback = csvtext._format, csvtext._fallback_text
+    bulk, decimal = csvtext._format, csvtext._decimal
 
     def counted_bulk(values, slots):
         counts["values"] += values.size
+        ax = np.abs(values)
+        counts["fallback"] += np.count_nonzero(
+            (ax != 0) & ((ax < csvtext._EXACT_MIN) | (ax > csvtext._EXACT_MAX)))
         bulk(values, slots)
 
-    def counted_fallback(value):
-        counts["fallback"] += 1
-        return fallback(value)
+    def counted_decimal(ax, tab):
+        digits, exponent, uncertain = decimal(ax, tab)
+        counts["fallback"] += np.count_nonzero(uncertain)
+        return digits, exponent, uncertain
 
     monkeypatch.setattr(csvtext, "_format", counted_bulk)
-    monkeypatch.setattr(csvtext, "_fallback_text", counted_fallback)
+    monkeypatch.setattr(csvtext, "_decimal", counted_decimal)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for command in ("stellar", "quantize", "cylinder"):

@@ -96,9 +96,14 @@ def test_near_tie_takes_the_fallback(monkeypatch):
     # dtoa rounds half to even
     tie = 1e15 + 0.25
     seen = []
-    fallback = csvtext._fallback_text
-    monkeypatch.setattr(csvtext, "_fallback_text",
-                        lambda v: seen.append(v) or fallback(v))
+    decimal = csvtext._decimal
+
+    def recorded(ax, tab):
+        digits, exponent, uncertain = decimal(ax, tab)
+        seen.extend(ax[uncertain].tolist())
+        return digits, exponent, uncertain
+
+    monkeypatch.setattr(csvtext, "_decimal", recorded)
     assert _written([[tie, 1.5]]) == b"1000000000000000.2,1.5\n"
     assert seen == [tie]
 

@@ -528,9 +528,12 @@ def test_edge_mass_share_counts_corners_once():
 
 
 def _edge_peak_ratio_of_magnitudes(values, axes=None):
-    """Reference form of edge_peak_ratio: |values| of the whole array."""
+    """Reference form of edge_peak_ratio: |values| of the whole array,
+    refused when its peak is NaN or infinite."""
     mag = np.abs(np.asarray(values))
     peak = mag.max()
+    if not np.isfinite(peak):
+        raise ValueError("values must be finite")
     if peak == 0.0:
         return 0.0
     axes = range(mag.ndim) if axes is None else axes
@@ -540,9 +543,11 @@ def _edge_peak_ratio_of_magnitudes(values, axes=None):
 
 def _edge_mass_share_by_cells(values, axes=None):
     """Reference form of edge_mass_share: the edge cells picked one at a
-    time, in row-major order."""
+    time, in row-major order, refused when the total is NaN or infinite."""
     values = np.asarray(values)
     total = values.sum()
+    if not np.isfinite(total):
+        raise ValueError("values must be finite")
     if not total > 0:
         return 0.0
     axes = range(values.ndim) if axes is None else axes
