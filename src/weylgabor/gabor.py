@@ -115,7 +115,7 @@ class SampledSignal:
         """Samples of t -> s(t - b), band-limited; an array of shifts gives
         one translate per row.  Every module shifts a line signal through
         here: displace and the overlap quadrature one shift at a time,
-        quantize_to_kernel its whole b-comb, and the transform and the
+        quantize_to_kernel its half-point samples, and the transform and the
         resynthesis one shift per distinct cell fraction of theirs.
         Shifts that differ by whole time steps share one FFT translate
         and are exact rolls of it (see numerics.spectral_shift).  The

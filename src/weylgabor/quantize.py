@@ -12,11 +12,15 @@ which lands on the kernel
     R(t, t') = (1/sqrt(2*pi)) integral db  w_p(t'-t, b) psi(t-b) conj(psi(t'-b)),
 
 where w_p(xi, b) = (1/sqrt(2*pi)) integral d(omega) exp(-1j*omega*xi) w(omega, b)
-is the partial Fourier transform of w along the frequency axis.  Because
-the assembly below is literally the cell-weighted sum of projectors onto
-spectrally displaced probe copies (which keep exact unit norm), the
-resulting kernel has trace equal to the mass of w and is positive
-semidefinite up to float roundoff, for every non-negative w.
+is the partial Fourier transform of w along the frequency axis.  The
+assembly below is an exact regrouping of the cell-weighted sum of
+projectors onto spectrally displaced probe copies (which keep exact unit
+norm): at each lag the sum over b-nodes becomes a sum over the
+frequencies of the probe's lag product, the form
+A_f = integral varpi(zeta) fhat(zeta) D(zeta) d(zeta)/(2*pi), with varpi
+the probe's ambiguity function, on the (lag, frequency) lattice.  So the
+kernel has trace equal to the mass of w and is positive semidefinite, both
+up to float roundoff, for every non-negative w.
 
 The reverse direction is the smoothed portrait: the expectation values of
 rho_w against displaced projectors of a second probe form the convolution
@@ -34,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft, ifft
 
 from . import numerics
 from .gabor import SampledSignal, _require_unit_norm
@@ -280,17 +285,34 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     w is real, so w_p(-xi) = conj w_p(xi) and the kernel is Hermitian: only
     the lags t' - t = L*dt for L = 0..n_t-1 are transformed, by one chirp-z
     transform over the omega-axis with the kernel exp(+1j*omega*xi), which
-    gives conj w_p directly, and the L-th diagonal is one product of the
-    probe overlaps psi(t_i - b) conj(psi(t_i + L*dt - b)) with
-    w_p(L*dt, b) over the b-nodes.  The translated probes are held
-    time-major, one contiguous (n_t, n_b) block, and the lag products run
-    over tiles of time rows that fit in cache (see _lag_products).  Beside
-    the kernel the work holds conj w_p, the translates and two tiles of
-    rows: about 2.3 (n_t, n_b) blocks at n_t 384, n_b 256.  Making the
-    translates time-major briefly takes three blocks, before the kernel is
-    allocated.  The diagonal, |psi|^2 summed against real weights, is set
-    exactly real.  Trace equals mass(w) exactly and the kernel is positive
-    semidefinite up to roundoff by construction.
+    gives conj w_p directly.  The L-th lower diagonal is
+
+        entries[j + L, j] = sum_b R_L(t_j - b) conj w_p(L*dt, b) db/sqrt(2*pi),
+        R_L(u) = conj P(u) * P(u + L*dt),
+
+    with P the probe's band-limited periodic interpolant, the one
+    SampledSignal.translated samples.  R_L is a trigonometric polynomial
+    with frequencies mu_m = 2*pi*m/(n_t*dt), |m| < n_t, so its coefficients
+    are one length-2*n_t FFT of its samples at the half-points
+    t_0 + k*dt/2, and the sum over b regroups exactly into
+    sum_m Rhat_L(m) C_L(m) exp(2j*pi*m*j/n_t), where C_L is one chirp-z
+    transform of the conj w_p row from the b-comb onto the mu-comb.  The
+    exponential is n_t-periodic in m, so m is folded mod n_t and the
+    diagonal is one length-n_t inverse FFT: O(n_t*(n_t + n_b)*log(n_t + n_b))
+    in all, where the sum over b-nodes took n_t^2*n_b multiply-adds, and no
+    translate is made at any b-node.
+
+    The probe's half-point samples come from one translated call, with
+    shifts 0 and -dt/2, held twice over, so that P(u + L*dt) is a sliding
+    window of them.  The lags run in tiles of about numerics._TILE_BYTES
+    of product rows; beside the kernel the work holds conj w_p and the
+    tile's product rows, their mu-comb rows and the chirp-z work: about
+    1.9 (n_t, n_b) blocks at n_t 384, n_b 256.  Each upper diagonal is the
+    conjugate of the lower one, and the diagonal, |P|^2 against real
+    weights, is set exactly real, so the kernel is exactly Hermitian.
+    Trace equals mass(w) to roundoff and the kernel is positive
+    semidefinite up to roundoff by construction.  No BLAS routine is
+    called, so the bits do not depend on the BLAS thread count.
     """
     _require_unit_mass(w, "quantize_to_kernel")
     _require_unit_norm(psi_a)
@@ -301,49 +323,40 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
     w_conj = chirp_z(w.values, w.grid.omega_axis.comb, (0.0, tgrid.step, n_t),
                      sign=1, axis=0)                        # (n_t, n_b)
     w_conj *= w.grid.omega_axis.step / _SQRT_2PI
-    shifted = np.ascontiguousarray(
-        psi_a.translated(w.grid.b_axis.points).T)           # (n_t, n_b)
-    entries = _lag_products(shifted, w_conj)
-    entries.reshape(-1)[::n_t + 1].imag = 0.0
-    entries *= w.grid.b_axis.step / _SQRT_2PI
-    return OperatorKernel(tgrid, entries)
-
-
-def _lag_products(shifted: np.ndarray, w_conj: np.ndarray) -> np.ndarray:
-    """The (n_t, n_t) matrix whose L-th upper diagonal is
-    sum_b shifted[i, b] conj(shifted[i + L, b]) conj(w_conj[L, b]) and
-    whose L-th lower diagonal is its conjugate, from the time-major
-    translates and conj w_p at the lags 0..n_t-1, both (n_t, n_b).
-
-    The time rows j run in tiles whose two row buffers, the conjugated
-    tile and its product, fill numerics._TILE_BYTES.  Each tile is
-    conjugated once; for every lag L it is multiplied by the window of
-    rows j + L, which slides one row per lag and so stays in cache, and
-    then by w_conj[L].  Every factor is the conjugate of the one the upper
-    diagonal takes in the same operand slot, so the multiply formulas give
-    the exact conjugate of the upper diagonal: this fills the lower
-    diagonal entries[j + L, j], and its conjugate the upper one.
-    """
-    n_t, n_b = shifted.shape
-    tile = numerics._tile_lines(2 * shifted[0].nbytes)
-    conj_tile = np.empty((min(tile, n_t), n_b), dtype=complex)
-    overlaps = np.empty_like(conj_tile)
+    # P at the half-points t_0 + k*dt/2, k = 0..2*n_t-1, held twice over:
+    # window L is P(u + L*dt) at the same half-points u
+    halves = psi_a.translated(np.array([0.0, -0.5 * tgrid.step]))
+    doubled = np.tile(halves.T, (2, 1)).reshape(-1)
+    windows = np.lib.stride_tricks.sliding_window_view(doubled, 2 * n_t)[::2]
+    conj_p = np.conj(doubled[:2 * n_t])
+    mu_step = 2.0 * np.pi / tgrid.span
+    mu_comb = (-(n_t - 1) * mu_step, mu_step, 2 * n_t - 1)
+    # a lag's product row and its mu-comb row, 2*n_t complex each
+    tile = numerics._tile_lines(64 * n_t)
+    products = np.empty((min(tile, n_t), 2 * n_t), dtype=complex)
     entries = np.empty((n_t, n_t), dtype=complex)
     flat = entries.reshape(-1)
-    for j0 in range(0, n_t, tile):
-        rows = min(tile, n_t - j0)
-        np.conjugate(shifted[j0:j0 + rows], out=conj_tile[:rows])
-        first = j0 * (n_t + 1)  # flat position of entries[j0, j0]
-        for lag in range(n_t - j0):
-            m = min(rows, n_t - j0 - lag)
-            product = overlaps[:m]
-            np.multiply(conj_tile[:m], shifted[j0 + lag:j0 + lag + m], out=product)
-            lower = product @ w_conj[lag]
-            span = m * (n_t + 1)
-            below, above = first + lag * n_t, first + lag
-            flat[below:below + span:n_t + 1] = lower          # entries[j + L, j]
-            flat[above:above + span:n_t + 1] = np.conj(lower)  # entries[j, j + L]
-    return entries
+    for l0 in range(0, n_t, tile):
+        rows = min(tile, n_t - l0)
+        spectra = products[:rows]
+        np.multiply(conj_p, windows[l0:l0 + rows], out=spectra)
+        fft(spectra, out=spectra)                # 2*n_t * Rhat_L(m mod 2*n_t)
+        weights = chirp_z(w_conj[l0:l0 + rows], w.grid.b_axis.comb, mu_comb,
+                          sign=-1)                 # C_L(m), m = -(n_t-1)..n_t-1
+        spectra[:, :n_t] *= weights[:, n_t - 1:]
+        spectra[:, n_t + 1:] *= weights[:, :n_t - 1]
+        spectra[:, 1:n_t] += spectra[:, n_t + 1:]  # fold m mod n_t
+        diagonals = ifft(spectra[:, :n_t], out=spectra[:, :n_t])
+        for lag in range(l0, l0 + rows):
+            length = n_t - lag
+            lower = diagonals[lag - l0, :length]
+            span = length * (n_t + 1)
+            flat[lag * n_t:lag * n_t + span:n_t + 1] = lower  # entries[j + L, j]
+            flat[lag:lag + span:n_t + 1] = np.conj(lower)     # entries[j, j + L]
+    flat[::n_t + 1].imag = 0.0
+    # n_t * ifft of the fold, and 1/(2*n_t) of the FFT
+    entries *= 0.5 * w.grid.b_axis.step / _SQRT_2PI
+    return OperatorKernel(tgrid, entries)
 
 
 def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -539,6 +540,39 @@ def test_identical_configs_give_identical_artifacts(tmp_path):
 # ---------------------------------------------------------------------------
 # validation and failure hygiene
 # ---------------------------------------------------------------------------
+
+def test_default_runs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each default run in two fresh processes, under one BLAS thread and
+    # under two: every artifact but diagnostics.json, whose min_eigenvalue
+    # comes from LAPACK's eigvalsh, is cmp-equal.  quantize_to_kernel makes
+    # no BLAS call, so kernel.csv is among them.
+    source = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    for command in cli.COMMANDS:
+        outs, procs = [], []
+        for threads in ("1", "2"):
+            out = tmp_path / ("%s-%s" % (command, threads))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "weylgabor", command, "--out", str(out)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+            outs.append(out)
+        for proc in procs:
+            error = proc.communicate()[1]
+            assert proc.returncode == 0, error
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            if name == "manifest.json":
+                manifests = [_read_json(out / name) for out in outs]
+                for manifest in manifests:
+                    manifest.pop("wall_time_s")
+                    manifest["outputs"].pop("diagnostics.json", None)
+                assert manifests[0] == manifests[1], command
+            elif name != "diagnostics.json":
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
+                    "%s artifact %s" % (command, name)
+
 
 def test_unknown_config_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"

@@ -416,20 +416,39 @@ def test_gaussian_distribution_takes_the_limit_of_a_width_too_large_to_square():
     assert np.array_equal(w.values, expected)
 
 
-def test_quantize_to_kernel_makes_one_chirp_z_call(monkeypatch):
-    # the lag transform of w is one chirp-z transform, with no dense table
+def test_quantize_to_kernel_makes_a_chirp_z_call_per_lag_tile(monkeypatch):
+    # the lag transform of w is one chirp-z transform over omega, and each
+    # tile of lags makes one more, over b onto the 2*n_t - 1 frequencies
+    # mu_m; tiles of 4 lags keep the work so small that a dense Fourier
+    # table over either axis, of 8 tiles or more, would show in the peak
     calls, original = [], quantize.chirp_z
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return original(*args, **kwargs)
+    def counted(values, nodes, comb, sign=-1, axis=-1):
+        calls.append((values.shape, nodes, comb[2], sign, axis))
+        return original(values, nodes, comb, sign=sign, axis=axis)
 
     monkeypatch.setattr(quantize, "chirp_z", counted)
     w = gaussian_distribution(TF_GRID, center=(0.5, -0.4)).normalized()
+    n_b = TF_GRID.shape[1]
     for n_t in (48, 96):
+        tgrid = Grid1D.regular(-8.0, 8.0, n_t)
+        probe = gaussian_probe(tgrid, 1.0)
+        # a lag's product row and its mu-comb row, 2*n_t complex each
+        monkeypatch.setattr(numerics, "_TILE_BYTES", 4 * 64 * n_t)
         calls.clear()
-        quantize_to_kernel(w, gaussian_probe(Grid1D.regular(-8.0, 8.0, n_t), 1.0))
-        assert calls == [TF_GRID.shape]
+        quantize_to_kernel(w, probe)
+        assert calls == (
+            [(TF_GRID.shape, TF_GRID.omega_axis.comb, n_t, 1, 0)]
+            + [((min(4, n_t - l0), n_b), TF_GRID.b_axis.comb, 2 * n_t - 1, -1, -1)
+               for l0 in range(0, n_t, 4)])
+        tracemalloc.start()
+        try:
+            quantize_to_kernel(w, probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beside the kernel and conj w_p (measured: 4.5 tiles)
+        assert peak < (n_t * n_t + n_t * n_b) * 16 + 6 * numerics._TILE_BYTES
 
 
 def test_quantized_density_diagnostics():
@@ -647,6 +666,45 @@ def test_quantized_random_density_has_unit_trace_and_is_positive(seed, n_tf, n_t
     assert diag["min_eigenvalue"] >= -1e-10
 
 
+def _hermite_functions(t, count):
+    """h_0..h_{count-1} at the points t, as columns, by the three-term
+    recurrence h_{k+1} = sqrt(2/(k+1)) t h_k - sqrt(k/(k+1)) h_{k-1}."""
+    h = np.empty((t.size, count))
+    h[:, 0] = np.pi ** -0.25 * np.exp(-t ** 2 / 2.0)
+    h[:, 1] = np.sqrt(2.0) * t * h[:, 0]
+    for k in range(1, count - 1):
+        h[:, k + 1] = (np.sqrt(2.0 / (k + 1)) * t * h[:, k]
+                       - np.sqrt(k / (k + 1)) * h[:, k - 1])
+    return h
+
+
+_RADIAL_GRID = PhaseSpaceGrid.square(-12.0, 12.0, 192)
+_HERMITE_TIME = Grid1D.regular(-16.0, 16.0, 384)
+_HERMITE = _hermite_functions(_HERMITE_TIME.points, 30)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 4), st.floats(0.6, 3.0))
+def test_radial_density_quantizes_to_its_exact_spectrum(p, c):
+    # w = rho^p exp(-c rho) with rho = (omega^2 + b^2)/2, at unit mass, and
+    # the unit probe: |<h_k|psi_{omega,b}>|^2 = exp(-rho) rho^k/k!, so the
+    # operator is diagonal in the Hermite functions with eigenvalues
+    # lambda_k = C(k+p, k) c^(p+1)/(1+c)^(k+p+1), a closed form that shares
+    # no code with either assembly of the kernel
+    omega, b = _RADIAL_GRID.meshes()
+    rho = 0.5 * (omega ** 2 + b ** 2)
+    w = Distribution(_RADIAL_GRID, rho ** p * np.exp(-c * rho)).normalized()
+    k = quantize_to_kernel(w, gaussian_probe(_HERMITE_TIME, 1.0)).entries
+    dt = _HERMITE_TIME.step
+    matrix = dt * dt * (_HERMITE.T @ k @ _HERMITE)
+    n = np.arange(_HERMITE.shape[1])
+    binomial = np.cumprod(np.concatenate(([1.0], (n[1:] + p) / n[1:])))
+    exact = binomial * c ** (p + 1) / (1.0 + c) ** (n + p + 1)
+    assert np.abs(matrix.diagonal() - exact).max() <= 1e-14
+    off = matrix - np.diag(matrix.diagonal())
+    assert np.abs(off).max() <= 1e-14
+
+
 def _quantize_by_b_node_loop(w, psi_a):
     """The b-node loop quantize_to_kernel once ran: the partial Fourier
     transform onto every lag t' - t in -(n_t-1)..n_t-1, then one rank-one
@@ -704,11 +762,13 @@ def test_per_lag_kernel_matches_the_b_node_loop(seed, n_t, n_omega, n_b,
 
 @pytest.mark.parametrize("extra", [(1, 0), (1, 1), (2, 3)],
                          ids=["one-tile", "one-tile-plus-1", "two-tiles-plus-3"])
-def test_tiled_kernel_matches_the_b_node_loop_across_tile_edges(extra):
-    # one tile, a partial last tile, and windows that cross into later tiles
-    n_b = 256
-    tile = numerics._TILE_BYTES // (32 * n_b)
+def test_tiled_kernel_matches_the_b_node_loop_across_tile_edges(extra, monkeypatch):
+    # one tile of lags, a last tile of one lag, and a partial third tile;
+    # a lag's work is its product row and its mu-comb row, 2*n_t complex
+    # each, so a budget of 64 lags of 64*n_t bytes makes 64-lag tiles
+    tile, n_b = 64, 256
     n_t = extra[0] * tile + extra[1]
+    monkeypatch.setattr(numerics, "_TILE_BYTES", tile * 64 * n_t)
     rng = np.random.default_rng(n_t)
     grid = PhaseSpaceGrid(Grid1D.regular(-6.0, 6.0, 24), Grid1D.regular(-3.0, 3.0, n_b))
     w = gaussian_distribution(grid, 0.8, 1.1, center=(0.4, -0.3)).normalized()
@@ -726,9 +786,9 @@ def test_tiled_kernel_matches_the_b_node_loop_across_tile_edges(extra):
 
 
 def test_kernel_assembly_holds_under_three_blocks_beside_the_entries():
-    # beside the kernel the work holds w_p, the time-major translates and
-    # two tiles of rows (measured: 2.34 blocks); the three blocks taken
-    # while the translates are made time-major come before the kernel
+    # beside the kernel the work holds w_p and one tile of lags: their
+    # product rows, mu-comb rows and chirp-z work (measured: 1.90 blocks;
+    # the time-major translates of every b-node took 2.34)
     n_t, n_b = 384, 256
     w = gaussian_distribution(PhaseSpaceGrid.square(-8.0, 8.0, n_b),
                               center=(0.3, -0.2)).normalized()
@@ -741,7 +801,7 @@ def test_kernel_assembly_holds_under_three_blocks_beside_the_entries():
     finally:
         tracemalloc.stop()
     block = n_t * n_b * 16
-    assert peak < n_t * n_t * 16 + 3.0 * block
+    assert peak < n_t * n_t * 16 + 2.56 * block
 
 
 # ---------------------------------------------------------------------------
