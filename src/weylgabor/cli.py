@@ -16,9 +16,9 @@ Every run writes its outputs plus a manifest.json into a temporary
 directory that is renamed to --out at the end, so a run either completes
 or leaves nothing.  The manifest echoes the config, lists every warning
 the run raised, and inventories the output files with SHA-256 hashes.
-Reruns with the same config and seed on the same numpy/BLAS build and
-BLAS thread count produce byte-identical outputs (the manifest differs
-only in its wall_time_s field).
+Reruns with the same config and seed on the same numpy/BLAS build
+produce byte-identical outputs (the manifest differs only in its
+wall_time_s field).
 
 Every CSV artifact (w.csv, portrait.csv, coefficients_modulus.csv,
 kernel_{real,imag,modulus}.csv, kernel.csv) holds exact %.17g text: each
@@ -65,14 +65,15 @@ from .gabor import (
 from .numerics import _BESSEL_ORDER_CAP, Grid1D, PhaseSpaceGrid
 from .quantize import (
     Distribution,
-    density_diagnostics,
     gaussian_distribution,
+    kernel_diagnostics,
     overlap_kernel,
+    positivity_certificate,
     quantize_to_kernel,
 )
 from .stellar import StellarParams, pentagon_zeros, stellar_experiment
 
-SCHEMA = 2
+SCHEMA = 3
 PHASE_GRID_HEADER = "omega_start,omega_step,n_omega,b_start,b_step,n_b"
 GENERIC_GRID_HEADER = ("axis0_start,axis0_step,axis0_count,"
                        "axis1_start,axis1_step,axis1_count")
@@ -511,7 +512,8 @@ def _run_quantize(params: _Params, seed: int, outdir: Path) -> None:
         csvtext.write_pair_rows(fh, time_grid.points,
                                 kernel.entries.view(np.float64).reshape(n_time, n_time, 2))
     report = {"schema": SCHEMA, "w": label, "probe_width": probe_width}
-    report.update(density_diagnostics(kernel))
+    report.update(kernel_diagnostics(kernel))
+    report.update(positivity_certificate(kernel))
     _write_json(outdir / "diagnostics.json", report)
 
 

@@ -300,11 +300,15 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     FFT runs one row per distinct fraction, and the forward FFT once if any
     fraction needs it: a comb whose step is p/q cells costs at most q FFT
     rows plus copying, O(q*n*log(n) + n_shifts*n), and a comb of whole
-    cells, or a single whole-cell shift, no FFT at all.  Beside the result
-    the work holds one translate twice over and its ramp.  A single shift
-    is its fraction's translate rolled, so its roundoff does not grow with
-    the shift, and a row whose fraction is its group's (every row, when
-    the fractions are distinct) is that single shift bit for bit.
+    cells, or a single whole-cell shift, no FFT at all.  The groups'
+    ramps and inverse FFTs run batched, one call each per block of
+    translates that fills _TILE_BYTES with their phases, so beside the
+    result the work holds that block and one translate held twice over;
+    a batched inverse FFT gives each row the bits of its own single-row
+    call.  A single shift is its fraction's translate rolled, so its
+    roundoff does not grow with the shift, and a row whose fraction is its
+    group's (every row, when the fractions are distinct) is that single
+    shift bit for bit.
     Anything but 1-D finite samples, a finite positive step and a scalar
     or 1-D array of finite shifts raises a ValueError.  The result is
     always a fresh array.
@@ -319,23 +323,33 @@ def spectral_shift(values: np.ndarray, step: float, shift) -> np.ndarray:
     n = values.size
     shifts = np.atleast_1d(np.asarray(shift, dtype=float))
     starts, groups = _split_shifts(shifts, step, n)
-    # the forward FFT only when some group moves
-    spectrum = fft(values) if len(groups) > 1 else None
-    nu = 2.0 * np.pi * fftfreq(n, d=step)
     out = np.empty((shifts.size, n), dtype=complex)
     doubled = np.empty(2 * n, dtype=complex)
-    for fraction, members in groups:
-        if fraction:
-            ramp = -1j * (fraction * step * nu)
-            np.exp(ramp, out=ramp)
-            # spectrum first: complex multiply is not bitwise commutative
-            ifft(np.multiply(spectrum, ramp, out=ramp), out=doubled[:n])
-        else:
-            doubled[:n] = values
-        doubled[n:] = doubled[:n]
-        # row i rolled by k cells is the window that starts at -k mod n
+
+    def place(translate, members):
+        # row i rolled by k cells is the window of the translate held
+        # twice over that starts at -k mod n
+        doubled[:n] = translate
+        doubled[n:] = translate
         for i in members:
             out[i] = doubled[starts[i]:starts[i] + n]
+
+    (_, still), moving = groups[0], groups[1:]
+    if still:
+        place(values, still)
+    if moving:  # the forward FFT only when some group moves
+        spectrum = fft(values)
+        nu = 2.0 * np.pi * fftfreq(n, d=step)
+        tile = _tile_lines(24 * n)  # a translate and its phases
+        for g0 in range(0, len(moving), tile):
+            block = moving[g0:g0 + tile]
+            fractions = np.array([fraction for fraction, _ in block])
+            ramps = -1j * ((fractions * step)[:, None] * nu)
+            np.exp(ramps, out=ramps)
+            # spectrum first: complex multiply is not bitwise commutative
+            ifft(np.multiply(spectrum, ramps, out=ramps), out=ramps)
+            for translate, (_, members) in zip(ramps, block):
+                place(translate, members)
     return out if np.ndim(shift) else out[0]
 
 

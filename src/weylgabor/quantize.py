@@ -66,7 +66,9 @@ __all__ = [
     "portrait",
     "quantize_to_kernel",
     "weyl_operator_from_weight",
+    "kernel_diagnostics",
     "density_diagnostics",
+    "positivity_certificate",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -436,58 +438,143 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     return OperatorKernel(time_grid, matrix)
 
 
-def _adjoint_tiles(k: np.ndarray, buffer: np.ndarray):
-    """(r0, rows r0.. of k^dagger) of a square k, in tiles of
-    len(buffer) rows written into ``buffer``: k^dagger is never formed
+def _adjoint_tiles(k: np.ndarray):
+    """(r0, rows r0.. of k^dagger) of a square k, in tiles written into one
+    buffer that fills numerics._TILE_BYTES: k^dagger is never formed
     whole."""
-    n, rows = k.shape[0], buffer.shape[0]
+    n = k.shape[0]
+    # a row of k^dagger, and of the tile's k - k^dagger and its modulus
+    buffer = np.empty((min(numerics._tile_lines(40 * n), n), n), dtype=complex)
+    rows = buffer.shape[0]
     for r0 in range(0, n, rows):
         tile = buffer[:min(rows, n - r0)]
         np.conjugate(k[:, r0:r0 + tile.shape[0]].T, out=tile)
         yield r0, tile
 
 
-def density_diagnostics(kernel: OperatorKernel) -> dict:
-    """Trace, Hermiticity defect, smallest eigenvalue, and purity of the
-    operator represented by the kernel.
+def kernel_diagnostics(kernel: OperatorKernel) -> dict:
+    """Trace, Hermiticity defect and purity of the operator represented by
+    the kernel: the diagnostics that need no factorization.
 
-    The eigenvalues are those of the step-weighted symmetrized matrix
-    dt*(k + k^dagger)/2, the operator's matrix in the discrete L2 inner
-    product.  k^dagger is never formed whole: its rows, conj(k[:, tile]).T,
-    run in tiles whose buffers fill numerics._TILE_BYTES, each giving its
-    share of the Hermiticity defect.  A kernel whose defect is exactly 0,
-    as is every kernel quantize_to_kernel makes, is its own symmetrized
-    part, so its smallest eigenvalue is reported as dt * lambda_min(k),
-    read from k in place: beside the kernel the work holds one tile and
-    eigvalsh's own copy.  Any other kernel is summed into one
-    step-weighted copy, its adjoint rows again in tiles and scaled by the
-    real step, so beside the kernel that work holds the matrix, one tile
-    and eigvalsh's copy.
+    The trace is the sum of dt*k's diagonal, the purity dt^2 * sum |k|^2,
+    and the defect the largest |k - k^dagger|.  k^dagger is never formed
+    whole: its rows, conj(k[:, tile]).T, run in tiles whose buffers fill
+    numerics._TILE_BYTES, each giving its share of the defect.  Beside the
+    kernel the work holds |k| for the purity, then one tile.
     """
     k = kernel.entries
     dt = kernel.quad_weight
-    n = k.shape[0]
-    # before any matrix is made, so that |k|^2 is never held beside it
+    # before any tile is made, so that |k|^2 is never held beside it
     purity = float(dt ** 2 * np.sum(np.abs(k) ** 2))
     trace = float(np.real(np.sum(dt * k.diagonal())))
-    # a row of k^dagger, and of the tile's k - k^dagger and its modulus
-    adjoint = np.empty((min(numerics._tile_lines(40 * n), n), n), dtype=complex)
     defect = 0.0
-    for r0, tile in _adjoint_tiles(k, adjoint):
+    for r0, tile in _adjoint_tiles(k):
         defect = max(defect, float(np.abs(k[r0:r0 + len(tile)] - tile).max()))
-    if defect == 0.0:
+    return {"trace": trace, "hermiticity_defect": defect, "purity": purity}
+
+
+def density_diagnostics(kernel: OperatorKernel) -> dict:
+    """kernel_diagnostics plus the smallest eigenvalue of the operator,
+    min_eigenvalue.
+
+    The eigenvalues are those of the step-weighted symmetrized matrix
+    dt*(k + k^dagger)/2, the operator's matrix in the discrete L2 inner
+    product.  A kernel whose defect is exactly 0, as is every kernel
+    quantize_to_kernel makes, is its own symmetrized part, so its smallest
+    eigenvalue is reported as dt * lambda_min(k), read from k in place:
+    beside the kernel the work holds eigvalsh's own copy.  Any other
+    kernel is summed into one step-weighted copy, its adjoint rows in
+    tiles of numerics._TILE_BYTES and scaled by the real step, so beside
+    the kernel that work holds the matrix, one tile and eigvalsh's copy.
+    min_eigenvalue is roundoff for a quantized kernel and its last bits
+    move with the BLAS thread count; positivity_certificate decides
+    positivity from one Cholesky factorization instead.
+    """
+    report = kernel_diagnostics(kernel)
+    k = kernel.entries
+    dt = kernel.quad_weight
+    if report["hermiticity_defect"] == 0.0:
         smallest = dt * np.linalg.eigvalsh(k).min()
     else:
         matrix = dt * k
-        for r0, tile in _adjoint_tiles(k, adjoint):
+        for r0, tile in _adjoint_tiles(k):
             tile *= dt
             block = matrix[r0:r0 + tile.shape[0]]
             block += tile
             block *= 0.5
         smallest = np.linalg.eigvalsh(matrix).min()
     return {
-        "trace": trace,
-        "hermiticity_defect": defect,
+        "trace": report["trace"],
+        "hermiticity_defect": report["hermiticity_defect"],
         "min_eigenvalue": float(smallest),
-        "purity": purity,
+        "purity": report["purity"],
     }
+
+
+def _hermitian_block(k: np.ndarray, rows: slice, cols: slice, dt: float) -> np.ndarray:
+    """The (rows, cols) block of dt*(k + k^dagger)/2, a fresh array.  For an
+    exactly Hermitian k it is dt*k[rows, cols] bit for bit: 2x and the
+    power-of-two scales are exact."""
+    block = np.conjugate(k[cols, rows].T)
+    block += k[rows, cols]
+    block *= 0.5 * dt
+    return block
+
+
+def positivity_certificate(kernel: OperatorKernel) -> dict:
+    """Whether the operator is positive semidefinite to within roundoff,
+    decided by one Cholesky factorization.
+
+    Let A = dt*(k + k^dagger)/2, the matrix whose eigenvalues
+    density_diagnostics reports (dt*k itself for an exactly Hermitian
+    kernel), and delta = n*eps*dt*max_i sum_j |k_ij|, that is
+    n*eps*max_i sum_j |(dt*k)_ij|, with eps the float64 machine epsilon.
+    positive_within is delta, and positive is whether the Cholesky
+    factorization of A + delta*I succeeds.  In exact arithmetic it
+    succeeds exactly when lambda_min(A) > -delta; so success certifies
+    lambda_min(A) >= -delta, up to the factorization's own backward error
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10),
+    which for a positive definite matrix is far below delta.  A quantized
+    kernel's lambda_min is roundoff, a few percent of delta in size or
+    less, so the outcome does not move with the BLAS thread count; delta
+    comes from numpy row sums and has the same bits under any.  Failure
+    says only that lambda_min(A) is not certified above -delta; a zero
+    kernel, with delta 0, is not certified.
+
+    The factorization runs on two half-size blocks: the leading block is
+    factored, the upper right block is solved against its factor
+    (np.linalg.solve: numpy has no triangular solve), and the Schur
+    complement, whose lower triangle is updated in tiles of
+    numerics._TILE_BYTES, is factored in turn.  No n x n matrix is made:
+    beside the kernel the work holds at most three quarter-size blocks,
+    and the LAPACK calls their copies of one or two of them.
+    """
+    k = kernel.entries
+    dt = kernel.quad_weight
+    n = k.shape[0]
+    rows = numerics._tile_lines(8 * n)
+    widest = max(float(np.abs(k[r0:r0 + rows]).sum(axis=1).max())
+                 for r0 in range(0, n, rows))
+    delta = n * np.finfo(float).eps * dt * widest
+    lead, trail = slice(0, (n + 1) // 2), slice((n + 1) // 2, n)
+    try:
+        shifted = _hermitian_block(k, lead, lead, dt)
+        shifted.flat[::shifted.shape[0] + 1] += delta
+        factor = np.linalg.cholesky(shifted)
+        del shifted
+        solved = np.linalg.solve(factor, _hermitian_block(k, lead, trail, dt))
+        del factor
+        schur = _hermitian_block(k, trail, trail, dt)
+        schur.flat[::schur.shape[0] + 1] += delta
+        # cholesky reads only the lower triangle: rows r0.. up to the
+        # diagonal; a row of the tile holds its conjugate and its product
+        tile = numerics._tile_lines(32 * solved.shape[0])
+        for r0 in range(0, schur.shape[0], tile):
+            r1 = min(r0 + tile, schur.shape[0])
+            schur[r0:r1, :r1] -= np.conjugate(solved[:, r0:r1].T) @ solved[:, :r1]
+        del solved
+        np.linalg.cholesky(schur)
+        positive = True
+    except np.linalg.LinAlgError:
+        positive = False
+    return {"positive": positive, "positive_within": float(delta)}

@@ -58,7 +58,7 @@ def _refuse_constant(constant):
 def _stderr_error(capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     payload = json.loads(err)
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     return payload["error"]
 
 
@@ -71,7 +71,7 @@ def test_group_check_run(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["group-check", "--config", cfg, "--out", str(out)]) == 0
     report = _read_json(out / "group_check.json")
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert report["seed"] == 7
     assert report["trials"] == 50
     assert set(report["suites"]) == EXPECTED_SUITES
@@ -267,9 +267,11 @@ def test_quantize_run_default_density(tmp_path):
     diag = _read_json(out / "diagnostics.json")
     assert diag["w"] == "gaussian"
     assert abs(diag["trace"] - 1.0) < 1e-6
-    # exactly Hermitian, so the diagnostics read the kernel in place
+    # exactly Hermitian, so the certificate factors dt*k itself
     assert diag["hermiticity_defect"] == 0.0
-    assert diag["min_eigenvalue"] >= -1e-8
+    assert diag["positive"] is True
+    assert 0.0 < diag["positive_within"] < 1e-10
+    assert "min_eigenvalue" not in diag
     assert 0.0 < diag["purity"] <= 1.0 + 1e-12
     lines = (out / "kernel.csv").read_text().splitlines()
     assert lines[0] == "# t_i,t_j,re,im"
@@ -286,7 +288,8 @@ def test_quantize_run_overlap_density(tmp_path):
     assert diag["w"] == "overlap"
     assert abs(diag["trace"] - 1.0) < 1e-6
     assert diag["hermiticity_defect"] == 0.0
-    assert diag["min_eigenvalue"] >= -1e-8
+    assert diag["positive"] is True
+    assert 0.0 < diag["positive_within"] < 1e-10
 
 
 def test_kernel_csv_holds_the_exact_kernel(tmp_path):
@@ -441,7 +444,7 @@ def test_stellar_run_pentagon_default(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["stellar", "--config", cfg, "--out", str(out)]) == 0
     report = _read_json(out / "report.json")
-    assert report["schema"] == 2
+    assert report["schema"] == 3
     assert len(report["zeros"]) == 6
     assert report["symmetry_fold"] == 5
     assert len(report["w_minima"]) == 6
@@ -543,9 +546,9 @@ def test_identical_configs_give_identical_artifacts(tmp_path):
 
 def test_default_runs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # each default run in two fresh processes, under one BLAS thread and
-    # under two: every artifact but diagnostics.json, whose min_eigenvalue
-    # comes from LAPACK's eigvalsh, is cmp-equal.  quantize_to_kernel makes
-    # no BLAS call, so kernel.csv is among them.
+    # under two: every artifact and every manifest entry but wall_time_s is
+    # equal.  quantize_to_kernel makes no BLAS call, and diagnostics.json
+    # holds the certificate's outcome and numpy's row sums, no eigenvalue.
     source = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     for command in cli.COMMANDS:
@@ -567,9 +570,8 @@ def test_default_runs_do_not_depend_on_the_blas_thread_count(tmp_path):
                 manifests = [_read_json(out / name) for out in outs]
                 for manifest in manifests:
                     manifest.pop("wall_time_s")
-                    manifest["outputs"].pop("diagnostics.json", None)
                 assert manifests[0] == manifests[1], command
-            elif name != "diagnostics.json":
+            else:
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
                     "%s artifact %s" % (command, name)
 
@@ -960,7 +962,8 @@ def test_kernel_csv_writer_streams(tmp_path, monkeypatch):
                             + 1j * rng.standard_normal((384, 384)))
     # only the writer runs at full size: the kernel is precomputed
     monkeypatch.setattr(cli, "quantize_to_kernel", lambda w, probe: kernel)
-    monkeypatch.setattr(cli, "density_diagnostics", lambda k: {})
+    monkeypatch.setattr(cli, "kernel_diagnostics", lambda k: {})
+    monkeypatch.setattr(cli, "positivity_certificate", lambda k: {})
     cfg = _write_config(tmp_path / "cfg.json", "quantize", n_time=384, n_tf=16)
     out = tmp_path / "out"
     peak = _traced_peak(lambda: cli.main(

@@ -392,6 +392,45 @@ def test_half_cells_and_the_top_of_the_cell_share_one_translate(monkeypatch):
     _assert_rows_are_single_shifts(_two_bumps(grid), grid.step, shifts)
 
 
+def _translates_by_group(values, step, shifts):
+    """spectral_shift with one inverse FFT call per group of fractions:
+    the form that the batched calls replaced, the reference for their
+    bits."""
+    n = values.size
+    starts, groups = numerics._split_shifts(shifts, step, n)
+    spectrum = numerics.fft(values)
+    nu = 2.0 * np.pi * np.fft.fftfreq(n, d=step)
+    out = np.empty((shifts.size, n), dtype=complex)
+    doubled = np.empty(2 * n, dtype=complex)
+    for fraction, members in groups:
+        if fraction:
+            ramp = -1j * (fraction * step * nu)
+            np.exp(ramp, out=ramp)
+            numerics.ifft(np.multiply(spectrum, ramp, out=ramp), out=doubled[:n])
+        else:
+            doubled[:n] = values
+        doubled[n:] = doubled[:n]
+        for i in members:
+            out[i] = doubled[starts[i]:starts[i] + n]
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 1023, 2048])
+@pytest.mark.parametrize("cells", [16 / 5, 165 / 127, math.sqrt(2.0) / 16],
+                         ids=["16/5", "165/127", "sqrt2/16"])
+def test_batched_inverse_ffts_give_the_bits_of_one_call_per_group(monkeypatch, n, cells):
+    # 512 shifts from 0.37 cells: 5, 127 and 512 groups, in blocks of the
+    # default budget and in blocks of 7 translates (24*n bytes each, with
+    # their phases) and a remainder
+    grid = Grid1D.regular(-20.0, 20.0, n)
+    s = _two_bumps(grid)
+    shifts = (0.37 + cells * np.arange(512)) * grid.step
+    expected = _translates_by_group(s, grid.step, shifts)
+    np.testing.assert_array_equal(spectral_shift(s, grid.step, shifts), expected)
+    monkeypatch.setattr(numerics, "_TILE_BYTES", 7 * 24 * n)
+    np.testing.assert_array_equal(spectral_shift(s, grid.step, shifts), expected)
+
+
 def test_close_fractions_group_by_their_smallest_member():
     # neighbours 0.6e-12 cells apart chain across 1.8e-12 cells, farther
     # than the tolerance from the first; whole cells are group 0

@@ -26,10 +26,12 @@ from weylgabor.quantize import (
     OperatorKernel,
     density_diagnostics,
     gaussian_distribution,
+    kernel_diagnostics,
     overlap_kernel,
     overlap_kernel_quadrature,
     point_mass_distribution,
     portrait,
+    positivity_certificate,
     quantize_to_kernel,
     weyl_operator_from_weight,
 )
@@ -388,11 +390,13 @@ def test_density_diagnostics_equal_the_plain_formulas(monkeypatch):
         "purity": float(dt ** 2 * np.sum(np.abs(h) ** 2)),
     }
     kernel, hermitian = OperatorKernel(grid, k), OperatorKernel(grid, h)
-    assert density_diagnostics(kernel) == expected
-    assert density_diagnostics(hermitian) == expected_hermitian
-    monkeypatch.setattr(numerics, "_TILE_BYTES", 40 * 48 * 5)
-    assert density_diagnostics(kernel) == expected
-    assert density_diagnostics(hermitian) == expected_hermitian
+    shared = [{key: value for key, value in report.items() if key != "min_eigenvalue"}
+              for report in (expected, expected_hermitian)]
+    for _ in range(2):
+        assert density_diagnostics(kernel) == expected
+        assert density_diagnostics(hermitian) == expected_hermitian
+        assert [kernel_diagnostics(kernel), kernel_diagnostics(hermitian)] == shared
+        monkeypatch.setattr(numerics, "_TILE_BYTES", 40 * 48 * 5)
 
 
 @pytest.mark.parametrize("sigmas,name", [
@@ -703,6 +707,52 @@ def test_radial_density_quantizes_to_its_exact_spectrum(p, c):
     assert np.abs(matrix.diagonal() - exact).max() <= 1e-14
     off = matrix - np.diag(matrix.diagonal())
     assert np.abs(off).max() <= 1e-14
+    # the trace and the purity are sums over the whole spectrum
+    spectrum = _radial_spectrum(p, c)
+    diag = density_diagnostics(OperatorKernel(_HERMITE_TIME, k))
+    assert abs(diag["trace"] - spectrum.sum()) <= 1e-14
+    assert abs(diag["purity"] - np.sum(spectrum ** 2)) <= 1e-14
+
+
+def _radial_spectrum(p, c):
+    """lambda_k = C(k+p, k) c^(p+1)/(1+c)^(k+p+1) of w = rho^p exp(-c rho),
+    for every k until the terms underflow: the series summed to convergence."""
+    k = np.arange(1.0, 4000.0)
+    binomial = np.cumprod(np.concatenate(([1.0], (k + p) / k)))
+    log_tail = -(np.arange(binomial.size) + p + 1) * np.log1p(c)
+    spectrum = binomial * c ** (p + 1) * np.exp(log_tail)
+    assert spectrum[-1] == 0.0
+    return spectrum
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([(0, 1.0), (2, 1.0), (1, 2.0)]),
+       st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+def test_displaced_radial_density_has_the_spectrum_on_displaced_hermite_functions(
+        profile, omega0, b0):
+    # w centred on z0 = (omega0, b0) quantizes to D(z0) A D(z0)^dagger, so
+    # its eigenvectors are D(z0) h_k, exp(1j*omega0*(t - b0/2)) h_k(t - b0),
+    # taken here from the recurrence at t - b0, and its spectrum is A's.
+    # The profiles are those whose tails the grid holds 1.5 off centre
+    # (rho^4 exp(-0.6 rho) there is cut at 3e-12 of its spectrum)
+    p, c = profile
+    omega, b = _RADIAL_GRID.meshes()
+    rho = 0.5 * ((omega - omega0) ** 2 + (b - b0) ** 2)
+    w = Distribution(_RADIAL_GRID, rho ** p * np.exp(-c * rho)).normalized()
+    k = quantize_to_kernel(w, gaussian_probe(_HERMITE_TIME, 1.0)).entries
+    t = _HERMITE_TIME.points
+    displaced = (np.exp(1j * omega0 * (t - 0.5 * b0))[:, None]
+                 * _hermite_functions(t - b0, _HERMITE.shape[1]))
+    dt = _HERMITE_TIME.step
+    matrix = dt * dt * (displaced.conj().T @ k @ displaced)
+    spectrum = _radial_spectrum(p, c)
+    exact = spectrum[:_HERMITE.shape[1]]
+    assert np.abs(matrix.diagonal() - exact).max() <= 1e-14
+    off = matrix - np.diag(matrix.diagonal())
+    assert np.abs(off).max() <= 1e-14
+    diag = density_diagnostics(OperatorKernel(_HERMITE_TIME, k))
+    assert abs(diag["trace"] - spectrum.sum()) <= 1e-14
+    assert abs(diag["purity"] - np.sum(spectrum ** 2)) <= 1e-14
 
 
 def _quantize_by_b_node_loop(w, psi_a):
@@ -863,3 +913,100 @@ def test_diagnostics_of_equal_mixture():
     diag = density_diagnostics(OperatorKernel(TIME_GRID, entries))
     assert abs(diag["trace"] - 1.0) < 1e-10
     assert abs(diag["purity"] - 0.5) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# positivity certificate
+# ---------------------------------------------------------------------------
+
+def _planted(seed, spectrum):
+    """U diag(spectrum) U^dagger, made exactly Hermitian, for a unitary U
+    seeded by ``seed``."""
+    n = len(spectrum)
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    u = q * (r.diagonal() / np.abs(r.diagonal()))
+    matrix = (u * spectrum) @ u.conj().T
+    return 0.5 * (matrix + matrix.conj().T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(2, 64),
+       st.one_of(st.just(0.0), st.floats(-200.0, 200.0)))
+def test_certificate_agrees_with_the_planted_spectrum(seed, n, smallest):
+    # spectrum: 1, n - 2 draws in [0, 1) and lambda_min = smallest * n * eps,
+    # which falls on both sides of -delta >= -n*eps*||A||; on a step of 1
+    # the kernel is A itself
+    rest = np.random.default_rng(seed).random(n - 2)
+    lam_min = smallest * n * np.finfo(float).eps
+    kernel = OperatorKernel(Grid1D.regular(0.0, float(n), n),
+                            _planted(seed, np.concatenate(([1.0, lam_min], rest))))
+    found = positivity_certificate(kernel)
+    delta = found["positive_within"]
+    assert 0.0 < delta <= n * np.finfo(float).eps * np.sqrt(n)
+    if lam_min >= 0.0:
+        assert found["positive"] is True
+    elif lam_min <= -4.0 * delta:
+        assert found["positive"] is False
+
+
+@settings(max_examples=40, deadline=None)
+@given(SEEDS, st.integers(4, 24), st.integers(4, 24), st.integers(2, 96))
+def test_quantized_random_density_is_certified_positive(seed, n_omega, n_b, n_t):
+    grid = PhaseSpaceGrid(Grid1D.regular(-4.0, 4.0, n_omega), Grid1D.regular(-4.0, 4.0, n_b))
+    values = np.random.default_rng(seed).random(grid.shape)
+    values[[0, -1], :] = 0.0
+    w = Distribution(grid, values).normalized()
+    tgrid = Grid1D.regular(-10.0, 10.0, n_t)
+    probe = SampledSignal(tgrid, np.exp(-tgrid.points ** 2 / 2.0)).normalized()
+    with warnings.catch_warnings():
+        # coarse time grids put the probe on the edge; positivity holds all the same
+        warnings.simplefilter("ignore", EdgeEnergyWarning)
+        kernel = quantize_to_kernel(w, probe)
+    found = positivity_certificate(kernel)
+    assert found["positive"] is True
+    assert found["positive_within"] > 0.0
+
+
+def test_certificate_reads_the_hermitian_part():
+    # a large skew-Hermitian part changes neither outcome; the certificate
+    # sees dt*(k + k^dagger)/2, the matrix density_diagnostics reports on
+    n = 40
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    skew = 10.0 * (z - z.conj().T)
+    grid = Grid1D.regular(0.0, float(n), n)
+    spectrum = np.linspace(0.1, 1.0, n)
+    for sign, expected in ((1.0, True), (-1.0, False)):
+        hermitian = _planted(3, sign * spectrum)
+        for k in (hermitian, hermitian + skew):
+            assert positivity_certificate(OperatorKernel(grid, k))["positive"] is expected
+
+
+def test_certificate_does_not_depend_on_the_tiles(monkeypatch):
+    # delta's row sums and the Schur complement's update run in tiles; a
+    # budget of a few rows gives the same bits
+    n = 77
+    kernel = OperatorKernel(Grid1D.regular(-3.0, 3.0, n), _planted(8, np.linspace(0.0, 1.0, n)))
+    found = positivity_certificate(kernel)
+    assert found["positive"] is True
+    monkeypatch.setattr(numerics, "_TILE_BYTES", 5 * 32 * n)
+    assert positivity_certificate(kernel) == found
+
+
+def test_certificate_holds_under_one_matrix_beside_the_kernel():
+    # two half-size blocks: the leading factor, the solved rows and the
+    # Schur complement, at most three quarter-size blocks (measured: 0.75
+    # matrices).  Factoring a shifted copy of the whole matrix holds the
+    # copy and its factor, two matrices.
+    n = 384
+    w = overlap_kernel(2.0, 0.5, PhaseSpaceGrid.square(-16.0, 16.0, 64)).normalized()
+    kernel = quantize_to_kernel(w, gaussian_probe(Grid1D.regular(-20.0, 20.0, n), 1.0))
+    assert positivity_certificate(kernel)["positive"] is True
+    tracemalloc.start()
+    try:
+        positivity_certificate(kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 16
