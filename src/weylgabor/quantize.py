@@ -52,7 +52,6 @@ from .numerics import (
     _warn_health,
     chirp_z,
     edge_peak_ratio,
-    spectral_shift,
 )
 
 __all__ = [
@@ -350,11 +349,9 @@ def quantize_to_kernel(w: Distribution, psi_a: SampledSignal) -> OperatorKernel:
         spectra[:, 1:n_t] += spectra[:, n_t + 1:]  # fold m mod n_t
         diagonals = ifft(spectra[:, :n_t], out=spectra[:, :n_t])
         for lag in range(l0, l0 + rows):
-            length = n_t - lag
-            lower = diagonals[lag - l0, :length]
-            span = length * (n_t + 1)
-            flat[lag * n_t:lag * n_t + span:n_t + 1] = lower  # entries[j + L, j]
-            flat[lag:lag + span:n_t + 1] = np.conj(lower)     # entries[j, j + L]
+            lower = diagonals[lag - l0, :n_t - lag]
+            flat[_diagonal(n_t, lag)] = lower                       # entries[j + L, j]
+            np.conjugate(lower, out=flat[_diagonal(n_t, -lag)])  # entries[j, j + L]
     flat[::n_t + 1].imag = 0.0
     # n_t * ifft of the fold, and 1/(2*n_t) of the FFT
     entries *= 0.5 * w.grid.b_axis.step / _SQRT_2PI
@@ -377,19 +374,25 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     one node, so its midpoint is ambiguous by n*dt/2: it takes the mean of
     the two images (t_i + t_j)/2 -+ n*dt/2, i.e. its phase is multiplied by
     cos(omega*n*dt/2).  Both (i, j) and (j, i) get the same mean, so the
-    symmetry above still gives Hermitian kernels.  The sum collapses to one
-    chirp-z transform over omega onto the 3n - 1 half-step midpoints that
-    cover every image and products with the stacked shift rows, read off
-    at (i + j, i - j mod n).  The diagonal i - j = d reads column d mod n
-    on midpoint rows of one parity only, the parity of n//2 + d, or of
-    n//2 + d + n when wrapped, and each column is read on one parity.  So
-    each parity's rows are multiplied by just the columns read on it,
-    about n/2 of them, one parity at a time, and the kernel is filled one
-    diagonal at a time: about 1.5*n^2*n_b multiply-adds where the whole
-    product took 3*n^2*n_b.  Beside the kernel the work holds the
-    midpoint amplitudes, the shift rows, and one parity's product with
-    the means of its images, but no n^2 index array.  Linear in w; a
-    point mass 2*pi*delta at the origin returns the identity kernel.
+    symmetry above still gives Hermitian kernels.
+
+    The sum is regrouped exactly, one axis at a time, as the symplectic
+    Fourier transform of w on the lattice.  Each shift row is the inverse
+    FFT of exp(-1j*b*nu) on the FFT frequencies nu, so the b-sums
+    B(omega, c) = sum_b w(omega, b) * shift_b[c], at every lag c mod n,
+    are one chirp-z transform of w along b onto nu and one inverse FFT.
+    Diagonal i - j = d has its midpoints at t_min(i,j) + |d|*dt/2: nodes
+    |d|//2 on of the comb t_0 + k*dt when |d| is even, or of
+    t_0 + dt/2 + k*dt when it is odd.  So the omega-sum along each
+    diagonal is one chirp-z transform of the row B(., d mod n), times
+    cos(omega*n*dt/2) when wrapped, onto its comb.  The diagonals run in
+    tiles of about numerics._TILE_BYTES, one transform per tile:
+    O((n_omega*(n_b + n) + n*(n_omega + n))*log) in all, where the sum
+    over b-nodes took about 1.5*n^2*n_b multiply-adds.  Beside the kernel
+    the work holds B, (n, n_omega) complex, and one tile of diagonals with
+    its chirp-z work.  No BLAS routine is called, so the bits do not
+    depend on the BLAS thread count.  Linear in w; a point mass
+    2*pi*delta at the origin returns the identity kernel.
     """
     # a real weight stays real: chirp_z takes it without a complex copy
     w_values = np.asarray(w_values, dtype=float if np.isrealobj(w_values) else complex)
@@ -398,44 +401,42 @@ def weyl_operator_from_weight(w_values: np.ndarray, grid: PhaseSpaceGrid,
     _require_finite(w_values, "weight")
     _warn_health(edge_peak_ratio(w_values, axes=(0,)), 1e-8, BandCoverageWarning,
                  "weyl_operator_from_weight", "weight" + _BAND_EDGE)
-    n_t = time_grid.count
-    bs = grid.b_axis.points
-    # row r holds the midpoint t_0 + (r - n_t//2)*dt/2, for pair sums
-    # i + j shifted by -n_t, 0 or +n_t
-    low = n_t // 2
-    midpoints = (time_grid.start - low * 0.5 * time_grid.step,
-                 0.5 * time_grid.step, 3 * n_t - 1)
-    amplitudes = chirp_z(w_values, grid.omega_axis.comb, midpoints,
-                         sign=1, axis=0)                      # (3*n_t-1, n_b)
-    amplitudes *= grid.cell_measure
-    impulse = np.zeros(n_t)
-    impulse[0] = 1.0
-    shift_rows = spectral_shift(impulse, time_grid.step, bs)  # (n_b, n_t)
-    # diagonal d = i - j reads column d mod n_t on rows low + |d| + 2k, or
-    # on their two images n_t rows away when wrapped: one row parity each
-    diagonals = np.arange(-(n_t - 1), n_t)
-    wrapped = 2 * np.abs(diagonals) >= n_t
-    parities = (low + diagonals + n_t * wrapped) % 2
+    n_t, n_omega = time_grid.count, grid.shape[0]
+    t0, dt = time_grid.start, time_grid.step
+    nu_step = 2.0 * np.pi / time_grid.span
+    # B(omega, c), lag-major: w's b-sums on the FFT frequencies from
+    # -(n_t//2) on, put in FFT order, then one inverse FFT over them
+    lags = np.fft.ifftshift(chirp_z(w_values.T, grid.b_axis.comb,
+                                    (-(n_t // 2) * nu_step, nu_step, n_t), axis=0), axes=0)
+    ifft(lags, axis=0, out=lags)
+    lags *= grid.cell_measure / dt                            # (n_t, n_omega)
+    # the mean of a wrapped pair's two midpoint images
+    image_mean = np.cos(0.5 * n_t * dt * grid.omega_axis.points)
     matrix = np.empty((n_t, n_t), dtype=complex)
     flat = matrix.reshape(-1)
-    for parity in (0, 1):
-        reads = parities == parity
-        columns, position = np.unique(diagonals[reads] % n_t, return_inverse=True)
-        product = amplitudes[parity::2] @ shift_rows[:, columns]
-        # a wrapped diagonal reads the mean of two images n_t rows apart
-        means = product[:-n_t] + product[n_t:]
-        means *= 0.5
-        for lag, image, column in zip(diagonals[reads].tolist(),
-                                      wrapped[reads].tolist(), position.tolist()):
-            m = n_t - abs(lag)
-            # the product row of its first entry, or of that entry's lower image
-            first = (low + abs(lag) - n_t * image - parity) // 2
-            start = lag * n_t if lag >= 0 else -lag  # flat position of that entry
-            flat[start:start + m * (n_t + 1):n_t + 1] = (
-                (means if image else product)[first:first + m, column])
-        del product, means  # before the other parity's are made
-    matrix /= time_grid.step
+    # a diagonal's row of B, its omega-sums and its zero-padded chirp-z line
+    tile = numerics._tile_lines(16 * (n_omega + n_t + numerics._next_fast_len(n_omega + n_t - 1)))
+    diagonals = np.arange(1 - n_t, n_t)
+    for parity in (0, 1):  # even |d| on the nodes t_k, odd on t_k + dt/2
+        on_comb = diagonals[np.abs(diagonals) % 2 == parity]
+        for d0 in range(0, on_comb.size, tile):
+            block = on_comb[d0:d0 + tile]
+            rows = lags[block % n_t]
+            rows[2 * np.abs(block) >= n_t] *= image_mean
+            sums = chirp_z(rows, grid.omega_axis.comb, (t0 + 0.5 * parity * dt, dt, n_t),
+                           sign=1)
+            for d, row in zip(block.tolist(), sums):
+                first = abs(d) // 2
+                flat[_diagonal(n_t, d)] = row[first:first + n_t - abs(d)]
     return OperatorKernel(time_grid, matrix)
+
+
+def _diagonal(n: int, d: int) -> slice:
+    """The strided slice of the flat form of a C-ordered n x n matrix that
+    holds its diagonal d: entries [j + d, j] for d >= 0, [i, i - d] for
+    d < 0."""
+    start = d * n if d >= 0 else -d
+    return slice(start, start + (n - abs(d)) * (n + 1), n + 1)
 
 
 def _adjoint_tiles(k: np.ndarray):

@@ -1,9 +1,13 @@
 """Quantization of phase-space densities: overlap kernels, smoothed
 portraits, projector smearing, and the operator-valued weight sum."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,14 +557,15 @@ def _weyl_by_cell_sum(w, grid, tgrid):
 
 
 def test_weyl_matches_direct_cell_sum():
-    # an odd n_t splits the shift columns between the two row parities
-    # differently from an even one
+    # odd and even n_t put a different set of diagonals on each midpoint
+    # comb and wrap a different set of them; at n_t 2 and 3 every diagonal
+    # off the main one is wrapped or sits at |d| = n_t/2
     grid = PhaseSpaceGrid.square(-4.0, 4.0, 16)
     rng = np.random.default_rng(9)
     w = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     w[[0, -1], :] = 0.0
     w[:, [0, -1]] = 0.0
-    for n_t in (32, 31):
+    for n_t in (32, 31, 2, 3, 17):
         tgrid = Grid1D.regular(-5.0, 5.0, n_t)
         fast = weyl_operator_from_weight(w, grid, tgrid).entries
         slow = _weyl_by_cell_sum(w, grid, tgrid)
@@ -581,12 +586,13 @@ def test_weyl_ambiguity_weight_gives_the_projector(n_t):
     assert abs(diag["purity"] - 1.0) < 1e-5
 
 
-def test_weyl_sum_holds_under_five_kernels():
-    # beside the kernel the work holds the midpoint amplitudes (1.5 kernels
-    # here), one row parity's product (0.75), and the shift rows and the
-    # columns that parity reads (0.75) (measured: 4.03 kernels); a complex
-    # copy of the real weight took 4.26, and the whole product and its four
-    # n_t^2 index arrays 8.44
+def test_weyl_sum_holds_the_lag_rows_and_one_tile_beside_the_kernel():
+    # beside the kernel the work holds the b-sums at every lag, (n_t, n_tf)
+    # complex (0.5 kernels here), and one tile of diagonals: their rows of
+    # those sums, their omega-sums and chirp_z's zero-padded work (measured:
+    # 2.42 kernels in all); tiles of the rows and sums alone, with no room
+    # for chirp_z's work, took 3.09, and the b-node product in two row
+    # parities 4.03
     n_t, n_tf = 256, 128
     grid = PhaseSpaceGrid.square(-8.0, 8.0, n_tf)
     omega, b = grid.meshes()
@@ -599,7 +605,51 @@ def test_weyl_sum_holds_under_five_kernels():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.15 * n_t * n_t * 16
+    assert peak < 2.6 * n_t * n_t * 16
+
+
+# a real weight with w(-omega, -b) = w(omega, b) on the lattice without
+# index 0: three seeded pairs of Gaussians of width 0.7 about +-centre
+_SYMMETRIC_WEYL_RUN = """
+import sys
+import numpy as np
+from weylgabor.numerics import Grid1D, PhaseSpaceGrid
+from weylgabor.quantize import weyl_operator_from_weight
+grid = PhaseSpaceGrid.square(-8.0, 8.0, 128)
+omega, b = grid.meshes()
+rng = np.random.default_rng(101)
+w = np.zeros(grid.shape)
+for (co, cb), amp in zip(rng.uniform(-2.0, 2.0, (3, 2)), rng.uniform(0.5, 1.5, 3)):
+    for sign in (1.0, -1.0):
+        w += amp * np.exp(-((omega - sign * co) ** 2 + (b - sign * cb) ** 2) / 0.98)
+w[0, :] = 0.0
+w[:, 0] = 0.0
+kernel = weyl_operator_from_weight(w, grid, Grid1D.regular(-10.0, 10.0, 256))
+with open(sys.argv[1], "wb") as out:
+    out.write(kernel.entries.tobytes())
+"""
+
+
+def test_weyl_sum_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the same sum in two fresh processes, under one BLAS thread and under
+    # two, set only in the children's environment: the kernels are equal
+    # byte for byte, since no BLAS routine is called
+    source = str(Path(quantize.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    outs, procs = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / ("kernel-%s.bin" % threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", _SYMMETRIC_WEYL_RUN, str(out)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+        outs.append(out)
+    for proc in procs:
+        error = proc.communicate()[1]
+        assert proc.returncode == 0, error
+    kernels = [out.read_bytes() for out in outs]
+    assert len(kernels[0]) == 256 * 256 * 16
+    assert kernels[0] == kernels[1]
 
 
 def test_weyl_is_linear_in_the_weight():
